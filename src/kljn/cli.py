@@ -82,7 +82,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _family_rows(config: ProtocolConfig, extras: dict, report) -> list[dict]:
+_FAMILY_COLUMNS = ["index", "assumed_r_a", "implied_t_a", "implied_alpha",
+                  "implied_beta", "implied_alice_bit", "residual"]
+
+
+def _family_rows(config: ProtocolConfig, extras: dict, report) -> list[tuple]:
     grid = default_assumed_grid(config, extras.get("eve_grid_points", 10))
     tolerance = extras.get("family_tolerance", 1e-9)
     rows = []
@@ -92,19 +96,16 @@ def _family_rows(config: ProtocolConfig, extras: dict, report) -> list[dict]:
         view = EveView(outcome.observables, config.band.bandwidth_hz, config)
         for point in eve_rrrt_solution_family(view, grid, tolerance,
                                               config.constants):
-            rows.append({
-                "index": outcome.index,
-                "assumed_r_a": point.assumed_r_a,
-                "implied_t_a": point.implied_t_a,
-                "implied_alpha": point.implied_alpha,
-                "implied_beta": point.implied_beta,
-                "implied_alice_bit": point.implied_alice_bit(),
-                "residual": point.residual,
-            })
+            rows.append((outcome.index, point.assumed_r_a, point.implied_t_a,
+                         point.implied_alpha, point.implied_beta,
+                         point.implied_alice_bit(), point.residual))
     return rows
 
 
-def _pair_rows(config: ProtocolConfig, report) -> list[dict]:
+_PAIR_COLUMNS = ["index", "r_pair_low", "r_pair_high", "degenerate"]
+
+
+def _pair_rows(config: ProtocolConfig, report) -> list[tuple]:
     rows = []
     for outcome in report.outcomes:
         if outcome.status != STATUS_SECURE:
@@ -112,21 +113,20 @@ def _pair_rows(config: ProtocolConfig, report) -> list[dict]:
         view = EveView(outcome.observables, config.band.bandwidth_hz, config)
         pair = eve_pair_extraction(view, config.t_eff, config.constants,
                                    mismatch_tolerance=1e-3)
-        rows.append({"index": outcome.index, "r_pair_low": pair.low,
-                     "r_pair_high": pair.high,
-                     "degenerate": int(pair.degenerate)})
+        rows.append((outcome.index, pair.low, pair.high,
+                     int(pair.degenerate)))
     return rows
 
 
-def _dump_rows(rows: list[dict], columns: list[str], summary: dict,
+def _dump_rows(rows: list[tuple], columns: list[str], summary: dict,
                out_path) -> str:
+    """Write `rows` (value sequences in `columns` order) and the summary
+    block.  The csv module writes None as an empty cell and floats with
+    repr, which is lossless for doubles."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["" if row.get(c) is None else
-                         (repr(row[c]) if isinstance(row[c], float) else row[c])
-                         for c in columns])
+    writer.writerows(rows)
     for key, value in summary.items():
         buffer.write(f"# {key},{repr(value) if isinstance(value, float) else value}\n")
     text = buffer.getvalue()
@@ -143,12 +143,9 @@ def cmd_attack(args) -> int:
     guesses = eve_guess_session(config, strategy, report=report)
 
     if config.variant == "rrrt-kljn":
-        rows = _family_rows(config, extras, report)
-        columns = ["index", "assumed_r_a", "implied_t_a", "implied_alpha",
-                   "implied_beta", "implied_alice_bit", "residual"]
+        rows, columns = _family_rows(config, extras, report), _FAMILY_COLUMNS
     else:
-        rows = _pair_rows(config, report)
-        columns = ["index", "r_pair_low", "r_pair_high", "degenerate"]
+        rows, columns = _pair_rows(config, report), _PAIR_COLUMNS
 
     summary = {
         "schema": "kljn-attack-csv-1",
@@ -178,9 +175,8 @@ def cmd_vmg_solve(args) -> int:
     _say(args, f"t_al={config.t_eff!r} t_ah={temps.t_ah!r} "
                f"t_bl={temps.t_bl!r} t_bh={temps.t_bh!r}")
     _say(args, f"lh_hl_max_relative_mismatch={residual!r}")
-    _dump_rows([{"t_al": float(config.t_eff), "t_ah": temps.t_ah,
-                 "t_bl": temps.t_bl, "t_bh": temps.t_bh,
-                 "residual": residual}],
+    _dump_rows([(float(config.t_eff), temps.t_ah, temps.t_bl, temps.t_bh,
+                 residual)],
                ["t_al", "t_ah", "t_bl", "t_bh", "residual"],
                {"schema": "kljn-vmg-csv-1"}, args.out)
     return EXIT_OK
@@ -196,15 +192,13 @@ def cmd_table(args) -> int:
         print("warning: zero cell width puts every setting in its own cell; "
               "all cells are singular", file=sys.stderr)
     with_members = table.n_settings <= _MEMBER_DUMP_LIMIT
-    rows = []
-    for cell in range(table.n_cells):
-        row = {"cell": cell, "size": int(table.cell_sizes[cell]),
-               "singular": int(table.cell_singular[cell])}
-        if with_members:
-            members = table.cell_members(cell)
-            row["members"] = ";".join(str(int(m)) for m in members)
-        rows.append(row)
     columns = ["cell", "size", "singular"] + (["members"] if with_members else [])
+    values = [list(range(table.n_cells)), table.cell_sizes.tolist(),
+              table.cell_singular.astype(int).tolist()]
+    if with_members:
+        values.append([";".join(map(str, members.tolist()))
+                       for members in table.all_cell_members()])
+    rows = list(zip(*values))
     summary = {
         "schema": "kljn-table-csv-1",
         "variant": config.variant,

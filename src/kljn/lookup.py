@@ -8,19 +8,30 @@ a triple hands the bit to an eavesdropper.  Secure operation requires
 the drawn setting's cell to be degenerate (at least two opposite bit
 situations within one cell).
 
-Tables for fine grids are large (levels^4 settings), so everything is
-kept in flat numpy arrays and cells are addressed by packed integer
-keys; per-cell member lists are materialized only on demand.
+Tables for fine grids enumerate levels^4 settings, so the build
+streams them: it walks the Alice settings in blocks of about 2^20 joint
+settings, quantizes each block's observables into packed integer cell
+keys and reduces the block to (key, count, bit mask) triples before the
+next block is computed.  The table keeps only per-cell arrays, and the
+build's working memory is bounded by the block size and the number of
+cells rather than by levels^4.  Per-setting arrays (`combo_cells`,
+`combo_bits`) exist only on demand: the same block pass recomputes them
+when they are first asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import GridTooLarge
-from .physics import PhysicalConstants, analytic_observable_arrays
+from .errors import ConfigError, GridTooLarge
+from .physics import (
+    PhysicalConstants,
+    analytic_observable_arrays,
+    analytic_power_array,
+)
 
 #: Default enumeration budget: settings pairs, not bytes.  64-level
 #: resistance and temperature grids need 64^4 ~ 1.7e7 pairs.
@@ -28,6 +39,10 @@ DEFAULT_MAX_COMBINATIONS = 40_000_000
 
 _KEY_BITS = 21
 _KEY_OFFSET = 1 << (_KEY_BITS - 1)
+
+#: Joint settings per block of the enumeration pass; the per-setting
+#: working arrays of the build never hold more than one block.
+_BLOCK_SETTINGS = 1 << 20
 
 
 def _quantize_positive(values: np.ndarray, rel_width: float) -> np.ndarray:
@@ -44,15 +59,65 @@ def _quantize_signed(values: np.ndarray, rel_width: float, scale: float) -> np.n
     return np.floor(values / (rel_width * scale)).astype(np.int64)
 
 
-def _pack_keys(i_su: np.ndarray, i_si: np.ndarray, i_p: np.ndarray) -> np.ndarray:
+def _pack_keys(i_su: np.ndarray, i_si: np.ndarray, i_p: np.ndarray,
+               rel_width: float) -> np.ndarray:
     cols = []
     for idx in (i_su, i_si, i_p):
         shifted = idx + _KEY_OFFSET
         if shifted.min() < 0 or shifted.max() >= (1 << _KEY_BITS):
-            raise ValueError("quantization indices out of packing range; "
-                             "increase the cell width")
+            raise ConfigError(
+                f"cell width {rel_width!r} is too narrow: quantization "
+                f"indices leave the {_KEY_BITS}-bit key range; increase "
+                f"degeneracy_tolerance")
         cols.append(shifted)
     return (cols[0] << (2 * _KEY_BITS)) | (cols[1] << _KEY_BITS) | cols[2]
+
+
+def _blocks(r_grid: np.ndarray, t_grid: np.ndarray):
+    """Yield (first setting index, r_a, t_a, r_b, t_b) per block of Alice
+    settings.  Alice's values are columns and Bob's are rows, so the four
+    arrays broadcast to the block's settings in row-major
+    (r_a, t_a, r_b, t_b) order."""
+    r_party = np.repeat(r_grid, len(t_grid))
+    t_party = np.tile(t_grid, len(r_grid))
+    n_party = len(r_party)
+    r_b, t_b = r_party[np.newaxis, :], t_party[np.newaxis, :]
+    rows = max(1, _BLOCK_SETTINGS // n_party)
+    for start in range(0, n_party, rows):
+        alice = slice(start, start + rows)
+        yield (start * n_party, r_party[alice, np.newaxis],
+               t_party[alice, np.newaxis], r_b, t_b)
+
+
+def _block_keys(first: int, r_a, t_a, r_b, t_b, bandwidth_hz: float,
+                k: float, rel_width: float, p_scale: float) -> np.ndarray:
+    """Flat cell keys of broadcast settings; in exact mode (zero width)
+    each setting's key is its own index, counted from `first`."""
+    if rel_width == 0.0:
+        return np.arange(first, first + np.broadcast(r_a, r_b).size,
+                         dtype=np.int64)
+    s_u, s_i, p = analytic_observable_arrays(r_a, t_a, r_b, t_b,
+                                             bandwidth_hz, k)
+    return _pack_keys(_quantize_positive(s_u.ravel(), rel_width),
+                      _quantize_positive(s_i.ravel(), rel_width),
+                      _quantize_signed(p.ravel(), rel_width, p_scale),
+                      rel_width)
+
+
+def _block_bits(r_a, r_b) -> np.ndarray:
+    """sign(R_B - R_A) per broadcast setting: -1/0/+1."""
+    return np.sign(r_b - r_a).astype(np.int8).ravel()
+
+
+def _group(keys: np.ndarray, counts: np.ndarray, masks: np.ndarray):
+    """Sorted unique keys with the summed counts and OR-ed bit masks of
+    their entries.  The inputs are concatenated sorted runs, which the
+    stable sort merges run by run instead of sorting afresh."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return (keys[starts], np.add.reduceat(counts[order], starts),
+            np.bitwise_or.reduceat(masks[order], starts))
 
 
 @dataclass
@@ -68,14 +133,12 @@ class LookupTable:
     p_scale: float
     cell_keys: np.ndarray          # sorted unique packed keys
     cell_singular: np.ndarray      # bool, aligned with cell_keys
-    cell_sizes: np.ndarray         # int, aligned with cell_keys
-    combo_cells: np.ndarray        # cell index per enumerated setting
-    combo_bits: np.ndarray         # sign(R_B - R_A) per setting: -1/0/+1
+    cell_sizes: np.ndarray         # int64, aligned with cell_keys
     exact_cells: bool = field(default=False)  # rel_cell_width == 0 mode
 
     @property
     def n_settings(self) -> int:
-        return len(self.combo_cells)
+        return (len(self.r_grid) * len(self.t_grid)) ** 2
 
     @property
     def n_cells(self) -> int:
@@ -83,15 +146,29 @@ class LookupTable:
 
     def singular_fraction(self) -> float:
         """Fraction of enumerated settings falling in singular cells."""
-        return float(np.mean(self.cell_singular[self.combo_cells]))
+        return float(self.cell_sizes[self.cell_singular].sum() / self.n_settings)
+
+    @cached_property
+    def combo_cells(self) -> np.ndarray:
+        """Cell index per enumerated setting (row-major over
+        (r_a, t_a, r_b, t_b) grid levels), computed on first use."""
+        return np.concatenate([
+            np.searchsorted(self.cell_keys, _block_keys(
+                first, r_a, t_a, r_b, t_b, self.bandwidth_hz, self.k,
+                self.rel_cell_width, self.p_scale))
+            for first, r_a, t_a, r_b, t_b in _blocks(self.r_grid, self.t_grid)])
+
+    @cached_property
+    def combo_bits(self) -> np.ndarray:
+        """sign(R_B - R_A) per enumerated setting: -1/0/+1, computed on
+        first use."""
+        return np.concatenate([
+            _block_bits(r_a, r_b)
+            for _, r_a, _, r_b, _ in _blocks(self.r_grid, self.t_grid)])
 
     def _key_for(self, r_a: float, t_a: float, r_b: float, t_b: float) -> int:
-        s_u, s_i, p = analytic_observable_arrays(r_a, t_a, r_b, t_b,
-                                                 self.bandwidth_hz, self.k)
-        i_su = _quantize_positive(np.atleast_1d(s_u), self.rel_cell_width)
-        i_si = _quantize_positive(np.atleast_1d(s_i), self.rel_cell_width)
-        i_p = _quantize_signed(np.atleast_1d(p), self.rel_cell_width, self.p_scale)
-        return int(_pack_keys(i_su, i_si, i_p)[0])
+        return int(_block_keys(0, r_a, t_a, r_b, t_b, self.bandwidth_hz,
+                               self.k, self.rel_cell_width, self.p_scale)[0])
 
     def _grid_position(self, value: float, grid: np.ndarray, name: str) -> int:
         pos = int(np.argmin(np.abs(grid - value)))
@@ -124,6 +201,11 @@ class LookupTable:
         (r_a, t_a, r_b, t_b) grid levels)."""
         return np.flatnonzero(self.combo_cells == cell_index)
 
+    def all_cell_members(self) -> list[np.ndarray]:
+        """`cell_members` of every cell, in cell order, from one sort."""
+        order = np.argsort(self.combo_cells, kind="stable")
+        return np.split(order, np.cumsum(self.cell_sizes)[:-1])
+
     def setting_values(self, member_index: int) -> tuple[float, float, float, float]:
         """(r_a, t_a, r_b, t_b) for an enumerated setting index."""
         n_t = len(self.t_grid)
@@ -151,40 +233,34 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
             f"budget of {max_combinations}", required=n_combos,
             budget=max_combinations)
 
-    r_party = np.repeat(r_grid, len(t_grid))
-    t_party = np.tile(t_grid, len(r_grid))
-    r_a = np.repeat(r_party, n_party)
-    t_a = np.repeat(t_party, n_party)
-    r_b = np.tile(r_party, n_party)
-    t_b = np.tile(t_party, n_party)
+    # the power cells scale with max|p| over the whole grid, so it takes
+    # a pass of its own before any key can be packed
+    p_scale = max(float(np.max(np.abs(analytic_power_array(
+        r_a, t_a, r_b, t_b, bandwidth_hz, constants.k))))
+        for _, r_a, t_a, r_b, t_b in _blocks(r_grid, t_grid))
 
-    s_u, s_i, p = analytic_observable_arrays(r_a, t_a, r_b, t_b,
-                                             bandwidth_hz, constants.k)
-    p_scale = float(np.max(np.abs(p)))
-    bits = np.sign(r_b - r_a).astype(np.int8)
-
-    if rel_cell_width == 0.0:
-        keys = np.arange(n_combos, dtype=np.int64)
-        exact = True
-    else:
-        keys = _pack_keys(_quantize_positive(s_u, rel_cell_width),
-                          _quantize_positive(s_i, rel_cell_width),
-                          _quantize_signed(p, rel_cell_width, p_scale))
-        exact = False
-
-    cell_keys, combo_cells, cell_sizes = np.unique(
-        keys, return_inverse=True, return_counts=True)
-
-    bit_min = np.full(len(cell_keys), 127, dtype=np.int8)
-    bit_max = np.full(len(cell_keys), -127, dtype=np.int8)
-    np.minimum.at(bit_min, combo_cells, bits)
-    np.maximum.at(bit_max, combo_cells, bits)
-    singular = bit_min == bit_max
+    # each block adds its sorted (key, count, mask) runs to the running
+    # cells, one run per bit value sign(R_B - R_A) with mask bit 1 + bit;
+    # a cell is singular when its OR-ed mask has a single bit set
+    cells = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+             np.empty(0, dtype=np.int8))
+    for first, r_a, t_a, r_b, t_b in _blocks(r_grid, t_grid):
+        keys = _block_keys(first, r_a, t_a, r_b, t_b, bandwidth_hz,
+                           constants.k, rel_cell_width, p_scale)
+        bits = _block_bits(r_a, r_b)
+        runs = [cells]
+        for bit in (-1, 0, 1):
+            run_keys, run_counts = np.unique(keys[bits == bit],
+                                             return_counts=True)
+            runs.append((run_keys, run_counts,
+                         np.full(len(run_keys), 1 << (bit + 1), dtype=np.int8)))
+        cells = _group(*map(np.concatenate, zip(*runs)))
+    cell_keys, cell_sizes, cell_masks = cells
 
     return LookupTable(r_grid=r_grid, t_grid=t_grid,
                        rel_cell_width=rel_cell_width,
                        bandwidth_hz=bandwidth_hz, k=constants.k,
                        p_scale=p_scale, cell_keys=cell_keys,
-                       cell_singular=singular, cell_sizes=cell_sizes,
-                       combo_cells=combo_cells, combo_bits=bits,
-                       exact_cells=exact)
+                       cell_singular=(cell_masks & (cell_masks - 1)) == 0,
+                       cell_sizes=cell_sizes,
+                       exact_cells=rel_cell_width == 0.0)

@@ -147,8 +147,22 @@ def analytic_observable_arrays(r_a, t_a, r_b, t_b, bandwidth_hz, k):
     denom = (r_a + r_b) ** 2
     s_u = 4.0 * k * (t_a * r_a * r_b ** 2 + t_b * r_b * r_a ** 2) / denom
     s_i = 4.0 * k * (t_a * r_a + t_b * r_b) / denom
-    p_ab = 4.0 * k * bandwidth_hz * r_a * r_b * (t_b - t_a) / denom
-    return s_u, s_i, p_ab
+    return s_u, s_i, _power_into_alice(r_a, t_a, r_b, t_b, denom, bandwidth_hz, k)
+
+
+def analytic_power_array(r_a, t_a, r_b, t_b, bandwidth_hz, k):
+    """The p_ab output of :func:`analytic_observable_arrays` alone,
+    bit-identical to it, for callers that need no PSDs."""
+    r_a = np.asarray(r_a, dtype=float)
+    t_a = np.asarray(t_a, dtype=float)
+    r_b = np.asarray(r_b, dtype=float)
+    t_b = np.asarray(t_b, dtype=float)
+    return _power_into_alice(r_a, t_a, r_b, t_b, (r_a + r_b) ** 2,
+                             bandwidth_hz, k)
+
+
+def _power_into_alice(r_a, t_a, r_b, t_b, denom, bandwidth_hz, k):
+    return 4.0 * k * bandwidth_hz * r_a * r_b * (t_b - t_a) / denom
 
 
 def analytic_observables(alice: PartyState, bob: PartyState, band: BandConfig,

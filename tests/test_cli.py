@@ -5,6 +5,8 @@ import json
 import pytest
 
 from kljn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from kljn.config import load_config
+from kljn.protocol import build_lookup_table
 from kljn.report import read_report
 
 BASE = {
@@ -135,6 +137,26 @@ class TestTable:
         assert report.summary["settings"] == (8 * 8) ** 2
         assert sum(row["size"] for row in report.rows) == (8 * 8) ** 2
         assert 0.0 <= report.summary["singular_fraction"] <= 1.0
+
+    def test_member_lists_match_cell_members(self, rrrt_cfg, tmp_path):
+        out = tmp_path / "table.csv"
+        assert main(["table", "--config", rrrt_cfg, "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        table = build_lookup_table(load_config(rrrt_cfg)[0])
+        rows = read_report(out).rows
+        assert len(rows) == table.n_cells
+        for row in rows:
+            members = [int(m) for m in str(row["members"]).split(";")]
+            assert members == table.cell_members(row["cell"]).tolist()
+
+    def test_too_narrow_cells_exit_2(self, tmp_path, capsys):
+        cfg = config_file(tmp_path, variant="rrrt-kljn",
+                          r_range=[1000.0, 2000.0], r_levels=16,
+                          t_range=[200.0, 400.0], t_levels=16,
+                          degeneracy_tolerance=1e-5)
+        assert main(["table", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "1e-05" in err
 
     def test_zero_width_warns(self, tmp_path, capsys):
         cfg = config_file(tmp_path, variant="rr-kljn",

@@ -18,6 +18,8 @@ from kljn import (
     run_bit,
     run_session,
 )
+from kljn import lookup
+from kljn.physics import analytic_observable_arrays
 from kljn.protocol import (
     STATUS_SAME_BIT,
     STATUS_SECURE,
@@ -258,6 +260,70 @@ class TestLookupTable:
         for m in singular_members:
             r_a, _, r_b, _ = table.setting_values(int(m))
             assert r_a == r_b
+
+
+def one_shot_table(r_grid, t_grid, bandwidth_hz, k, rel_width):
+    """Reference build: every setting enumerated at once, grouped by
+    np.unique, singularity from ufunc.at bit extremes."""
+    n_party = len(r_grid) * len(t_grid)
+    r_party = np.repeat(r_grid, len(t_grid))
+    t_party = np.tile(t_grid, len(r_grid))
+    r_a, t_a = np.repeat(r_party, n_party), np.repeat(t_party, n_party)
+    r_b, t_b = np.tile(r_party, n_party), np.tile(t_party, n_party)
+    s_u, s_i, p = analytic_observable_arrays(r_a, t_a, r_b, t_b,
+                                             bandwidth_hz, k)
+    p_scale = float(np.max(np.abs(p)))
+    bits = np.sign(r_b - r_a).astype(np.int8)
+    if rel_width == 0.0:
+        keys = np.arange(n_party * n_party, dtype=np.int64)
+    else:
+        log_width = np.log1p(rel_width)
+        cols = [np.floor(np.log(s_u) / log_width).astype(np.int64),
+                np.floor(np.log(s_i) / log_width).astype(np.int64),
+                (np.floor(p / (rel_width * p_scale)).astype(np.int64)
+                 if p_scale > 0.0 else np.zeros(len(p), dtype=np.int64))]
+        cols = [c + (1 << 20) for c in cols]
+        keys = (cols[0] << 42) | (cols[1] << 21) | cols[2]
+    cell_keys, combo_cells, cell_sizes = np.unique(
+        keys, return_inverse=True, return_counts=True)
+    bit_min = np.full(len(cell_keys), 127, dtype=np.int8)
+    bit_max = np.full(len(cell_keys), -127, dtype=np.int8)
+    np.minimum.at(bit_min, combo_cells, bits)
+    np.maximum.at(bit_max, combo_cells, bits)
+    return dict(p_scale=p_scale, cell_keys=cell_keys, cell_sizes=cell_sizes,
+                cell_singular=bit_min == bit_max, combo_cells=combo_cells,
+                combo_bits=bits)
+
+
+class TestStreamedBuild:
+    """The block-streamed build against the one-shot reference."""
+
+    @pytest.mark.parametrize("cfg, block_settings", [
+        (rr_config(r_levels=16), None),
+        (rrrt_config(r_levels=6, t_levels=5, degeneracy_tolerance=0.02), None),
+        (rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.0), None),
+        # 64 Alice settings in blocks of 5: 13 blocks, the last one of 4
+        (rrrt_config(r_levels=8, t_levels=8), 5 * 64),
+    ], ids=["rr-16", "rrrt-6x5-w0.02", "rrrt-8x8-exact", "rrrt-8x8-blocks"])
+    def test_matches_one_shot_build(self, cfg, block_settings, monkeypatch):
+        if block_settings is not None:
+            monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", block_settings)
+            blocks = list(lookup._blocks(cfg.resistance_grid(),
+                                         cfg.temperature_grid()))
+            assert len(blocks) == 13 and blocks[-1][1].shape == (4, 1)
+        table = build_lookup_table(cfg)
+        expected = one_shot_table(cfg.resistance_grid(), cfg.temperature_grid(),
+                                  cfg.band.bandwidth_hz, cfg.constants.k,
+                                  cfg.degeneracy_tolerance)
+        assert table.p_scale == expected["p_scale"]
+        for name in ("cell_keys", "cell_sizes", "cell_singular",
+                     "combo_cells", "combo_bits"):
+            actual = getattr(table, name)
+            assert actual.dtype == expected[name].dtype, name
+            np.testing.assert_array_equal(actual, expected[name], err_msg=name)
+        assert table.n_settings == len(expected["combo_cells"])
+        assert table.singular_fraction() == float(
+            np.mean(expected["cell_singular"][expected["combo_cells"]]))
 
 
 class TestRunBit:
