@@ -6,8 +6,8 @@ from .adversary import (
     EveView,
     GuessRecord,
     SolutionFamilyPoint,
-    eve_classic_distinguish,
     eve_guess_session,
+    eve_nearest_class,
     eve_pair_extraction,
     eve_rrrt_solution_family,
     wilson_interval,
@@ -31,7 +31,6 @@ from .physics import (
     NORMALIZED,
     SI,
     BandConfig,
-    LoopParameters,
     NoiseTrace,
     PartyState,
     PhysicalConstants,

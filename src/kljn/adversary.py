@@ -29,11 +29,12 @@ import numpy as np
 from .errors import InconsistentObservables, KljnError, ModelMismatch
 from .physics import (
     SI,
-    BandConfig,
     PartyState,
     PhysicalConstants,
     WireObservables,
+    analytic_observable_arrays,
     analytic_observables,
+    squared_relative_error,
 )
 from .protocol import (
     STATUS_SECURE,
@@ -118,19 +119,6 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.99) -> tuple[f
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _triple_distance(a: WireObservables, b: WireObservables) -> float:
-    total = 0.0
-    for x, y in ((a.s_u, b.s_u), (a.s_i, b.s_i), (a.p_ab, b.p_ab)):
-        scale = max(abs(x), abs(y), 1e-300)
-        total += ((x - y) / scale) ** 2
-    return total
-
-
-def _nearest_class(view: EveView, classes: dict[str, WireObservables]) -> str:
-    return min(classes, key=lambda name: _triple_distance(view.observables,
-                                                          classes[name]))
-
-
 def _binary_classes(config: ProtocolConfig) -> dict[str, WireObservables]:
     """Analytic class centers {LL, HH, LH-or-HL} for a binary variant.
 
@@ -153,30 +141,16 @@ def _binary_classes(config: ProtocolConfig) -> dict[str, WireObservables]:
             for name, (a, b) in pairs.items()}
 
 
-def eve_classic_distinguish(view: EveView, r_low: float, r_high: float,
-                            t_eff: float,
-                            constants: PhysicalConstants = SI) -> str:
-    """Classify a binary equal-temperature draw as LL, HH or LH-or-HL.
+def eve_nearest_class(view: EveView, config: ProtocolConfig) -> str:
+    """Classify a binary-variant draw as LL, HH or LH-or-HL.
 
-    The LH/HL pair is irreducibly ambiguous: both produce the same wire
+    Works for the classic and the four-resistor scheme alike.  The
+    LH/HL pair is irreducibly ambiguous: both produce the same wire
     triple, which is exactly what makes those bits secure.
     """
-    band = _band_for(view)
-    low = PartyState(r_low, t_eff)
-    high = PartyState(r_high, t_eff)
-    classes = {
-        "LL": analytic_observables(low, low, band, constants),
-        "HH": analytic_observables(high, high, band, constants),
-        "LH-or-HL": analytic_observables(low, high, band, constants),
-    }
-    return _nearest_class(view, classes)
-
-
-def _band_for(view: EveView):
-    if view.public_config is not None:
-        return view.public_config.band
-    return BandConfig(bandwidth_hz=view.bandwidth_hz,
-                      sample_rate_hz=2.0 * view.bandwidth_hz, samples_per_bit=2)
+    classes = _binary_classes(config)
+    return min(classes, key=lambda name: squared_relative_error(
+        view.observables, classes[name]))
 
 
 def eve_pair_extraction(view: EveView, t_eff: float,
@@ -243,11 +217,9 @@ def eve_rrrt_solution_family(view: EveView, assumed_r_a_grid,
         t_b = t_a + n / (assumed_r_a * r_b)
         if t_a <= 0.0 or t_b <= 0.0:
             continue
-        alice = PartyState(assumed_r_a, t_a)
-        bob = PartyState(r_b, t_b)
-        band = BandConfig(bandwidth_hz=df, sample_rate_hz=2.0 * df, samples_per_bit=2)
-        predicted = analytic_observables(alice, bob, band, constants)
-        residual = math.sqrt(_triple_distance(predicted, obs))
+        predicted = [float(v) for v in analytic_observable_arrays(
+            assumed_r_a, t_a, r_b, t_b, df, k)]
+        residual = math.sqrt(squared_relative_error(predicted, obs))
         if residual <= tolerance:
             family.append(SolutionFamilyPoint(
                 assumed_r_a=float(assumed_r_a), implied_t_a=float(t_a),
@@ -269,7 +241,7 @@ def default_assumed_grid(config: ProtocolConfig, points: int = 10) -> np.ndarray
 def _guess_nearest_class(config: ProtocolConfig, view: EveView,
                          rng: np.random.Generator) -> int:
     if config.variant in ("classic-kljn", "vmg-kljn"):
-        label = _nearest_class(view, _binary_classes(config))
+        label = eve_nearest_class(view, config)
         if label == "LL":
             return 0
         if label == "HH":

@@ -5,8 +5,9 @@ Subcommands:
     simulate   run a key-exchange session, write the per-bit CSV,
                print efficiency and Eve's guess accuracy
     attack     replay a session from Eve's side: guess record plus,
-               for the random-temperature variant, the solution-family
-               sweep table
+               per secure bit, the solution-family sweep (random
+               temperature), the nearest class (four-resistor) or the
+               extracted resistor pair (equal temperature)
     vmg-solve  print the temperature triple matching the LH and HL wire
                triples for a four-resistor configuration
     table      build and dump the singularity look-up table
@@ -18,18 +19,15 @@ Every command is deterministic given (config file, --seed).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import __version__
 from .adversary import (
-    GuessRecord,
     EveView,
     default_assumed_grid,
     eve_guess_session,
+    eve_nearest_class,
     eve_pair_extraction,
     eve_rrrt_solution_family,
 )
@@ -41,7 +39,7 @@ from .protocol import (
     build_lookup_table,
     run_session,
 )
-from .report import session_to_report, write_report
+from .report import session_to_report, write_csv, write_report
 from .resolver import vmg_matching_residual
 
 EXIT_OK = 0
@@ -59,11 +57,6 @@ def _load(args) -> tuple[ProtocolConfig, dict]:
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     return config, extras
-
-
-def _write_text(path, text: str):
-    if path:
-        Path(path).write_text(text)
 
 
 def cmd_simulate(args) -> int:
@@ -103,6 +96,7 @@ def _family_rows(config: ProtocolConfig, extras: dict, report) -> list[tuple]:
 
 
 _PAIR_COLUMNS = ["index", "r_pair_low", "r_pair_high", "degenerate"]
+_CLASS_COLUMNS = ["index", "eve_class"]
 
 
 def _pair_rows(config: ProtocolConfig, report) -> list[tuple]:
@@ -118,20 +112,13 @@ def _pair_rows(config: ProtocolConfig, report) -> list[tuple]:
     return rows
 
 
-def _dump_rows(rows: list[tuple], columns: list[str], summary: dict,
-               out_path) -> str:
-    """Write `rows` (value sequences in `columns` order) and the summary
-    block.  The csv module writes None as an empty cell and floats with
-    repr, which is lossless for doubles."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    for key, value in summary.items():
-        buffer.write(f"# {key},{repr(value) if isinstance(value, float) else value}\n")
-    text = buffer.getvalue()
-    _write_text(out_path, text)
-    return text
+def _class_rows(config: ProtocolConfig, report) -> list[tuple]:
+    """Eve's nearest class per secure bit: the four-resistor scheme's
+    unequal temperatures rule out the equal-temperature pair model."""
+    return [(outcome.index,
+             eve_nearest_class(EveView(outcome.observables,
+                                       config.band.bandwidth_hz, config), config))
+            for outcome in report.outcomes if outcome.status == STATUS_SECURE]
 
 
 def cmd_attack(args) -> int:
@@ -144,6 +131,8 @@ def cmd_attack(args) -> int:
 
     if config.variant == "rrrt-kljn":
         rows, columns = _family_rows(config, extras, report), _FAMILY_COLUMNS
+    elif config.variant == "vmg-kljn":
+        rows, columns = _class_rows(config, report), _CLASS_COLUMNS
     else:
         rows, columns = _pair_rows(config, report), _PAIR_COLUMNS
 
@@ -158,7 +147,8 @@ def cmd_attack(args) -> int:
     interval = guesses.wilson_interval()
     if interval:
         summary["eve_wilson99_low"], summary["eve_wilson99_high"] = interval
-    _dump_rows(rows, columns, summary, args.out)
+    if args.out:
+        write_csv(columns, rows, summary, args.out)
     accuracy = "n/a" if guesses.accuracy is None else f"{guesses.accuracy:.4f}"
     _say(args, f"variant={config.variant} secure={guesses.n} "
                f"eve[{strategy}]={accuracy} table_rows={len(rows)}")
@@ -175,10 +165,11 @@ def cmd_vmg_solve(args) -> int:
     _say(args, f"t_al={config.t_eff!r} t_ah={temps.t_ah!r} "
                f"t_bl={temps.t_bl!r} t_bh={temps.t_bh!r}")
     _say(args, f"lh_hl_max_relative_mismatch={residual!r}")
-    _dump_rows([(float(config.t_eff), temps.t_ah, temps.t_bl, temps.t_bh,
-                 residual)],
-               ["t_al", "t_ah", "t_bl", "t_bh", "residual"],
-               {"schema": "kljn-vmg-csv-1"}, args.out)
+    if args.out:
+        write_csv(["t_al", "t_ah", "t_bl", "t_bh", "residual"],
+                  [(float(config.t_eff), temps.t_ah, temps.t_bl, temps.t_bh,
+                    residual)],
+                  {"schema": "kljn-vmg-csv-1"}, args.out)
     return EXIT_OK
 
 
@@ -191,23 +182,23 @@ def cmd_table(args) -> int:
     if config.degeneracy_tolerance == 0.0:
         print("warning: zero cell width puts every setting in its own cell; "
               "all cells are singular", file=sys.stderr)
-    with_members = table.n_settings <= _MEMBER_DUMP_LIMIT
-    columns = ["cell", "size", "singular"] + (["members"] if with_members else [])
-    values = [list(range(table.n_cells)), table.cell_sizes.tolist(),
-              table.cell_singular.astype(int).tolist()]
-    if with_members:
-        values.append([";".join(map(str, members.tolist()))
-                       for members in table.all_cell_members()])
-    rows = list(zip(*values))
-    summary = {
-        "schema": "kljn-table-csv-1",
-        "variant": config.variant,
-        "settings": table.n_settings,
-        "cells": table.n_cells,
-        "cell_width": config.degeneracy_tolerance,
-        "singular_fraction": table.singular_fraction(),
-    }
-    _dump_rows(rows, columns, summary, args.out)
+    if args.out:
+        with_members = table.n_settings <= _MEMBER_DUMP_LIMIT
+        columns = ["cell", "size", "singular"] + (["members"] if with_members else [])
+        values = [range(table.n_cells), table.cell_sizes.tolist(),
+                  table.cell_singular.astype(int).tolist()]
+        if with_members:
+            values.append([";".join(map(str, members.tolist()))
+                           for members in table.all_cell_members()])
+        summary = {
+            "schema": "kljn-table-csv-1",
+            "variant": config.variant,
+            "settings": table.n_settings,
+            "cells": table.n_cells,
+            "cell_width": config.degeneracy_tolerance,
+            "singular_fraction": table.singular_fraction(),
+        }
+        write_csv(columns, zip(*values), summary, args.out)
     _say(args, f"settings={table.n_settings} cells={table.n_cells} "
                f"singular_fraction={table.singular_fraction():.6f}")
     return EXIT_OK

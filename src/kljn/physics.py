@@ -70,23 +70,6 @@ class PartyState:
 
 
 @dataclass(frozen=True)
-class LoopParameters:
-    """Dimensionless Bob-to-Alice ratios: R_B = alpha*R_A, T_B = beta*T_A."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not self.alpha > 0 or not self.beta > 0:
-            raise ValueError(f"alpha and beta must be positive, got ({self.alpha}, {self.beta})")
-
-    @classmethod
-    def from_states(cls, alice: PartyState, bob: PartyState) -> "LoopParameters":
-        return cls(alpha=bob.resistance / alice.resistance,
-                   beta=bob.temperature / alice.temperature)
-
-
-@dataclass(frozen=True)
 class BandConfig:
     """Noise bandwidth and sampling layout for one bit period."""
 
@@ -120,6 +103,27 @@ class WireObservables:
     def from_partner_side(self) -> "WireObservables":
         """The same wire seen from the other party: PSDs unchanged, power negated."""
         return WireObservables(self.s_u, self.s_i, -self.p_ab)
+
+    def __iter__(self):
+        """Unpacks as (s_u, s_i, p_ab)."""
+        return iter((self.s_u, self.s_i, self.p_ab))
+
+
+def relative_errors(predicted, measured) -> list[float]:
+    """Per-component relative mismatch |p - m| / max(|p|, |m|, 1e-300)
+    of two triples, the one mismatch metric of the toolkit.
+
+    Recovery residuals take the max of these; distances between wire
+    triples take the sum of squares (:func:`squared_relative_error`).
+    """
+    return [abs(p - m) / max(abs(p), abs(m), 1e-300)
+            for p, m in zip(predicted, measured)]
+
+
+def squared_relative_error(predicted, measured) -> float:
+    """Sum of the squared :func:`relative_errors` of two triples."""
+    e_u, e_i, e_p = relative_errors(predicted, measured)
+    return e_u ** 2 + e_i ** 2 + e_p ** 2
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ independent and may be evaluated in any order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,6 +40,7 @@ from .physics import (
     WireObservables,
     analytic_observables,
     estimate_observables,
+    squared_relative_error,
     synthesize_bit_period,
 )
 from .resolver import (
@@ -95,6 +97,12 @@ class ProtocolConfig:
             raise ConfigError(f"bits must be >= 0, got {self.bits}")
         if self.degeneracy_tolerance < 0:
             raise ConfigError("degeneracy_tolerance must be >= 0")
+        physical = {"r_low": self.r_low, "r_high": self.r_high, "t_eff": self.t_eff}
+        if self.vmg_resistors is not None:
+            physical.update(zip(("r_al", "r_ah", "r_bl", "r_bh"), self.vmg_resistors))
+        for name, value in physical.items():
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.variant == "classic-kljn":
             self._require("r_low", "r_high", "t_eff")
             if self.r_low == self.r_high:
@@ -122,8 +130,9 @@ class ProtocolConfig:
     @staticmethod
     def _check_grid(range_name, rng, levels_name, levels):
         lo, hi = rng
-        if not (0 < lo < hi):
-            raise ConfigError(f"{range_name} must be an ordered positive pair, got {rng}")
+        if not (0 < lo < hi and math.isfinite(hi)):
+            raise ConfigError(
+                f"{range_name} must be an ordered positive finite pair, got {rng}")
         if levels < 2:
             raise ConfigError(f"{levels_name} must be >= 2, got {levels}")
 
@@ -149,14 +158,6 @@ class ProtocolConfig:
                                       constants=self.constants)
 
 
-@dataclass(frozen=True)
-class RecoveredPartnerState:
-    """A party's estimate of the other side's (R, T)."""
-
-    resistance: float
-    temperature: float
-
-
 @dataclass
 class BitOutcome:
     index: int
@@ -167,8 +168,8 @@ class BitOutcome:
     alice_bit: Optional[str] = None  # "L" / "H"
     bob_bit: Optional[str] = None
     shared_key_bit: Optional[int] = None
-    alice_view_of_bob: Optional[RecoveredPartnerState] = None
-    bob_view_of_alice: Optional[RecoveredPartnerState] = None
+    alice_view_of_bob: Optional[PartyState] = None  # recovered from the wire
+    bob_view_of_alice: Optional[PartyState] = None
     error: Optional[str] = None
 
 
@@ -263,7 +264,7 @@ def _observe(config: ProtocolConfig, alice: PartyState, bob: PartyState,
 
 def _resolve_partner(config: ProtocolConfig, own: PartyState,
                      observables: WireObservables,
-                     side: str = "alice") -> RecoveredPartnerState:
+                     side: str = "alice") -> PartyState:
     """One party's reconstruction of the other side from the wire triple.
 
     `observables` must already be expressed in the calling party's frame
@@ -273,45 +274,37 @@ def _resolve_partner(config: ProtocolConfig, own: PartyState,
     if config.variant in ("classic-kljn", "rr-kljn"):
         r_partner = partner_resistance_equal_temp(
             observables.s_i, own.resistance, config.t_eff, config.constants)
-        return RecoveredPartnerState(r_partner, config.t_eff)
+        return PartyState(r_partner, config.t_eff)
     if config.variant == "vmg-kljn":
         return _resolve_vmg_partner(config, own, observables, side)
     reduced = reduce_observables(observables, own.resistance, own.temperature,
                                  config.band.bandwidth_hz, config.constants)
     recovered = recover_partner(reduced, config.effective_recovery_tolerance())
-    return RecoveredPartnerState(recovered.alpha * own.resistance,
-                                 recovered.beta * own.temperature)
+    return PartyState(recovered.alpha * own.resistance,
+                      recovered.beta * own.temperature)
 
 
 def _resolve_vmg_partner(config: ProtocolConfig, own: PartyState,
                          observables: WireObservables,
-                         side: str) -> RecoveredPartnerState:
+                         side: str) -> PartyState:
     """The four-resistor settings are public, so a party only needs to
     pick which of the partner's two (R, T) candidates matches the wire
     best."""
     r_al, r_ah, r_bl, r_bh = config.vmg_resistors
     temps = config.vmg_temperatures()
-    own_is_alice = side == "alice"
-    if own_is_alice:
-        candidates = [PartyState(r_bl, temps.t_bl), PartyState(r_bh, temps.t_bh)]
+    if side == "alice":
+        pairs = [(own, PartyState(r_bl, temps.t_bl)),
+                 (own, PartyState(r_bh, temps.t_bh))]
+        seen = observables
     else:
-        candidates = [PartyState(r_al, config.t_eff), PartyState(r_ah, temps.t_ah)]
-
-    def mismatch(candidate: PartyState) -> float:
-        alice, bob = (own, candidate) if own_is_alice else (candidate, own)
-        predicted = analytic_observables(alice, bob, config.band, config.constants)
+        pairs = [(PartyState(r_al, config.t_eff), own),
+                 (PartyState(r_ah, temps.t_ah), own)]
         # `observables` is in the caller's frame; predictions are in
         # Alice's, so flip the power for Bob.
-        seen = observables if own_is_alice else observables.from_partner_side()
-        total = 0.0
-        for p, m in ((predicted.s_u, seen.s_u), (predicted.s_i, seen.s_i),
-                     (predicted.p_ab, seen.p_ab)):
-            scale = max(abs(p), abs(m), 1e-300)
-            total += ((p - m) / scale) ** 2
-        return total
-
-    best = min(candidates, key=mismatch)
-    return RecoveredPartnerState(best.resistance, best.temperature)
+        seen = observables.from_partner_side()
+    alice, bob = min(pairs, key=lambda pair: squared_relative_error(
+        analytic_observables(*pair, config.band, config.constants), seen))
+    return bob if side == "alice" else alice
 
 
 def run_bit(config: ProtocolConfig, bit_index: int, stream=None,

@@ -1,4 +1,4 @@
-"""Machine-readable CSV output for sessions and attacks.
+"""Machine-readable CSV output for every command.
 
 One file holds a per-bit table followed by a summary block.  Summary
 lines are prefixed with ``#`` so the table parses with any CSV reader;
@@ -9,7 +9,6 @@ the toolkit's own reader returns both parts and round-trips exactly
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -97,15 +96,27 @@ def session_to_report(report: SessionReport,
     return CsvReport(columns=list(SESSION_COLUMNS), rows=rows, summary=summary)
 
 
+def write_csv(columns, rows, summary: dict, path) -> None:
+    """Stream one output file: the header, `rows` (value sequences in
+    `columns` order) and the summary block.
+
+    The one CSV writer of the toolkit.  The csv module writes None as
+    an empty cell and floats with repr, as :func:`_format` does for the
+    summary values.
+    """
+    with open(path, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        handle.writelines(f"# {key},{_format(value)}\n"
+                          for key, value in summary.items())
+
+
 def write_report(report: CsvReport, path) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(report.columns)
-    for row in report.rows:
-        writer.writerow([_format(row.get(col)) for col in report.columns])
-    for key, value in report.summary.items():
-        buffer.write(f"# {key},{_format(value)}\n")
-    Path(path).write_text(buffer.getvalue())
+    """Write a :class:`CsvReport` through :func:`write_csv`."""
+    write_csv(report.columns,
+              ([row.get(col) for col in report.columns] for row in report.rows),
+              report.summary, path)
 
 
 def _parse_cell(text: str):

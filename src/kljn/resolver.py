@@ -41,7 +41,13 @@ from .errors import (
     NoPositiveRoot,
     SingularSystem,
 )
-from .physics import SI, PhysicalConstants, WireObservables, analytic_observable_arrays
+from .physics import (
+    SI,
+    PhysicalConstants,
+    WireObservables,
+    analytic_observable_arrays,
+    relative_errors,
+)
 
 #: Two candidate roots are treated as one joint solution within this
 #: relative tolerance; genuinely distinct survivors raise instead.
@@ -123,13 +129,8 @@ def _predicted_reduced(alpha: float, beta: float) -> tuple[float, float, float]:
 
 def equation_residual(reduced: ReducedObservables, alpha: float, beta: float) -> float:
     """Max relative mismatch of the three reduced equations at (alpha, beta)."""
-    predicted = _predicted_reduced(alpha, beta)
-    measured = (reduced.gamma, reduced.phi, reduced.delta)
-    worst = 0.0
-    for p, m in zip(predicted, measured):
-        scale = max(abs(p), abs(m), 1e-300)
-        worst = max(worst, abs(p - m) / scale)
-    return worst
+    return max(0.0, *relative_errors(_predicted_reduced(alpha, beta),
+                                     (reduced.gamma, reduced.phi, reduced.delta)))
 
 
 def solve_quadratic_stable(a: float, b: float, c: float) -> tuple[float, float]:
@@ -331,11 +332,7 @@ def vmg_matching_residual(r_al: float, r_ah: float, r_bl: float, r_bh: float,
     """Max relative mismatch of the LH vs HL observable triples."""
     lh = analytic_observable_arrays(r_al, t_al, r_bh, temps.t_bh, 1.0, constants.k)
     hl = analytic_observable_arrays(r_ah, temps.t_ah, r_bl, temps.t_bl, 1.0, constants.k)
-    worst = 0.0
-    for a, b in zip(lh, hl):
-        scale = max(abs(a), abs(b), 1e-300)
-        worst = max(worst, abs(a - b) / scale)
-    return float(worst)
+    return float(max(0.0, *relative_errors(lh, hl)))
 
 
 def solve_vmg_temperatures(r_al: float, r_ah: float, r_bl: float, r_bh: float,

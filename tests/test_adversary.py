@@ -16,8 +16,8 @@ from kljn import (
     ProtocolConfig,
     WireObservables,
     analytic_observables,
-    eve_classic_distinguish,
     eve_guess_session,
+    eve_nearest_class,
     eve_pair_extraction,
     eve_rrrt_solution_family,
     run_session,
@@ -57,13 +57,15 @@ class TestWilsonInterval:
 
 
 class TestClassicDistinguish:
+    CONFIG = ProtocolConfig(variant="classic-kljn", band=BAND, bits=0,
+                            master_seed=0, r_low=R_LOW, r_high=R_HIGH,
+                            t_eff=T_EFF, constants=NORMALIZED)
+
     def test_same_bit_draws_classified_exactly(self):
         low = PartyState(R_LOW, T_EFF)
         high = PartyState(R_HIGH, T_EFF)
-        assert eve_classic_distinguish(view_for(low, low), R_LOW, R_HIGH,
-                                       T_EFF, NORMALIZED) == "LL"
-        assert eve_classic_distinguish(view_for(high, high), R_LOW, R_HIGH,
-                                       T_EFF, NORMALIZED) == "HH"
+        assert eve_nearest_class(view_for(low, low), self.CONFIG) == "LL"
+        assert eve_nearest_class(view_for(high, high), self.CONFIG) == "HH"
 
     def test_secure_draws_collapse_to_one_class(self):
         low = PartyState(R_LOW, T_EFF)
@@ -72,10 +74,8 @@ class TestClassicDistinguish:
         hl = view_for(high, low)
         # LH and HL are the same point on the wire: identical triples
         assert lh.observables == hl.observables
-        assert eve_classic_distinguish(lh, R_LOW, R_HIGH, T_EFF,
-                                       NORMALIZED) == "LH-or-HL"
-        assert eve_classic_distinguish(hl, R_LOW, R_HIGH, T_EFF,
-                                       NORMALIZED) == "LH-or-HL"
+        assert eve_nearest_class(lh, self.CONFIG) == "LH-or-HL"
+        assert eve_nearest_class(hl, self.CONFIG) == "LH-or-HL"
 
 
 class TestPairExtraction:

@@ -7,7 +7,7 @@ import pytest
 from kljn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from kljn.config import load_config
 from kljn.protocol import build_lookup_table
-from kljn.report import read_report
+from kljn.report import read_report, write_report
 
 BASE = {
     "bits": 40, "master_seed": 7, "bandwidth_hz": 1.0,
@@ -108,6 +108,29 @@ class TestAttack:
         assert any({"L", "H"} <= bits for bits in by_index.values())
 
 
+    def test_vmg_class_table(self, vmg_cfg, tmp_path):
+        out = tmp_path / "attack.csv"
+        assert main(["attack", "--config", vmg_cfg, "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        report = read_report(out)
+        assert report.columns == ["index", "eve_class"]
+        assert len(report.rows) == report.summary["secure_bits"] > 0
+        # LH and HL give one wire triple: every secure bit is ambiguous
+        assert {row["eve_class"] for row in report.rows} == {"LH-or-HL"}
+
+    def test_empty_attack_round_trips(self, tmp_path):
+        cfg = config_file(tmp_path, variant="classic-kljn", r_low=1000.0,
+                          r_high=2000.0, t_eff=300.0, bits=0)
+        out = tmp_path / "attack.csv"
+        assert main(["attack", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        report = read_report(out)
+        assert report.summary["eve_accuracy"] is None
+        copy = tmp_path / "copy.csv"
+        write_report(report, copy)
+        assert copy.read_bytes() == out.read_bytes()
+
+
 class TestVmgSolve:
     def test_prints_triple_and_residual(self, vmg_cfg, capsys):
         assert main(["vmg-solve", "--config", vmg_cfg]) == EXIT_OK
@@ -189,3 +212,27 @@ class TestErrorPaths:
         cfg = config_file(tmp_path, variant="classic-kljn", r_low=1000.0,
                           r_high=2000.0, t_eff=300.0, typo_key=1)
         assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("fields, name", [
+        pytest.param({"t_eff": -1}, "t_eff", id="negative-t_eff"),
+        pytest.param({"t_eff": 0}, "t_eff", id="zero-t_eff"),
+        pytest.param({"t_eff": float("nan")}, "t_eff", id="nan-t_eff"),
+        pytest.param({"r_low": 0}, "r_low", id="zero-r_low"),
+        pytest.param({"r_high": float("inf")}, "r_high", id="inf-r_high"),
+        pytest.param({"variant": "vmg-kljn",
+                      "vmg_resistors": [1000.0, 2000.0, -5.0, 2500.0]},
+                     "r_bl", id="negative-vmg-resistor"),
+        pytest.param({"variant": "rr-kljn", "r_range": [1000.0, float("inf")],
+                      "r_levels": 4}, "r_range", id="inf-r_range"),
+        pytest.param({"variant": "rrrt-kljn", "r_range": [1000.0, 2000.0],
+                      "r_levels": 4, "t_range": [200.0, float("nan")],
+                      "t_levels": 4}, "t_range", id="nan-t_range"),
+    ])
+    def test_bad_physical_input_exits_2(self, tmp_path, capsys, fields, name):
+        # json writes nan and inf as the NaN / Infinity tokens it also reads
+        cfg = config_file(tmp_path, **{"variant": "classic-kljn",
+                                       "r_low": 1000.0, "r_high": 2000.0,
+                                       "t_eff": 300.0, **fields})
+        assert main(["simulate", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and name in err
