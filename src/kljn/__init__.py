@@ -18,6 +18,7 @@ from .errors import (
     GridTooLarge,
     InadmissibleTemperatures,
     InconsistentObservables,
+    KeyDisagreement,
     KljnError,
     ModelMismatch,
     NoPositiveRoot,

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import InconsistentObservables, KljnError, ModelMismatch
 from .physics import (
     SI,
-    PartyState,
     PhysicalConstants,
     WireObservables,
     analytic_observable_arrays,
@@ -37,9 +36,11 @@ from .physics import (
     squared_relative_error,
 )
 from .protocol import (
+    BINARY_VARIANTS,
     STATUS_SECURE,
     ProtocolConfig,
     SessionReport,
+    party_states,
     run_session,
 )
 from .resolver import ResistorPair, eve_resistor_pair_equal_temp
@@ -125,20 +126,17 @@ def _binary_classes(config: ProtocolConfig) -> dict[str, WireObservables]:
     LH and HL coincide (exactly for classic, by temperature design for
     the four-resistor scheme), so they form a single irreducible class.
     """
-    if config.variant == "classic-kljn":
-        low = PartyState(config.r_low, config.t_eff)
-        high = PartyState(config.r_high, config.t_eff)
-        pairs = {"LL": (low, low), "HH": (high, high), "LH-or-HL": (low, high)}
-    else:
-        r_al, r_ah, r_bl, r_bh = config.vmg_resistors
-        temps = config.vmg_temperatures()
-        pairs = {
-            "LL": (PartyState(r_al, config.t_eff), PartyState(r_bl, temps.t_bl)),
-            "HH": (PartyState(r_ah, temps.t_ah), PartyState(r_bh, temps.t_bh)),
-            "LH-or-HL": (PartyState(r_al, config.t_eff), PartyState(r_bh, temps.t_bh)),
-        }
+    (a_low, a_high), (b_low, b_high) = party_states(config)
+    pairs = {"LL": (a_low, b_low), "HH": (a_high, b_high),
+             "LH-or-HL": (a_low, b_high)}
     return {name: analytic_observables(a, b, config.band, config.constants)
             for name, (a, b) in pairs.items()}
+
+
+def _nearest_class(observables: WireObservables,
+                   classes: dict[str, WireObservables]) -> str:
+    return min(classes, key=lambda name: squared_relative_error(
+        observables, classes[name]))
 
 
 def eve_nearest_class(view: EveView, config: ProtocolConfig) -> str:
@@ -148,9 +146,7 @@ def eve_nearest_class(view: EveView, config: ProtocolConfig) -> str:
     LH/HL pair is irreducibly ambiguous: both produce the same wire
     triple, which is exactly what makes those bits secure.
     """
-    classes = _binary_classes(config)
-    return min(classes, key=lambda name: squared_relative_error(
-        view.observables, classes[name]))
+    return _nearest_class(view.observables, _binary_classes(config))
 
 
 def eve_pair_extraction(view: EveView, t_eff: float,
@@ -238,17 +234,16 @@ def default_assumed_grid(config: ProtocolConfig, points: int = 10) -> np.ndarray
     return np.geomspace(lo, hi, points)
 
 
-def _guess_nearest_class(config: ProtocolConfig, view: EveView,
-                         rng: np.random.Generator) -> int:
-    if config.variant in ("classic-kljn", "vmg-kljn"):
-        label = eve_nearest_class(view, config)
-        if label == "LL":
-            return 0
-        if label == "HH":
-            return 1
-        return int(rng.integers(2))  # degenerate class: coin flip
-    # quasi-continuum: no finite class set distinguishes secure draws
-    return int(rng.integers(2))
+def _guess_nearest_class(classes: Optional[dict[str, WireObservables]],
+                         view: EveView, rng: np.random.Generator) -> int:
+    """`classes` are the binary variants' class centers; quasi-continuum
+    variants have none (no finite class set distinguishes secure draws)."""
+    label = _nearest_class(view.observables, classes) if classes else None
+    if label == "LL":
+        return 0
+    if label == "HH":
+        return 1
+    return int(rng.integers(2))  # degenerate class or no classes: coin flip
 
 
 def _guess_pair_extraction(config: ProtocolConfig, view: EveView,
@@ -288,6 +283,8 @@ def eve_guess_session(config: ProtocolConfig, strategy: str,
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(0xEE,)))
     record = GuessRecord(strategy=strategy)
+    classes = (_binary_classes(config) if strategy == "nearest-class"
+               and config.variant in BINARY_VARIANTS else None)
     for outcome in report.outcomes:
         if outcome.status != STATUS_SECURE:
             continue
@@ -297,7 +294,7 @@ def eve_guess_session(config: ProtocolConfig, strategy: str,
         if strategy == "random":
             guess = int(rng.integers(2))
         elif strategy == "nearest-class":
-            guess = _guess_nearest_class(config, view, rng)
+            guess = _guess_nearest_class(classes, view, rng)
         else:
             guess = _guess_pair_extraction(config, view, rng)
         record.bit_indices.append(outcome.index)

@@ -45,6 +45,10 @@ class TieDraw(KljnError):
     """Both parties drew identical resistances; the bit must be discarded."""
 
 
+class KeyDisagreement(KljnError):
+    """The parties' key bits differ after the pre-agreed inversion."""
+
+
 class GridTooLarge(KljnError):
     """Requested enumeration exceeds the configured memory budget."""
 

@@ -109,6 +109,14 @@ def _block_bits(r_a, r_b) -> np.ndarray:
     return np.sign(r_b - r_a).astype(np.int8).ravel()
 
 
+def _grid_positions(values: np.ndarray, grid: np.ndarray, name: str) -> np.ndarray:
+    pos = np.argmin(np.abs(grid[np.newaxis, :] - values[:, np.newaxis]), axis=1)
+    off = ~np.isclose(grid[pos], values, rtol=1e-12, atol=0.0)
+    if off.any():
+        raise KeyError(f"{name} value {values[off][0]} is not on the configured grid")
+    return pos
+
+
 def _group(keys: np.ndarray, counts: np.ndarray, masks: np.ndarray):
     """Sorted unique keys with the summed counts and OR-ed bit masks of
     their entries.  The inputs are concatenated sorted runs, which the
@@ -166,32 +174,28 @@ class LookupTable:
             _block_bits(r_a, r_b)
             for _, r_a, _, r_b, _ in _blocks(self.r_grid, self.t_grid)])
 
-    def _key_for(self, r_a: float, t_a: float, r_b: float, t_b: float) -> int:
-        return int(_block_keys(0, r_a, t_a, r_b, t_b, self.bandwidth_hz,
-                               self.k, self.rel_cell_width, self.p_scale)[0])
-
-    def _grid_position(self, value: float, grid: np.ndarray, name: str) -> int:
-        pos = int(np.argmin(np.abs(grid - value)))
-        if not np.isclose(grid[pos], value, rtol=1e-12, atol=0.0):
-            raise KeyError(f"{name} value {value} is not on the configured grid")
+    def cell_indices(self, r_a, t_a, r_b, t_b) -> np.ndarray:
+        """Cell index per drawn setting (equal-length arrays on the grids)."""
+        r_a, t_a, r_b, t_b = (np.asarray(v, dtype=float) for v in (r_a, t_a, r_b, t_b))
+        if self.exact_cells:
+            n_t = len(self.t_grid)
+            a, b = (_grid_positions(r, self.r_grid, f"r_{side}") * n_t
+                    + _grid_positions(t, self.t_grid, f"t_{side}")
+                    for side, r, t in (("a", r_a, t_a), ("b", r_b, t_b)))
+            return a * len(self.r_grid) * n_t + b
+        keys = _block_keys(0, r_a, t_a, r_b, t_b, self.bandwidth_hz, self.k,
+                           self.rel_cell_width, self.p_scale)
+        pos = np.searchsorted(self.cell_keys, keys)
+        found = self.cell_keys[np.minimum(pos, self.n_cells - 1)] == keys
+        if not found.all():
+            j = np.argmin(found)
+            raise KeyError(f"setting ({r_a[j]}, {t_a[j]}, {r_b[j]}, {t_b[j]}) maps to no "
+                           f"enumerated cell; is it on the configured grids?")
         return pos
 
     def cell_index_for(self, r_a: float, t_a: float, r_b: float, t_b: float) -> int:
-        """Cell index of a drawn setting; the setting must lie on the grids."""
-        if self.exact_cells:
-            n_t = len(self.t_grid)
-            n_party = len(self.r_grid) * n_t
-            a = self._grid_position(r_a, self.r_grid, "r_a") * n_t \
-                + self._grid_position(t_a, self.t_grid, "t_a")
-            b = self._grid_position(r_b, self.r_grid, "r_b") * n_t \
-                + self._grid_position(t_b, self.t_grid, "t_b")
-            return a * n_party + b
-        key = self._key_for(r_a, t_a, r_b, t_b)
-        pos = int(np.searchsorted(self.cell_keys, key))
-        if pos >= len(self.cell_keys) or self.cell_keys[pos] != key:
-            raise KeyError(f"setting ({r_a}, {t_a}, {r_b}, {t_b}) maps to no "
-                           f"enumerated cell; is it on the configured grids?")
-        return pos
+        """Cell index of one drawn setting."""
+        return int(self.cell_indices([r_a], [t_a], [r_b], [t_b])[0])
 
     def is_singular(self, r_a: float, t_a: float, r_b: float, t_b: float) -> bool:
         return bool(self.cell_singular[self.cell_index_for(r_a, t_a, r_b, t_b)])

@@ -3,9 +3,10 @@
 Two Johnson-noise voltage generators, one at each end of an ideal
 (zero-resistance, zero-capacitance) wire, drive the loop.  This module
 provides the exact analytic wire observables (voltage PSD, current PSD,
-net power flow), band-limited Gaussian noise synthesis for one bit
-period, and averaged-periodogram estimation of the observables from a
-synthesized trace.
+net power flow), band-limited Gaussian noise synthesis of bit periods,
+and averaged-periodogram estimation of the observables from synthesized
+traces; the sampled functions work on one row per bit period, and their
+one-period forms are thin wrappers.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -78,8 +79,8 @@ class BandConfig:
     samples_per_bit: int
 
     def __post_init__(self):
-        if not self.bandwidth_hz > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_hz}")
+        if not 0 < self.bandwidth_hz < float("inf"):
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth_hz}")
         if self.sample_rate_hz < 2.0 * self.bandwidth_hz:
             raise ValueError(
                 f"sample rate {self.sample_rate_hz} cannot represent band-limited "
@@ -182,57 +183,59 @@ def analytic_observables(alice: PartyState, bob: PartyState, band: BandConfig,
     return WireObservables(float(s_u), float(s_i), float(p_ab))
 
 
-def _band_limited_voltage(psd: float, band: BandConfig, n: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Synthesize one band-limited white Gaussian voltage process.
+def synthesize_traces(r_a, t_a, r_b, t_b, band: BandConfig, seeds,
+                      constants: PhysicalConstants = SI):
+    """Wire voltage and current samples, one row per bit period.
 
-    Direct spectral synthesis: independent complex Gaussian rFFT bins
-    with flat one-sided PSD `psd` on 0 < f <= bandwidth, zero elsewhere.
-    DC and the Nyquist bin are excluded so the process has exactly zero
-    mean and stays strictly in-band.
+    Two independent band-limited generators with PSDs 4kT_A R_A and
+    4kT_B R_B drive the resistive divider u_wire = (u_A R_B + u_B R_A) /
+    (R_A + R_B), i = (u_A - u_B) / (R_A + R_B).  Each is synthesized from
+    independent complex Gaussian rFFT bins of flat one-sided PSD on
+    0 < f <= bandwidth (no DC or Nyquist bin: zero mean, strictly
+    in-band).  Row j draws its bins from ``default_rng(seeds[j])`` in the
+    order u_A real, u_A imaginary, u_B real, u_B imaginary.
     """
+    n = band.samples_per_bit
     freqs = np.fft.rfftfreq(n, d=1.0 / band.sample_rate_hz)
     in_band = (freqs > 0) & (freqs <= band.bandwidth_hz) & (freqs < band.sample_rate_hz / 2.0)
-    n_bins = int(np.count_nonzero(in_band))
-    spectrum = np.zeros(len(freqs), dtype=complex)
-    # E|X_k|^2 = psd * fs * n / 2 makes the one-sided periodogram
-    # 2|X_k|^2 / (fs n) an unbiased estimate of `psd` in-band.
-    amplitude = np.sqrt(psd * band.sample_rate_hz * n / 4.0)
-    spectrum[in_band] = amplitude * (rng.standard_normal(n_bins)
-                                     + 1j * rng.standard_normal(n_bins))
-    return np.fft.irfft(spectrum, n)
+    normals = np.empty((len(seeds), 4, int(np.count_nonzero(in_band))))
+    for row, seed in zip(normals, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    r_a, t_a, r_b, t_b = (np.asarray(v, dtype=float)[:, np.newaxis]
+                          for v in (r_a, t_a, r_b, t_b))
+    spectrum = np.zeros((len(normals), len(freqs)), dtype=complex)
+    voltages = []
+    for psd, re, im in ((4.0 * constants.k * t_a * r_a, 0, 1),
+                        (4.0 * constants.k * t_b * r_b, 2, 3)):
+        # E|X_k|^2 = psd * fs * n / 2 makes the one-sided periodogram
+        # 2|X_k|^2 / (fs n) an unbiased estimate of `psd` in-band.
+        amplitude = np.sqrt(psd * band.sample_rate_hz * n / 4.0)
+        # the bins of amplitude * (re + 1j * im), without complex temporaries
+        spectrum.real[:, in_band] = amplitude * normals[:, re]
+        spectrum.imag[:, in_band] = amplitude * normals[:, im]
+        voltages.append(np.fft.irfft(spectrum, n))
+    u_a, u_b = voltages
+    total_r = r_a + r_b
+    return (u_a * r_b + u_b * r_a) / total_r, (u_a - u_b) / total_r
 
 
 def synthesize_bit_period(alice: PartyState, bob: PartyState, band: BandConfig,
                           seed, constants: PhysicalConstants = SI) -> NoiseTrace:
-    """Generate wire voltage/current samples for one bit period.
-
-    Two independent generators with PSDs 4kT_A R_A and 4kT_B R_B drive
-    the loop; the wire sees the usual resistive divider:
-
-        u_wire = (u_A R_B + u_B R_A) / (R_A + R_B)
-        i      = (u_A - u_B) / (R_A + R_B)
-
-    Deterministic given `seed`.
-    """
-    rng = np.random.default_rng(seed)
-    n = band.samples_per_bit
-    u_a = _band_limited_voltage(alice.noise_psd(constants), band, n, rng)
-    u_b = _band_limited_voltage(bob.noise_psd(constants), band, n, rng)
-    total_r = alice.resistance + bob.resistance
-    u_wire = (u_a * bob.resistance + u_b * alice.resistance) / total_r
-    i_wire = (u_a - u_b) / total_r
-    return NoiseTrace(u_wire=u_wire, i_wire=i_wire, seed=seed)
+    """:func:`synthesize_traces` for one bit period."""
+    u_wire, i_wire = synthesize_traces(
+        [alice.resistance], [alice.temperature], [bob.resistance],
+        [bob.temperature], band, [seed], constants)
+    return NoiseTrace(u_wire=u_wire[0], i_wire=i_wire[0], seed=seed)
 
 
-def _averaged_periodogram_psd(x: np.ndarray, band: BandConfig, segments: int) -> float:
-    """Mean in-band PSD from non-overlapping rectangular-window periodograms.
+def _averaged_periodogram_psd(x: np.ndarray, band: BandConfig, segments: int) -> np.ndarray:
+    """Mean in-band PSD per row from non-overlapping rectangular-window periodograms.
 
     Bins within one bin-width of the band edge are excluded: rectangular
     windowing leaks roughly half of the edge bin's power past the sharp
     cutoff, which would bias the in-band mean low.
     """
-    seg_len = len(x) // segments
+    seg_len = x.shape[1] // segments
     freqs = np.fft.rfftfreq(seg_len, d=1.0 / band.sample_rate_hz)
     bin_width = band.sample_rate_hz / seg_len
     in_band = (freqs > 0) & (freqs <= band.bandwidth_hz - bin_width) \
@@ -245,27 +248,35 @@ def _averaged_periodogram_psd(x: np.ndarray, band: BandConfig, segments: int) ->
         raise TraceTooShort(
             f"segment length {seg_len} resolves no bins inside the "
             f"{band.bandwidth_hz} Hz band at {band.sample_rate_hz} Hz sampling")
-    blocks = x[: segments * seg_len].reshape(segments, seg_len)
-    spectra = np.fft.rfft(blocks, axis=1)
+    blocks = x[:, : segments * seg_len].reshape(len(x), segments, seg_len)
+    spectra = np.fft.rfft(blocks, axis=2)
     psd = 2.0 * np.abs(spectra) ** 2 / (band.sample_rate_hz * seg_len)
-    return float(np.mean(psd[:, in_band]))
+    # contiguous bin-major rows: each sums in the order of a one-trace mean
+    rows = np.ascontiguousarray(psd.transpose(0, 2, 1)[:, in_band])
+    return np.mean(rows.reshape(len(x), -1), axis=1)
+
+
+def estimate_observable_arrays(u_wire: np.ndarray, i_wire: np.ndarray,
+                               band: BandConfig, segments: int):
+    """Estimate (s_u, s_i, p_ab) per row of sampled traces.
+
+    PSDs come from averaged non-overlapping periodograms (variance
+    shrinks as 1/segments); the power into Alice is -<u*i> under the
+    current sign convention of :func:`synthesize_traces`.
+    """
+    if segments < 1:
+        raise TraceTooShort(f"need at least one segment, got {segments}")
+    if u_wire.shape[1] // segments < 2:
+        raise TraceTooShort(
+            f"trace of {u_wire.shape[1]} samples cannot be split into "
+            f"{segments} segments of >= 2 samples")
+    return (_averaged_periodogram_psd(u_wire, band, segments),
+            _averaged_periodogram_psd(i_wire, band, segments),
+            -np.mean(u_wire * i_wire, axis=1))
 
 
 def estimate_observables(trace: NoiseTrace, band: BandConfig,
                          segments: int) -> WireObservables:
-    """Estimate (s_u, s_i, p_ab) from a sampled trace.
-
-    PSDs come from averaged non-overlapping periodograms (variance
-    shrinks as 1/segments); the power into Alice is -<u*i> under the
-    current sign convention of :func:`synthesize_bit_period`.
-    """
-    if segments < 1:
-        raise TraceTooShort(f"need at least one segment, got {segments}")
-    if len(trace.u_wire) // segments < 2:
-        raise TraceTooShort(
-            f"trace of {len(trace.u_wire)} samples cannot be split into "
-            f"{segments} segments of >= 2 samples")
-    s_u = _averaged_periodogram_psd(trace.u_wire, band, segments)
-    s_i = _averaged_periodogram_psd(trace.i_wire, band, segments)
-    p_ab = -float(np.mean(trace.u_wire * trace.i_wire))
-    return WireObservables(s_u=s_u, s_i=s_i, p_ab=p_ab)
+    """:func:`estimate_observable_arrays` for one trace."""
+    return WireObservables(*(float(column[0]) for column in estimate_observable_arrays(
+        trace.u_wire[np.newaxis], trace.i_wire[np.newaxis], band, segments)))

@@ -18,8 +18,14 @@ Alice is the pre-agreed inverting party, so the shared key bit always
 equals Bob's bit value (L -> 0, H -> 1).
 
 Every random choice flows from ``master_seed`` via per-bit seed
-sequences keyed on (master_seed, bit_index); bit periods are mutually
-independent and may be evaluated in any order.
+sequences: bit i draws both parties' states from
+``bit_seed(master_seed, i)`` and, in sampled mode, its noise from
+``bit_seed(master_seed, i, purpose=1)``, so bit periods are mutually
+independent and may be evaluated in any order.  A session is one batch
+pass: per-config state is computed once, a lean loop over the seeds
+draws the states, then observables (sampled mode: chunks of bit
+periods), bits, equal-temperature recovery and the singularity lookup
+are array operations.  :func:`run_bit` is that pass on one index.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, KljnError, TieDraw
+from .errors import ConfigError, KeyDisagreement, KljnError, TieDraw
 from .lookup import DEFAULT_MAX_COMBINATIONS, LookupTable, build_table
 from .physics import (
     SI,
@@ -38,10 +44,11 @@ from .physics import (
     PartyState,
     PhysicalConstants,
     WireObservables,
+    analytic_observable_arrays,
     analytic_observables,
-    estimate_observables,
+    estimate_observable_arrays,
     squared_relative_error,
-    synthesize_bit_period,
+    synthesize_traces,
 )
 from .resolver import (
     partner_resistance_equal_temp,
@@ -95,9 +102,16 @@ class ProtocolConfig:
             raise ConfigError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
         if self.bits < 0:
             raise ConfigError(f"bits must be >= 0, got {self.bits}")
-        if self.degeneracy_tolerance < 0:
-            raise ConfigError("degeneracy_tolerance must be >= 0")
-        physical = {"r_low": self.r_low, "r_high": self.r_high, "t_eff": self.t_eff}
+        if not 0 <= self.degeneracy_tolerance < math.inf:
+            raise ConfigError(f"degeneracy_tolerance must be finite and >= 0, "
+                              f"got {self.degeneracy_tolerance}")
+        segments = self.estimator_segments
+        if segments < 1 or (self.mode == "sampled"
+                            and self.band.samples_per_bit // segments < 2):
+            raise ConfigError(f"estimator_segments {segments} must be >= 1 and, in "
+                              f"sampled mode, leave >= 2 samples per segment")
+        physical = {"r_low": self.r_low, "r_high": self.r_high, "t_eff": self.t_eff,
+                    "recovery_tolerance": self.recovery_tolerance}
         if self.vmg_resistors is not None:
             physical.update(zip(("r_al", "r_ah", "r_bl", "r_bh"), self.vmg_resistors))
         for name, value in physical.items():
@@ -144,7 +158,7 @@ class ProtocolConfig:
 
     def temperature_grid(self) -> np.ndarray:
         if self.variant == "rr-kljn":
-            return np.array([self.t_eff])
+            return np.array([self.t_eff], dtype=float)
         lo, hi = self.t_range
         return np.linspace(lo, hi, self.t_levels)
 
@@ -170,7 +184,7 @@ class BitOutcome:
     shared_key_bit: Optional[int] = None
     alice_view_of_bob: Optional[PartyState] = None  # recovered from the wire
     bob_view_of_alice: Optional[PartyState] = None
-    error: Optional[str] = None
+    error: Optional[KljnError] = None
 
 
 @dataclass
@@ -194,28 +208,50 @@ def bit_seed(master_seed: int, bit_index: int, purpose: int = 0) -> np.random.Se
                                   spawn_key=(bit_index, purpose))
 
 
-def draw_parameters(config: ProtocolConfig, bit_index: int,
-                    stream) -> tuple[PartyState, PartyState]:
-    """Independent per-party (R, T) draws for one bit period."""
-    rng = np.random.default_rng(stream)
+def party_states(config: ProtocolConfig) -> tuple[tuple[PartyState, ...],
+                                                   tuple[PartyState, ...]]:
+    """The (R, T) states Alice and Bob each draw from, by level.
+
+    Binary variants: (low, high) per party, so level 0 is bit L.
+    Quasi-continuum variants: both parties share the grid product, with
+    level r * n_t + t for resistance level r and temperature level t.
+    """
     if config.variant == "classic-kljn":
-        choices = (config.r_low, config.r_high)
-        r_a = choices[rng.integers(2)]
-        r_b = choices[rng.integers(2)]
-        return (PartyState(r_a, config.t_eff), PartyState(r_b, config.t_eff))
+        pair = (PartyState(config.r_low, config.t_eff),
+                PartyState(config.r_high, config.t_eff))
+        return pair, pair
     if config.variant == "vmg-kljn":
         r_al, r_ah, r_bl, r_bh = config.vmg_resistors
         temps = config.vmg_temperatures()
-        alice = ((r_al, config.t_eff), (r_ah, temps.t_ah))[rng.integers(2)]
-        bob = ((r_bl, temps.t_bl), (r_bh, temps.t_bh))[rng.integers(2)]
-        return (PartyState(*alice), PartyState(*bob))
-    r_grid = config.resistance_grid()
-    t_grid = config.temperature_grid()
-    r_a = r_grid[rng.integers(len(r_grid))]
-    t_a = t_grid[rng.integers(len(t_grid))]
-    r_b = r_grid[rng.integers(len(r_grid))]
-    t_b = t_grid[rng.integers(len(t_grid))]
-    return (PartyState(float(r_a), float(t_a)), PartyState(float(r_b), float(t_b)))
+        return ((PartyState(r_al, config.t_eff), PartyState(r_ah, temps.t_ah)),
+                (PartyState(r_bl, temps.t_bl), PartyState(r_bh, temps.t_bh)))
+    grid = tuple(PartyState(r, t) for r in config.resistance_grid().tolist()
+                 for t in config.temperature_grid().tolist())
+    return grid, grid
+
+
+def _draw(config: ProtocolConfig, states, rng: np.random.Generator):
+    """(Alice's, Bob's) state: each party draws its resistance level, then
+    its temperature level (a single level consumes no randomness)."""
+    n_r = config.r_levels if config.variant in QUASI_CONTINUUM_VARIANTS else 2
+    n_t = config.t_levels if config.variant == "rrrt-kljn" else 1
+    return (states[0][rng.integers(n_r) * n_t + rng.integers(n_t)],
+            states[1][rng.integers(n_r) * n_t + rng.integers(n_t)])
+
+
+def draw_parameters(config: ProtocolConfig, bit_index: int,
+                    stream) -> tuple[PartyState, PartyState]:
+    """Independent per-party (R, T) draws for one bit period."""
+    return _draw(config, party_states(config), np.random.default_rng(stream))
+
+
+def _high_bits(config: ProtocolConfig, r_a: np.ndarray, r_b: np.ndarray):
+    """(Alice holds H, Bob holds H, tie) masks over drawn resistances."""
+    if config.variant in QUASI_CONTINUUM_VARIANTS:
+        return r_a > r_b, r_b > r_a, r_a == r_b
+    low_a, low_b = (config.vmg_resistors[::2] if config.variant == "vmg-kljn"
+                    else (config.r_low, config.r_low))
+    return r_a != low_a, r_b != low_b, np.zeros(len(r_a), dtype=bool)
 
 
 def assign_bits(config: ProtocolConfig, alice: PartyState,
@@ -226,16 +262,11 @@ def assign_bits(config: ProtocolConfig, alice: PartyState,
     was chosen.  Quasi-continuum variants: the party with the strictly
     higher resistance holds H; equal resistances are a tie and raise.
     """
-    if config.variant == "classic-kljn":
-        return ("L" if alice.resistance == config.r_low else "H",
-                "L" if bob.resistance == config.r_low else "H")
-    if config.variant == "vmg-kljn":
-        r_al, _, r_bl, _ = config.vmg_resistors
-        return ("L" if alice.resistance == r_al else "H",
-                "L" if bob.resistance == r_bl else "H")
-    if alice.resistance == bob.resistance:
+    a_high, b_high, tie = _high_bits(config, np.array([alice.resistance]),
+                                     np.array([bob.resistance]))
+    if tie[0]:
         raise TieDraw(f"both parties drew {alice.resistance} ohm")
-    return (("L", "H") if alice.resistance < bob.resistance else ("H", "L"))
+    return _BIT_NAME[bool(a_high[0])], _BIT_NAME[bool(b_high[0])]
 
 
 def build_lookup_table(config: ProtocolConfig) -> LookupTable:
@@ -249,126 +280,137 @@ def build_lookup_table(config: ProtocolConfig) -> LookupTable:
                        max_combinations=config.max_combinations)
 
 
-_BIT_VALUE = {"L": 0, "H": 1}
+_BIT_NAME = {False: "L", True: "H"}
+
+#: Samples per trace held at once in sampled mode: bit periods are
+#: synthesized and estimated max(1, _CHUNK_SAMPLES // samples_per_bit)
+#: at a time.
+_CHUNK_SAMPLES = 1 << 16
 
 
-def _observe(config: ProtocolConfig, alice: PartyState, bob: PartyState,
-             bit_index: int) -> WireObservables:
-    if config.mode == "analytic":
-        return analytic_observables(alice, bob, config.band, config.constants)
-    trace = synthesize_bit_period(alice, bob, config.band,
-                                  bit_seed(config.master_seed, bit_index, purpose=1),
-                                  config.constants)
-    return estimate_observables(trace, config.band, config.estimator_segments)
+def _sampled_observables(config: ProtocolConfig, indices: list[int],
+                         r_a, t_a, r_b, t_b):
+    """Estimated (s_u, s_i, p_ab) arrays, chunk by chunk of bit periods."""
+    step = max(1, _CHUNK_SAMPLES // config.band.samples_per_bit)
+    chunks = []
+    for start in range(0, len(indices), step):
+        rows = slice(start, start + step)
+        seeds = [bit_seed(config.master_seed, i, purpose=1) for i in indices[rows]]
+        traces = synthesize_traces(r_a[rows], t_a[rows], r_b[rows], t_b[rows],
+                                   config.band, seeds, config.constants)
+        chunks.append(estimate_observable_arrays(*traces, config.band,
+                                                 config.estimator_segments))
+    return [np.concatenate(column) for column in zip(*chunks)]
 
 
-def _resolve_partner(config: ProtocolConfig, own: PartyState,
-                     observables: WireObservables,
-                     side: str = "alice") -> PartyState:
-    """One party's reconstruction of the other side from the wire triple.
-
-    `observables` must already be expressed in the calling party's frame
-    (power positive INTO that party); `side` says which public resistor
-    pair is the party's own in the four-resistor variant.
-    """
-    if config.variant in ("classic-kljn", "rr-kljn"):
-        r_partner = partner_resistance_equal_temp(
-            observables.s_i, own.resistance, config.t_eff, config.constants)
-        return PartyState(r_partner, config.t_eff)
+def _partner_recovery(config: ProtocolConfig, states, draws, own_r,
+                      s_i: np.ndarray, observables: list[WireObservables]):
+    """`recover(party, j)`: party 0 (Alice) or 1 (Bob) reconstructing the
+    other side of bit j from the wire; raises KljnError when it cannot."""
     if config.variant == "vmg-kljn":
-        return _resolve_vmg_partner(config, own, observables, side)
-    reduced = reduce_observables(observables, own.resistance, own.temperature,
-                                 config.band.bandwidth_hz, config.constants)
-    recovered = recover_partner(reduced, config.effective_recovery_tolerance())
-    return PartyState(recovered.alpha * own.resistance,
-                      recovered.beta * own.temperature)
+        triples = {(a, b): analytic_observables(a, b, config.band, config.constants)
+                   for a in states[0] for b in states[1]}
 
-
-def _resolve_vmg_partner(config: ProtocolConfig, own: PartyState,
-                         observables: WireObservables,
-                         side: str) -> PartyState:
-    """The four-resistor settings are public, so a party only needs to
-    pick which of the partner's two (R, T) candidates matches the wire
-    best."""
-    r_al, r_ah, r_bl, r_bh = config.vmg_resistors
-    temps = config.vmg_temperatures()
-    if side == "alice":
-        pairs = [(own, PartyState(r_bl, temps.t_bl)),
-                 (own, PartyState(r_bh, temps.t_bh))]
-        seen = observables
+        def recover(party, j):
+            # the settings are public: pick the partner candidate whose
+            # triple (in Alice's frame, as the wire's) lies nearest
+            own = draws[party][j]
+            return min(states[1 - party], key=lambda c: squared_relative_error(
+                triples[(own, c) if party == 0 else (c, own)], observables[j]))
+    elif config.variant == "rrrt-kljn":
+        def recover(party, j):
+            own = draws[party][j]
+            seen = observables[j] if party == 0 else observables[j].from_partner_side()
+            reduced = reduce_observables(seen, own.resistance, own.temperature,
+                                         config.band.bandwidth_hz, config.constants)
+            recovered = recover_partner(reduced, config.effective_recovery_tolerance())
+            return PartyState(recovered.alpha * own.resistance,
+                              recovered.beta * own.temperature)
     else:
-        pairs = [(PartyState(r_al, config.t_eff), own),
-                 (PartyState(r_ah, temps.t_ah), own)]
-        # `observables` is in the caller's frame; predictions are in
-        # Alice's, so flip the power for Bob.
-        seen = observables.from_partner_side()
-    alice, bob = min(pairs, key=lambda pair: squared_relative_error(
-        analytic_observables(*pair, config.band, config.constants), seen))
-    return bob if side == "alice" else alice
+        t_eff, constants = config.t_eff, config.constants
+        with np.errstate(divide="ignore"):  # the closed form over all bits
+            partner = (4.0 * constants.k * t_eff / s_i - own_r).tolist()
+
+        def recover(party, j):
+            r = partner[party][j]
+            if not (math.isfinite(r) and r > 0.0):  # the typed error
+                partner_resistance_equal_temp(float(s_i[j]), float(own_r[party][j]),
+                                              t_eff, constants)
+            return PartyState(r, t_eff)
+    return recover
 
 
-def run_bit(config: ProtocolConfig, bit_index: int, stream=None,
-            table: Optional[LookupTable] = None) -> BitOutcome:
-    """One full bit period: draw, observe, resolve, classify, share.
+def _run_bits(config: ProtocolConfig, indices,
+              table: Optional[LookupTable] = None) -> list[BitOutcome]:
+    """The session engine: the bit periods in `indices` in one pass."""
+    indices = list(indices)
+    if not indices:
+        return []
+    states = party_states(config)
+    alice, bob = zip(*[_draw(config, states, np.random.default_rng(
+        bit_seed(config.master_seed, i))) for i in indices])
+    r_a, t_a, r_b, t_b = (np.array([getattr(s, name) for s in party], dtype=float)
+                          for party in (alice, bob)
+                          for name in ("resistance", "temperature"))
+    if config.mode == "analytic":
+        s_u, s_i, p_ab = analytic_observable_arrays(
+            r_a, t_a, r_b, t_b, config.band.bandwidth_hz, config.constants.k)
+    else:
+        s_u, s_i, p_ab = _sampled_observables(config, indices, r_a, t_a, r_b, t_b)
+    observables = [WireObservables(*triple) for triple in
+                   zip(s_u.tolist(), s_i.tolist(), p_ab.tolist())]
+    recover = _partner_recovery(config, states, (alice, bob),
+                                np.stack([r_a, r_b]), s_i, observables)
 
-    `table` is the prebuilt singularity table for quasi-continuum
-    variants; it is built on the fly when omitted (expensive for fine
-    grids, so sessions build it once).
-    """
-    if stream is None:
-        stream = bit_seed(config.master_seed, bit_index)
-    alice, bob = draw_parameters(config, bit_index, stream)
-    observables = _observe(config, alice, bob, bit_index)
-    outcome = BitOutcome(index=bit_index, alice_draw=alice, bob_draw=bob,
-                         observables=observables, status=STATUS_ERROR)
-
-    try:
-        alice_bit, bob_bit = assign_bits(config, alice, bob)
-    except TieDraw:
-        outcome.status = STATUS_TIE
-        return outcome
-    outcome.alice_bit, outcome.bob_bit = alice_bit, bob_bit
-
-    try:
-        outcome.alice_view_of_bob = _resolve_partner(config, alice, observables,
-                                                     side="alice")
-        outcome.bob_view_of_alice = _resolve_partner(
-            config, bob, observables.from_partner_side(), side="bob")
-    except KljnError as exc:
-        outcome.status = STATUS_ERROR
-        outcome.error = f"{type(exc).__name__}: {exc}"
-        return outcome
-
+    a_high, b_high, tie = _high_bits(config, r_a, r_b)
     if config.variant in BINARY_VARIANTS:
-        if alice_bit == bob_bit:
-            outcome.status = STATUS_SAME_BIT
-            return outcome
+        discarded, discard_status = a_high == b_high, STATUS_SAME_BIT
     else:
-        if table is None:
-            table = build_lookup_table(config)
-        if table.is_singular(alice.resistance, alice.temperature,
-                             bob.resistance, bob.temperature):
-            outcome.status = STATUS_SINGULAR
-            return outcome
-
+        discarded, discard_status = np.zeros(len(indices), dtype=bool), STATUS_SINGULAR
+        if not tie.all():
+            table = table or build_lookup_table(config)
+            discarded[~tie] = table.cell_singular[table.cell_indices(
+                r_a[~tie], t_a[~tie], r_b[~tie], t_b[~tie])]
     # Alice inverts (pre-agreed); both then hold Bob's bit value.
-    alice_key_bit = 1 - _BIT_VALUE[alice_bit]
-    bob_key_bit = _BIT_VALUE[bob_bit]
-    if alice_key_bit != bob_key_bit:
-        outcome.status = STATUS_ERROR
-        outcome.error = "key disagreement after inversion"
-        return outcome
-    outcome.status = STATUS_SECURE
-    outcome.shared_key_bit = bob_key_bit
-    return outcome
+    agreed = (1 - a_high) == b_high
+
+    outcomes = []
+    for j, i in enumerate(indices):
+        outcome = BitOutcome(index=i, alice_draw=alice[j], bob_draw=bob[j],
+                             observables=observables[j], status=STATUS_TIE)
+        outcomes.append(outcome)
+        if tie[j]:
+            continue
+        outcome.alice_bit = _BIT_NAME[bool(a_high[j])]
+        outcome.bob_bit = _BIT_NAME[bool(b_high[j])]
+        try:
+            outcome.alice_view_of_bob = recover(0, j)
+            outcome.bob_view_of_alice = recover(1, j)
+        except KljnError as exc:  # its traceback would keep this frame alive
+            outcome.status, outcome.error = STATUS_ERROR, exc.with_traceback(None)
+        else:
+            if discarded[j]:
+                outcome.status = discard_status
+            elif not agreed[j]:
+                outcome.status = STATUS_ERROR
+                outcome.error = KeyDisagreement("key disagreement after inversion")
+            else:
+                outcome.status = STATUS_SECURE
+                outcome.shared_key_bit = int(b_high[j])
+    return outcomes
+
+
+def run_bit(config: ProtocolConfig, bit_index: int,
+            table: Optional[LookupTable] = None) -> BitOutcome:
+    """One full bit period: the session engine on the single index.
+    `table` is the prebuilt singularity table for quasi-continuum
+    variants, built on the fly when omitted (expensive for fine grids)."""
+    return _run_bits(config, [bit_index], table)[0]
 
 
 def run_session(config: ProtocolConfig) -> SessionReport:
     """Run `bits` independent bit periods and aggregate the outcomes."""
-    table = None
-    if config.variant in QUASI_CONTINUUM_VARIANTS and config.bits > 0:
-        table = build_lookup_table(config)
-    outcomes = [run_bit(config, i, table=table) for i in range(config.bits)]
+    outcomes = _run_bits(config, range(config.bits))
     counts: dict[str, int] = {}
     for outcome in outcomes:
         counts[outcome.status] = counts.get(outcome.status, 0) + 1

@@ -227,6 +227,18 @@ class TestErrorPaths:
         pytest.param({"variant": "rrrt-kljn", "r_range": [1000.0, 2000.0],
                       "r_levels": 4, "t_range": [200.0, float("nan")],
                       "t_levels": 4}, "t_range", id="nan-t_range"),
+        pytest.param({"recovery_tolerance": float("nan")}, "recovery_tolerance",
+                     id="nan-recovery_tolerance"),
+        pytest.param({"recovery_tolerance": -1}, "recovery_tolerance",
+                     id="negative-recovery_tolerance"),
+        pytest.param({"degeneracy_tolerance": float("nan")}, "degeneracy_tolerance",
+                     id="nan-degeneracy_tolerance"),
+        pytest.param({"estimator_segments": 0}, "estimator_segments",
+                     id="zero-estimator_segments"),
+        pytest.param({"mode": "sampled", "estimator_segments": 4096},
+                     "estimator_segments", id="one-sample-segments"),
+        pytest.param({"bandwidth_hz": float("inf"), "sample_rate_hz": float("inf")},
+                     "bandwidth", id="inf-bandwidth"),
     ])
     def test_bad_physical_input_exits_2(self, tmp_path, capsys, fields, name):
         # json writes nan and inf as the NaN / Infinity tokens it also reads

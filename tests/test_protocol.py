@@ -18,7 +18,7 @@ from kljn import (
     run_bit,
     run_session,
 )
-from kljn import lookup
+from kljn import NoPositiveRoot, eve_guess_session, lookup, protocol
 from kljn.physics import analytic_observable_arrays
 from kljn.protocol import (
     STATUS_SAME_BIT,
@@ -426,3 +426,114 @@ class TestRunSession:
         k1 = run_session(classic_config(bits=100, master_seed=1)).key_bits
         k2 = run_session(classic_config(bits=100, master_seed=2)).key_bits
         assert k1 != k2
+
+
+SMALL_SAMPLED = dict(mode="sampled", band=BandConfig(1.0, 4.0, 1000),
+                     estimator_segments=8)
+
+
+def reference_bit(cfg, i):
+    """The per-bit loop the batch engine replaced: draws in seed order,
+    one-trace synthesis and periodogram means.  Returns the draws and
+    the observable triple."""
+    rng = np.random.default_rng(bit_seed(cfg.master_seed, i))
+    if cfg.variant == "classic-kljn":
+        pair = (cfg.r_low, cfg.r_high)
+        draws = (pair[rng.integers(2)], cfg.t_eff, pair[rng.integers(2)], cfg.t_eff)
+    elif cfg.variant == "vmg-kljn":
+        r_al, r_ah, r_bl, r_bh = cfg.vmg_resistors
+        temps = cfg.vmg_temperatures()
+        draws = (((r_al, cfg.t_eff), (r_ah, temps.t_ah))[rng.integers(2)]
+                 + ((r_bl, temps.t_bl), (r_bh, temps.t_bh))[rng.integers(2)])
+    else:
+        r_grid, t_grid = cfg.resistance_grid(), cfg.temperature_grid()
+        draws = tuple(float(grid[rng.integers(len(grid))])
+                      for grid in (r_grid, t_grid, r_grid, t_grid))
+    r_a, t_a, r_b, t_b = draws
+    k, band = cfg.constants.k, cfg.band
+    if cfg.mode == "analytic":
+        return draws, tuple(float(v) for v in analytic_observable_arrays(
+            r_a, t_a, r_b, t_b, band.bandwidth_hz, k))
+    rng = np.random.default_rng(bit_seed(cfg.master_seed, i, purpose=1))
+    n, fs = band.samples_per_bit, band.sample_rate_hz
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
+    in_band = (freqs > 0) & (freqs <= band.bandwidth_hz) & (freqs < fs / 2.0)
+
+    def voltage(psd):
+        spectrum = np.zeros(len(freqs), dtype=complex)
+        spectrum[in_band] = np.sqrt(psd * fs * n / 4.0) * (
+            rng.standard_normal(in_band.sum()) + 1j * rng.standard_normal(in_band.sum()))
+        return np.fft.irfft(spectrum, n)
+
+    u_a, u_b = voltage(4.0 * k * t_a * r_a), voltage(4.0 * k * t_b * r_b)
+    u, cur = (u_a * r_b + u_b * r_a) / (r_a + r_b), (u_a - u_b) / (r_a + r_b)
+
+    def mean_psd(x):
+        seg_len = n // cfg.estimator_segments
+        f = np.fft.rfftfreq(seg_len, d=1.0 / fs)
+        keep = (f > 0) & (f <= band.bandwidth_hz - fs / seg_len) & (f < fs / 2.0)
+        blocks = x[: cfg.estimator_segments * seg_len].reshape(-1, seg_len)
+        psd = 2.0 * np.abs(np.fft.rfft(blocks, axis=1)) ** 2 / (fs * seg_len)
+        return float(np.mean(psd[:, keep]))
+
+    return draws, (mean_psd(u), mean_psd(cur), -float(np.mean(u * cur)))
+
+
+class TestBatchEngine:
+    """The batch session engine against its one-bit form."""
+
+    @pytest.mark.parametrize("make", [classic_config, vmg_config, rr_config,
+                                      rrrt_config])
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    def test_session_matches_run_bit_in_any_order(self, make, mode):
+        extra = SMALL_SAMPLED if mode == "sampled" else {}
+        cfg = make(bits=40 if mode == "analytic" else 12, **extra)
+        report = run_session(cfg)
+        table = (build_lookup_table(cfg) if cfg.variant in ("rr-kljn", "rrrt-kljn")
+                 else None)
+        # draws, observables, status, bits, recovered views and error class
+        for i in reversed(range(cfg.bits)):
+            assert repr(run_bit(cfg, i, table=table)) == repr(report.outcomes[i])
+
+    @pytest.mark.parametrize("make", [classic_config, vmg_config, rr_config,
+                                      rrrt_config])
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    def test_matches_per_bit_reference(self, make, mode):
+        cfg = make(bits=12, **(SMALL_SAMPLED if mode == "sampled" else {}))
+        for o in run_session(cfg).outcomes:
+            draws, triple = reference_bit(cfg, o.index)
+            assert (o.alice_draw.resistance, o.alice_draw.temperature,
+                    o.bob_draw.resistance, o.bob_draw.temperature) == draws
+            assert tuple(o.observables) == triple
+
+    def test_ragged_last_chunk(self, monkeypatch):
+        cfg = classic_config(bits=10, **SMALL_SAMPLED)
+        whole = [repr(o) for o in run_session(cfg).outcomes]
+        rows = []
+        synthesize = protocol.synthesize_traces
+        monkeypatch.setattr(protocol, "synthesize_traces", lambda r_a, *rest:
+                            rows.append(len(r_a)) or synthesize(r_a, *rest))
+        monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", 3 * 1000 + 5)
+        assert [repr(o) for o in run_session(cfg).outcomes] == whole
+        assert rows == [3, 3, 3, 1]
+
+    def test_sampled_rrrt_errors_are_typed(self):
+        # the quadratic route finds no root on noisy rrrt triples
+        report = run_session(rrrt_config(bits=12, **SMALL_SAMPLED))
+        errors = [o.error for o in report.outcomes if o.status == "error"]
+        assert errors and all(isinstance(e, NoPositiveRoot) for e in errors)
+        # a kept traceback would hold the whole session's frame alive
+        assert all(e.__traceback__ is None for e in errors)
+        assert all(o.error is None for o in report.outcomes if o.status != "error")
+
+    def test_vmg_temperatures_solved_once_per_session(self, monkeypatch):
+        calls = []
+        solve = protocol.solve_vmg_temperatures
+        monkeypatch.setattr(protocol, "solve_vmg_temperatures",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        cfg = vmg_config(bits=120)
+        report = run_session(cfg)
+        assert len(calls) == 1
+        record = eve_guess_session(cfg, "nearest-class", report=report)
+        assert record.n == report.counts[STATUS_SECURE] > 0
+        assert len(calls) == 2
