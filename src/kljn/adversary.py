@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InconsistentObservables, KljnError, ModelMismatch
+from .errors import InconsistentObservables, ModelMismatch
 from .physics import (
     SI,
     PhysicalConstants,
@@ -45,7 +45,7 @@ from .protocol import (
 )
 from .resolver import ResistorPair, eve_resistor_pair_equal_temp
 
-STRATEGIES = ("random", "nearest-class", "pair-extraction")
+STRATEGIES = ("random", "nearest-class")
 
 
 @dataclass(frozen=True)
@@ -234,38 +234,8 @@ def default_assumed_grid(config: ProtocolConfig, points: int = 10) -> np.ndarray
     return np.geomspace(lo, hi, points)
 
 
-def _guess_nearest_class(classes: Optional[dict[str, WireObservables]],
-                         view: EveView, rng: np.random.Generator) -> int:
-    """`classes` are the binary variants' class centers; quasi-continuum
-    variants have none (no finite class set distinguishes secure draws)."""
-    label = _nearest_class(view.observables, classes) if classes else None
-    if label == "LL":
-        return 0
-    if label == "HH":
-        return 1
-    return int(rng.integers(2))  # degenerate class or no classes: coin flip
-
-
-def _guess_pair_extraction(config: ProtocolConfig, view: EveView,
-                           rng: np.random.Generator) -> int:
-    """Wrong-but-deterministic rule: assume the larger extracted
-    resistor sits at Alice, i.e. Alice holds H, so the shared (Bob) bit
-    is 0.  Symmetric draws make this a coin in disguise."""
-    if config.t_eff is not None:
-        assumed_t = config.t_eff
-    else:
-        assumed_t = 0.5 * (config.t_range[0] + config.t_range[1])
-    try:
-        pair = eve_pair_extraction(view, assumed_t, config.constants,
-                                   mismatch_tolerance=math.inf)
-    except KljnError:
-        return int(rng.integers(2))
-    if pair.degenerate:
-        return int(rng.integers(2))
-    # decide Alice=high vs Alice=low from the power sign she cannot use
-    # meaningfully: positive p_ab "suggests" Bob hotter, tells nothing
-    # about resistance; fall back to the fixed Alice=high rule.
-    return 0
+#: The shared (Bob) bit of the two classes that reveal it.
+_CLASS_BITS = {"LL": 0, "HH": 1}
 
 
 def eve_guess_session(config: ProtocolConfig, strategy: str,
@@ -283,20 +253,17 @@ def eve_guess_session(config: ProtocolConfig, strategy: str,
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(0xEE,)))
     record = GuessRecord(strategy=strategy)
+    # quasi-continuum variants have no class model: no finite class set
+    # distinguishes their secure draws
     classes = (_binary_classes(config) if strategy == "nearest-class"
                and config.variant in BINARY_VARIANTS else None)
     for outcome in report.outcomes:
         if outcome.status != STATUS_SECURE:
             continue
-        view = EveView(observables=outcome.observables,
-                       bandwidth_hz=config.band.bandwidth_hz,
-                       public_config=config)
-        if strategy == "random":
+        label = _nearest_class(outcome.observables, classes) if classes else None
+        guess = _CLASS_BITS.get(label)
+        if guess is None:  # the LH-or-HL class, or no class model: a coin
             guess = int(rng.integers(2))
-        elif strategy == "nearest-class":
-            guess = _guess_nearest_class(classes, view, rng)
-        else:
-            guess = _guess_pair_extraction(config, view, rng)
         record.bit_indices.append(outcome.index)
         record.guesses.append(guess)
         record.truths.append(outcome.shared_key_bit)

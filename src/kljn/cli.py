@@ -7,7 +7,8 @@ Subcommands:
     attack     replay a session from Eve's side: guess record plus,
                per secure bit, the solution-family sweep (random
                temperature), the nearest class (four-resistor) or the
-               extracted resistor pair (equal temperature)
+               extracted resistor pair (equal temperature); empty cells
+               for a bit Eve's model cannot fit
     vmg-solve  print the temperature triple matching the LH and HL wire
                triples for a four-resistor configuration
     table      build and dump the singularity look-up table
@@ -25,9 +26,10 @@ from dataclasses import replace
 from . import __version__
 from .adversary import (
     EveView,
+    _binary_classes,
+    _nearest_class,
     default_assumed_grid,
     eve_guess_session,
-    eve_nearest_class,
     eve_pair_extraction,
     eve_rrrt_solution_family,
 )
@@ -59,11 +61,15 @@ def _load(args) -> tuple[ProtocolConfig, dict]:
     return config, extras
 
 
+def _eve_guesses(config: ProtocolConfig, extras: dict, report):
+    return eve_guess_session(config, extras.get("eve_strategy", "nearest-class"),
+                             report=report)
+
+
 def cmd_simulate(args) -> int:
     config, extras = _load(args)
     report = run_session(config)
-    strategy = extras.get("eve_strategy", "nearest-class")
-    guesses = eve_guess_session(config, strategy, report=report)
+    guesses = _eve_guesses(config, extras, report)
     csv_report = session_to_report(report, guesses)
     if args.out:
         write_report(csv_report, args.out)
@@ -71,76 +77,73 @@ def cmd_simulate(args) -> int:
     accuracy = "n/a" if guesses.accuracy is None else f"{guesses.accuracy:.4f}"
     _say(args, f"variant={config.variant} bits={config.bits} "
                f"secure={report.counts.get(STATUS_SECURE, 0)} "
-               f"efficiency={efficiency} eve[{strategy}]={accuracy}")
+               f"efficiency={efficiency} eve[{guesses.strategy}]={accuracy}")
     return EXIT_OK
 
 
 _FAMILY_COLUMNS = ["index", "assumed_r_a", "implied_t_a", "implied_alpha",
-                  "implied_beta", "implied_alice_bit", "residual"]
-
-
-def _family_rows(config: ProtocolConfig, extras: dict, report) -> list[tuple]:
-    grid = default_assumed_grid(config, extras.get("eve_grid_points", 10))
-    tolerance = extras.get("family_tolerance", 1e-9)
-    rows = []
-    for outcome in report.outcomes:
-        if outcome.status != STATUS_SECURE:
-            continue
-        view = EveView(outcome.observables, config.band.bandwidth_hz, config)
-        for point in eve_rrrt_solution_family(view, grid, tolerance,
-                                              config.constants):
-            rows.append((outcome.index, point.assumed_r_a, point.implied_t_a,
-                         point.implied_alpha, point.implied_beta,
-                         point.implied_alice_bit(), point.residual))
-    return rows
-
-
-_PAIR_COLUMNS = ["index", "r_pair_low", "r_pair_high", "degenerate"]
+                   "implied_beta", "implied_alice_bit", "residual"]
 _CLASS_COLUMNS = ["index", "eve_class"]
+_PAIR_COLUMNS = ["index", "r_pair_low", "r_pair_high", "degenerate"]
 
 
-def _pair_rows(config: ProtocolConfig, report) -> list[tuple]:
+def _attack_rows(config: ProtocolConfig, extras: dict, report):
+    """(columns, rows) of Eve's analysis of each secure bit.
+
+    Eve's public model is built once per session: the assumed-R_A grid
+    of the family sweep (random temperatures), the class centres
+    (four-resistor scheme, whose unequal temperatures rule out the
+    equal-temperature pair model) or the pair model's tolerance (equal
+    temperatures).  A bit the model cannot fit gets one row of its
+    index with empty cells.
+    """
+    if config.variant == "rrrt-kljn":
+        columns = _FAMILY_COLUMNS
+        grid = default_assumed_grid(config, extras.get("eve_grid_points", 10))
+        tolerance = extras.get("family_tolerance", 1e-9)
+
+        def analyse(view):
+            return [(p.assumed_r_a, p.implied_t_a, p.implied_alpha,
+                     p.implied_beta, p.implied_alice_bit(), p.residual)
+                    for p in eve_rrrt_solution_family(view, grid, tolerance,
+                                                      config.constants)]
+    elif config.variant == "vmg-kljn":
+        columns = _CLASS_COLUMNS
+        classes = _binary_classes(config)
+
+        def analyse(view):
+            return [(_nearest_class(view.observables, classes),)]
+    else:
+        columns = _PAIR_COLUMNS
+        tolerance = config.effective_recovery_tolerance()
+
+        def analyse(view):
+            pair = eve_pair_extraction(view, config.t_eff, config.constants,
+                                       mismatch_tolerance=tolerance)
+            return [(pair.low, pair.high, int(pair.degenerate))]
+
     rows = []
     for outcome in report.outcomes:
         if outcome.status != STATUS_SECURE:
             continue
-        view = EveView(outcome.observables, config.band.bandwidth_hz, config)
-        pair = eve_pair_extraction(view, config.t_eff, config.constants,
-                                   mismatch_tolerance=1e-3)
-        rows.append((outcome.index, pair.low, pair.high,
-                     int(pair.degenerate)))
-    return rows
-
-
-def _class_rows(config: ProtocolConfig, report) -> list[tuple]:
-    """Eve's nearest class per secure bit: the four-resistor scheme's
-    unequal temperatures rule out the equal-temperature pair model."""
-    return [(outcome.index,
-             eve_nearest_class(EveView(outcome.observables,
-                                       config.band.bandwidth_hz, config), config))
-            for outcome in report.outcomes if outcome.status == STATUS_SECURE]
+        try:
+            cells = analyse(EveView(outcome.observables, config.band.bandwidth_hz))
+        except KljnError:
+            cells = [(None,) * (len(columns) - 1)]
+        rows.extend((outcome.index, *row) for row in cells)
+    return columns, rows
 
 
 def cmd_attack(args) -> int:
     config, extras = _load(args)
     report = run_session(config)
-    strategy = extras.get("eve_strategy",
-                          "pair-extraction" if config.variant != "rrrt-kljn"
-                          else "random")
-    guesses = eve_guess_session(config, strategy, report=report)
-
-    if config.variant == "rrrt-kljn":
-        rows, columns = _family_rows(config, extras, report), _FAMILY_COLUMNS
-    elif config.variant == "vmg-kljn":
-        rows, columns = _class_rows(config, report), _CLASS_COLUMNS
-    else:
-        rows, columns = _pair_rows(config, report), _PAIR_COLUMNS
-
+    guesses = _eve_guesses(config, extras, report)
+    columns, rows = _attack_rows(config, extras, report)
     summary = {
         "schema": "kljn-attack-csv-1",
         "variant": config.variant,
         "master_seed": config.master_seed,
-        "eve_strategy": strategy,
+        "eve_strategy": guesses.strategy,
         "secure_bits": guesses.n,
         "eve_accuracy": guesses.accuracy,
     }
@@ -151,7 +154,7 @@ def cmd_attack(args) -> int:
         write_csv(columns, rows, summary, args.out)
     accuracy = "n/a" if guesses.accuracy is None else f"{guesses.accuracy:.4f}"
     _say(args, f"variant={config.variant} secure={guesses.n} "
-               f"eve[{strategy}]={accuracy} table_rows={len(rows)}")
+               f"eve[{guesses.strategy}]={accuracy} table_rows={len(rows)}")
     return EXIT_OK
 
 

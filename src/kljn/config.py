@@ -25,16 +25,18 @@ Documented schema (types; V = required for that variant):
     estimator_segments   int    periodogram segments in sampled mode
     max_combinations     int    look-up enumeration budget
     normalized_units     bool   k = 1 instead of the SI Boltzmann constant
-    eve_strategy         str    random | nearest-class | pair-extraction
-    eve_grid_points      int    assumed-R_A sweep size for rrrt attacks
-    family_tolerance     float  family-membership residual bound
+    eve_strategy         str    nearest-class (default) | random
+    eve_grid_points      int    assumed-R_A sweep size for rrrt attacks (>= 1)
+    family_tolerance     float  family-membership residual bound (> 0, finite)
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
+from .adversary import STRATEGIES
 from .errors import ConfigError
 from .physics import NORMALIZED, SI, BandConfig
 from .protocol import ProtocolConfig
@@ -136,4 +138,14 @@ def load_config(path) -> tuple[ProtocolConfig, dict]:
         raise ConfigError(f"{path}: {exc}") from exc
 
     extras = {key: raw[key] for key in _EXTRA_KEYS if key in raw}
+    if "eve_strategy" in extras and extras["eve_strategy"] not in STRATEGIES:
+        raise ConfigError(f"{path}: eve_strategy must be one of {STRATEGIES}, "
+                          f"got {extras['eve_strategy']!r}")
+    if "eve_grid_points" in extras and extras["eve_grid_points"] < 1:
+        raise ConfigError(f"{path}: eve_grid_points must be >= 1, "
+                          f"got {extras['eve_grid_points']}")
+    tolerance = extras.get("family_tolerance")
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"{path}: family_tolerance must be positive and "
+                          f"finite, got {tolerance}")
     return config, extras

@@ -27,11 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, GridTooLarge
-from .physics import (
-    PhysicalConstants,
-    analytic_observable_arrays,
-    analytic_power_array,
-)
+from .physics import PhysicalConstants, analytic_observable_arrays
 
 #: Default enumeration budget: settings pairs, not bytes.  64-level
 #: resistance and temperature grids need 64^4 ~ 1.7e7 pairs.
@@ -237,11 +233,12 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
             f"budget of {max_combinations}", required=n_combos,
             budget=max_combinations)
 
-    # the power cells scale with max|p| over the whole grid, so it takes
-    # a pass of its own before any key can be packed
-    p_scale = max(float(np.max(np.abs(analytic_power_array(
-        r_a, t_a, r_b, t_b, bandwidth_hz, constants.k))))
-        for _, r_a, t_a, r_b, t_b in _blocks(r_grid, t_grid))
+    # the power cells scale with max|p| over the grid.  For each
+    # resistance pair |p| grows with |T_B - T_A|, and IEEE rounding is
+    # monotone, so the largest |p| lies at the extreme temperatures
+    p_scale = float(np.max(np.abs(analytic_observable_arrays(
+        r_grid[:, np.newaxis], t_grid.min(), r_grid, t_grid.max(),
+        bandwidth_hz, constants.k)[2])))
 
     # each block adds its sorted (key, count, mask) runs to the running
     # cells, one run per bit value sign(R_B - R_A) with mask bit 1 + bit;

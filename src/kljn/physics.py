@@ -152,22 +152,8 @@ def analytic_observable_arrays(r_a, t_a, r_b, t_b, bandwidth_hz, k):
     denom = (r_a + r_b) ** 2
     s_u = 4.0 * k * (t_a * r_a * r_b ** 2 + t_b * r_b * r_a ** 2) / denom
     s_i = 4.0 * k * (t_a * r_a + t_b * r_b) / denom
-    return s_u, s_i, _power_into_alice(r_a, t_a, r_b, t_b, denom, bandwidth_hz, k)
-
-
-def analytic_power_array(r_a, t_a, r_b, t_b, bandwidth_hz, k):
-    """The p_ab output of :func:`analytic_observable_arrays` alone,
-    bit-identical to it, for callers that need no PSDs."""
-    r_a = np.asarray(r_a, dtype=float)
-    t_a = np.asarray(t_a, dtype=float)
-    r_b = np.asarray(r_b, dtype=float)
-    t_b = np.asarray(t_b, dtype=float)
-    return _power_into_alice(r_a, t_a, r_b, t_b, (r_a + r_b) ** 2,
-                             bandwidth_hz, k)
-
-
-def _power_into_alice(r_a, t_a, r_b, t_b, denom, bandwidth_hz, k):
-    return 4.0 * k * bandwidth_hz * r_a * r_b * (t_b - t_a) / denom
+    p_ab = 4.0 * k * bandwidth_hz * r_a * r_b * (t_b - t_a) / denom
+    return s_u, s_i, p_ab
 
 
 def analytic_observables(alice: PartyState, bob: PartyState, band: BandConfig,
@@ -228,22 +214,30 @@ def synthesize_bit_period(alice: PartyState, bob: PartyState, band: BandConfig,
     return NoiseTrace(u_wire=u_wire[0], i_wire=i_wire[0], seed=seed)
 
 
-def _averaged_periodogram_psd(x: np.ndarray, band: BandConfig, segments: int) -> np.ndarray:
-    """Mean in-band PSD per row from non-overlapping rectangular-window periodograms.
+def periodogram_bins(seg_len: int, band: BandConfig) -> np.ndarray:
+    """Mask of the rFFT bins of a `seg_len`-sample segment that the
+    estimator averages; all False when the segment resolves none.
 
     Bins within one bin-width of the band edge are excluded: rectangular
     windowing leaks roughly half of the edge bin's power past the sharp
-    cutoff, which would bias the in-band mean low.
+    cutoff, which would bias the in-band mean low.  With too few bins
+    for that edge guard, the full band is used.
     """
-    seg_len = x.shape[1] // segments
     freqs = np.fft.rfftfreq(seg_len, d=1.0 / band.sample_rate_hz)
     bin_width = band.sample_rate_hz / seg_len
     in_band = (freqs > 0) & (freqs <= band.bandwidth_hz - bin_width) \
         & (freqs < band.sample_rate_hz / 2.0)
     if not np.any(in_band):
-        # too few bins for an edge guard; fall back to the full band
         in_band = (freqs > 0) & (freqs <= band.bandwidth_hz) \
             & (freqs < band.sample_rate_hz / 2.0)
+    return in_band
+
+
+def _averaged_periodogram_psd(x: np.ndarray, band: BandConfig, segments: int) -> np.ndarray:
+    """Mean in-band PSD per row from non-overlapping rectangular-window
+    periodograms, over the :func:`periodogram_bins`."""
+    seg_len = x.shape[1] // segments
+    in_band = periodogram_bins(seg_len, band)
     if not np.any(in_band):
         raise TraceTooShort(
             f"segment length {seg_len} resolves no bins inside the "

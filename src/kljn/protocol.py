@@ -47,6 +47,7 @@ from .physics import (
     analytic_observable_arrays,
     analytic_observables,
     estimate_observable_arrays,
+    periodogram_bins,
     squared_relative_error,
     synthesize_traces,
 )
@@ -106,10 +107,12 @@ class ProtocolConfig:
             raise ConfigError(f"degeneracy_tolerance must be finite and >= 0, "
                               f"got {self.degeneracy_tolerance}")
         segments = self.estimator_segments
-        if segments < 1 or (self.mode == "sampled"
-                            and self.band.samples_per_bit // segments < 2):
+        seg_len = self.band.samples_per_bit // max(segments, 1)
+        if segments < 1 or (self.mode == "sampled" and (
+                seg_len < 2 or not periodogram_bins(seg_len, self.band).any())):
             raise ConfigError(f"estimator_segments {segments} must be >= 1 and, in "
-                              f"sampled mode, leave >= 2 samples per segment")
+                              f"sampled mode, leave >= 2 samples and an in-band "
+                              f"periodogram bin per segment")
         physical = {"r_low": self.r_low, "r_high": self.r_high, "t_eff": self.t_eff,
                     "recovery_tolerance": self.recovery_tolerance}
         if self.vmg_resistors is not None:

@@ -34,12 +34,6 @@ class CsvReport:
     rows: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
-    def __eq__(self, other):
-        return (isinstance(other, CsvReport)
-                and self.columns == other.columns
-                and self.rows == other.rows
-                and self.summary == other.summary)
-
 
 def _format(value) -> str:
     if value is None:

@@ -173,8 +173,7 @@ class TestGuessSession:
         assert record.truths == [o.shared_key_bit for o in report.outcomes
                                  if o.status == STATUS_SECURE]
 
-    @pytest.mark.parametrize("strategy",
-                             ["random", "nearest-class", "pair-extraction"])
+    @pytest.mark.parametrize("strategy", ["random", "nearest-class"])
     def test_no_strategy_beats_chance_on_classic(self, strategy):
         cfg = self.session_config(bits=1500)
         report = run_session(cfg)
@@ -188,7 +187,7 @@ class TestGuessSession:
                              r_levels=16, t_range=(200.0, 400.0), t_levels=16,
                              constants=NORMALIZED)
         report = run_session(cfg)
-        record = eve_guess_session(cfg, "pair-extraction", report)
+        record = eve_guess_session(cfg, "nearest-class", report)
         lo, hi = record.wilson_interval(0.99)
         assert lo <= 0.5 <= hi
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kljn import protocol
 from kljn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from kljn.config import load_config
 from kljn.protocol import build_lookup_table
@@ -117,6 +118,37 @@ class TestAttack:
         assert len(report.rows) == report.summary["secure_bits"] > 0
         # LH and HL give one wire triple: every secure bit is ambiguous
         assert {row["eve_class"] for row in report.rows} == {"LH-or-HL"}
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param({"variant": "classic-kljn", "r_low": 1000.0,
+                      "r_high": 2000.0}, id="classic"),
+        pytest.param({"variant": "rr-kljn", "r_range": [1000.0, 2000.0],
+                      "r_levels": 16}, id="rr"),
+    ])
+    def test_sampled_pair_table(self, tmp_path, fields):
+        cfg = config_file(tmp_path, mode="sampled", estimator_segments=64,
+                          t_eff=300.0, **fields)
+        out = tmp_path / "attack.csv"
+        assert main(["attack", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        report = read_report(out)
+        indices = [row["index"] for row in report.rows]
+        assert len(set(indices)) == len(indices) == report.summary["secure_bits"] > 0
+        for row in report.rows:
+            # a bit whose noisy triple admits no pair has only its index
+            cells = [row[c] for c in report.columns[1:]]
+            assert cells.count(None) in (0, len(cells))
+
+    def test_vmg_temperatures_solved_per_session(self, tmp_path, monkeypatch):
+        calls = []
+        solve = protocol.solve_vmg_temperatures
+        monkeypatch.setattr(protocol, "solve_vmg_temperatures",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        cfg = config_file(tmp_path, variant="vmg-kljn", t_eff=300.0, bits=200,
+                          vmg_resistors=[1000.0, 2000.0, 1200.0, 2500.0])
+        assert main(["attack", "--config", cfg, "--quiet"]) == EXIT_OK
+        # the session, Eve's guesses and her class table: not once per bit
+        assert len(calls) == 3
 
     def test_empty_attack_round_trips(self, tmp_path):
         cfg = config_file(tmp_path, variant="classic-kljn", r_low=1000.0,
@@ -239,6 +271,19 @@ class TestErrorPaths:
                      "estimator_segments", id="one-sample-segments"),
         pytest.param({"bandwidth_hz": float("inf"), "sample_rate_hz": float("inf")},
                      "bandwidth", id="inf-bandwidth"),
+        pytest.param({"mode": "sampled", "samples_per_bit": 64,
+                      "estimator_segments": 32}, "estimator_segments",
+                     id="no-in-band-bin"),
+        pytest.param({"eve_strategy": "clairvoyant"}, "eve_strategy",
+                     id="unknown-eve_strategy"),
+        pytest.param({"eve_strategy": "pair-extraction"}, "eve_strategy",
+                     id="removed-eve_strategy"),
+        pytest.param({"eve_grid_points": 0}, "eve_grid_points",
+                     id="zero-eve_grid_points"),
+        pytest.param({"family_tolerance": -1}, "family_tolerance",
+                     id="negative-family_tolerance"),
+        pytest.param({"family_tolerance": float("nan")}, "family_tolerance",
+                     id="nan-family_tolerance"),
     ])
     def test_bad_physical_input_exits_2(self, tmp_path, capsys, fields, name):
         # json writes nan and inf as the NaN / Infinity tokens it also reads
