@@ -23,7 +23,6 @@ from .errors import (
     ModelMismatch,
     NoPositiveRoot,
     SingularSystem,
-    TieDraw,
     TraceTooShort,
 )
 from .lookup import LookupTable
@@ -44,10 +43,8 @@ from .protocol import (
     BitOutcome,
     ProtocolConfig,
     SessionReport,
-    assign_bits,
     bit_seed,
     build_lookup_table,
-    draw_parameters,
     run_bit,
     run_session,
 )

@@ -1,0 +1,157 @@
+"""numpy's per-bit state streams, run as one array pass over bit indices.
+
+Bit i of a session draws its party states from
+``default_rng(SeedSequence(master_seed, spawn_key=(i, 0)))``.  This
+module reproduces that chain for many indices at once and returns what
+``Generator.integers(n)`` returns, call by call:
+
+* ``SeedSequence`` hashes 32-bit words with data-independent mixing
+  constants.  The words are the master seed's, padded to the pool size
+  of 4, then i, then the purpose 0; the master's words give the same
+  pool on every lane, so only i and the purpose are mixed per lane.
+* ``PCG64`` takes ``generate_state(4, uint64)`` as (seed hi, seed lo,
+  inc hi, inc lo) and seeds as state = 0, inc = (seq << 1) | 1, one
+  step, state += seed, one step.  Each output steps the 128-bit LCG,
+  multiplied here on 32-bit limbs, then applies XSL-RR.
+* ``integers(n)`` is Lemire's method on ``next_uint32``, which hands out
+  the low half of a 64-bit output and then its high half; n = 1 draws
+  nothing.
+
+A lane is not reproduced when Lemire's method rejects one of its words
+(it would consume more of the stream) or when its index is outside
+[0, 2**32) and so hashes as another number of words.  Those lanes are
+flagged for the caller to draw with numpy itself.
+"""
+
+from __future__ import annotations
+
+import operator
+
+import numpy as np
+
+_MASK32 = 0xFFFF_FFFF
+_XSHIFT = 16
+
+# SeedSequence's hash (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+
+# PCG64's default 128-bit multiplier, as 32-bit limbs, least significant first
+_PCG_MULT = tuple((0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645 >> (32 * k)) & _MASK32
+                  for k in range(4))
+
+
+class _HashConstant:
+    """The running multiplier of `hashmix`: the same sequence on every
+    lane, so it is a Python int."""
+
+    def __init__(self, init: int, mult: int):
+        self.value, self.mult = init, mult
+
+    def hash(self, value):
+        """One hashmix of a uint32 array (or a Python int)."""
+        value = value ^ self.value
+        self.value = (self.value * self.mult) & _MASK32
+        value = (value * self.value) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _int_words(value: int) -> list[int]:
+    """`value` as little-endian 32-bit words, as SeedSequence splits it."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(master_seed: int, index: np.ndarray) -> list[np.ndarray]:
+    """`SeedSequence(master_seed, spawn_key=(i, 0)).generate_state(8,
+    uint32)` per index, as 8 uint64 arrays of 32-bit words."""
+    words = _int_words(master_seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    constant = _HashConstant(_INIT_A, _MULT_A)
+    pool = [constant.hash(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], constant.hash(pool[src]))
+    for word in (*words[_POOL_SIZE:], index, 0):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], constant.hash(word))
+    constant = _HashConstant(_INIT_B, _MULT_B)
+    return [constant.hash(pool[k % _POOL_SIZE]) for k in range(2 * _POOL_SIZE)]
+
+
+def _add(a, b):
+    """(a + b) mod 2**128 on 32-bit limbs."""
+    out, carry = [], 0
+    for x, y in zip(a, b):
+        total = x + y + carry
+        out.append(total & _MASK32)
+        carry = total >> 32
+    return out
+
+
+def _step(state, inc):
+    """One LCG step, state * multiplier + inc mod 2**128.  Each limb
+    product plus two 32-bit terms stays below 2**64."""
+    product = [0] * 4
+    for i in range(4):
+        carry = 0
+        for j in range(4 - i):
+            total = state[i] * _PCG_MULT[j] + product[i + j] + carry
+            product[i + j] = total & _MASK32
+            carry = total >> 32
+    return _add(product, inc)
+
+
+def _xsl_rr(state) -> np.ndarray:
+    """PCG64's 64-bit output of a 128-bit state."""
+    x = ((state[3] << 32) | state[2]) ^ ((state[1] << 32) | state[0])
+    rot = state[3] >> 26
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def bounded_integers(master_seed: int, indices, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """``[rng.integers(n) for n in bounds]`` for each i of `indices`, with
+    ``rng = default_rng(SeedSequence(master_seed, spawn_key=(i, 0)))``.
+
+    Returns an int64 array of shape (len(indices), len(bounds)) and a
+    mask of the lanes reproduced; the other lanes must be drawn with
+    numpy.
+    """
+    index = np.asarray(indices)
+    draws = np.zeros((len(index), len(bounds)), dtype=np.int64)
+    bounds = [operator.index(n) for n in bounds]
+    master_seed = operator.index(master_seed)
+    if (len(index) == 0 or index.dtype.kind not in "iu" or master_seed < 0
+            or not all(1 <= n <= _MASK32 for n in bounds)):
+        return draws, np.zeros(len(index), dtype=bool)
+    exact = (index >= 0) & (index <= _MASK32)
+    words = _seed_words(master_seed, (index & _MASK32).astype(np.uint64))
+    seed = words[2:4] + words[0:2]
+    seq = words[6:8] + words[4:6]
+    inc = [((w << 1) | (lower >> 31)) & _MASK32 for w, lower in zip(seq, [0] + seq[:3])]
+    inc[0] |= 1
+    state = _step(_add(inc, seed), inc)
+
+    uint32s = []  # next_uint32 in order: low half, then high half
+    for column, n in enumerate(bounds):
+        if n == 1:
+            continue
+        if not uint32s:
+            state = _step(state, inc)
+            output = _xsl_rr(state)
+            uint32s = [output >> 32, output & _MASK32]
+        scaled = uint32s.pop() * np.uint64(n)
+        exact &= (scaled & _MASK32) >= (2**32 - n) % n
+        draws[:, column] = scaled >> 32
+    return draws, exact

@@ -41,10 +41,6 @@ class TraceTooShort(KljnError):
     """Trace cannot be segmented or band-resolved as requested."""
 
 
-class TieDraw(KljnError):
-    """Both parties drew identical resistances; the bit must be discarded."""
-
-
 class KeyDisagreement(KljnError):
     """The parties' key bits differ after the pre-agreed inversion."""
 

@@ -189,13 +189,6 @@ class LookupTable:
                            f"enumerated cell; is it on the configured grids?")
         return pos
 
-    def cell_index_for(self, r_a: float, t_a: float, r_b: float, t_b: float) -> int:
-        """Cell index of one drawn setting."""
-        return int(self.cell_indices([r_a], [t_a], [r_b], [t_b])[0])
-
-    def is_singular(self, r_a: float, t_a: float, r_b: float, t_b: float) -> bool:
-        return bool(self.cell_singular[self.cell_index_for(r_a, t_a, r_b, t_b)])
-
     def cell_members(self, cell_index: int) -> np.ndarray:
         """Indices of enumerated settings in a cell (row-major over
         (r_a, t_a, r_b, t_b) grid levels)."""

@@ -22,10 +22,13 @@ sequences: bit i draws both parties' states from
 ``bit_seed(master_seed, i)`` and, in sampled mode, its noise from
 ``bit_seed(master_seed, i, purpose=1)``, so bit periods are mutually
 independent and may be evaluated in any order.  A session is one batch
-pass: per-config state is computed once, a lean loop over the seeds
-draws the states, then observables (sampled mode: chunks of bit
-periods), bits, equal-temperature recovery and the singularity lookup
-are array operations.  :func:`run_bit` is that pass on one index.
+pass: per-config state is computed once, the state draws of all bits
+are one array pass that is bit-identical to those per-bit streams
+(``_streams``; a bit it cannot reproduce is drawn from its own
+generator), then observables (sampled mode: chunks of bit periods, each
+bit's noise from its own generator), bits, equal-temperature recovery
+and the singularity lookup are array operations.  :func:`run_bit` is
+that pass on one index.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, KeyDisagreement, KljnError, TieDraw
+from ._streams import bounded_integers
+from .errors import ConfigError, KeyDisagreement, KljnError
 from .lookup import DEFAULT_MAX_COMBINATIONS, LookupTable, build_table
 from .physics import (
     SI,
@@ -103,6 +107,8 @@ class ProtocolConfig:
             raise ConfigError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
         if self.bits < 0:
             raise ConfigError(f"bits must be >= 0, got {self.bits}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0 <= self.degeneracy_tolerance < math.inf:
             raise ConfigError(f"degeneracy_tolerance must be finite and >= 0, "
                               f"got {self.degeneracy_tolerance}")
@@ -233,19 +239,32 @@ def party_states(config: ProtocolConfig) -> tuple[tuple[PartyState, ...],
     return grid, grid
 
 
-def _draw(config: ProtocolConfig, states, rng: np.random.Generator):
-    """(Alice's, Bob's) state: each party draws its resistance level, then
-    its temperature level (a single level consumes no randomness)."""
+def _level_counts(config: ProtocolConfig) -> tuple[int, int]:
+    """(resistance, temperature) levels each party draws from."""
     n_r = config.r_levels if config.variant in QUASI_CONTINUUM_VARIANTS else 2
     n_t = config.t_levels if config.variant == "rrrt-kljn" else 1
-    return (states[0][rng.integers(n_r) * n_t + rng.integers(n_t)],
-            states[1][rng.integers(n_r) * n_t + rng.integers(n_t)])
+    return n_r, n_t
 
 
-def draw_parameters(config: ProtocolConfig, bit_index: int,
-                    stream) -> tuple[PartyState, PartyState]:
-    """Independent per-party (R, T) draws for one bit period."""
-    return _draw(config, party_states(config), np.random.default_rng(stream))
+def _draw(config: ProtocolConfig, rng: np.random.Generator) -> tuple[int, int]:
+    """(Alice's, Bob's) state level: each party draws its resistance level,
+    then its temperature level (a single level consumes no randomness)."""
+    n_r, n_t = _level_counts(config)
+    return (int(rng.integers(n_r)) * n_t + int(rng.integers(n_t)),
+            int(rng.integers(n_r)) * n_t + int(rng.integers(n_t)))
+
+
+def _draw_levels(config: ProtocolConfig, indices: list[int]) -> np.ndarray:
+    """`_draw` on each bit's `bit_seed` stream as one array pass: state
+    levels of shape (2, len(indices)), Alice's then Bob's.  Bits the pass
+    cannot reproduce run `_draw` itself."""
+    n_r, n_t = _level_counts(config)
+    draws, exact = bounded_integers(config.master_seed, indices, (n_r, n_t, n_r, n_t))
+    levels = draws[:, 0::2] * n_t + draws[:, 1::2]
+    for j in np.flatnonzero(~exact).tolist():
+        levels[j] = _draw(config, np.random.default_rng(
+            bit_seed(config.master_seed, indices[j])))
+    return levels.T
 
 
 def _high_bits(config: ProtocolConfig, r_a: np.ndarray, r_b: np.ndarray):
@@ -255,21 +274,6 @@ def _high_bits(config: ProtocolConfig, r_a: np.ndarray, r_b: np.ndarray):
     low_a, low_b = (config.vmg_resistors[::2] if config.variant == "vmg-kljn"
                     else (config.r_low, config.r_low))
     return r_a != low_a, r_b != low_b, np.zeros(len(r_a), dtype=bool)
-
-
-def assign_bits(config: ProtocolConfig, alice: PartyState,
-                bob: PartyState) -> tuple[str, str]:
-    """Per-party L/H bit values for a draw.
-
-    Binary variants: the bit is which resistor of the party's own pair
-    was chosen.  Quasi-continuum variants: the party with the strictly
-    higher resistance holds H; equal resistances are a tie and raise.
-    """
-    a_high, b_high, tie = _high_bits(config, np.array([alice.resistance]),
-                                     np.array([bob.resistance]))
-    if tie[0]:
-        raise TieDraw(f"both parties drew {alice.resistance} ohm")
-    return _BIT_NAME[bool(a_high[0])], _BIT_NAME[bool(b_high[0])]
 
 
 def build_lookup_table(config: ProtocolConfig) -> LookupTable:
@@ -350,11 +354,12 @@ def _run_bits(config: ProtocolConfig, indices,
     if not indices:
         return []
     states = party_states(config)
-    alice, bob = zip(*[_draw(config, states, np.random.default_rng(
-        bit_seed(config.master_seed, i))) for i in indices])
-    r_a, t_a, r_b, t_b = (np.array([getattr(s, name) for s in party], dtype=float)
-                          for party in (alice, bob)
+    levels = _draw_levels(config, indices)
+    r_a, t_a, r_b, t_b = (np.array([getattr(s, name) for s in party], dtype=float)[level]
+                          for party, level in zip(states, levels)
                           for name in ("resistance", "temperature"))
+    alice, bob = ([party[k] for k in level.tolist()]
+                  for party, level in zip(states, levels))
     if config.mode == "analytic":
         s_u, s_i, p_ab = analytic_observable_arrays(
             r_a, t_a, r_b, t_b, config.band.bandwidth_hz, config.constants.k)

@@ -284,6 +284,7 @@ class TestErrorPaths:
                      id="negative-family_tolerance"),
         pytest.param({"family_tolerance": float("nan")}, "family_tolerance",
                      id="nan-family_tolerance"),
+        pytest.param({"master_seed": -5}, "master_seed", id="negative-master_seed"),
     ])
     def test_bad_physical_input_exits_2(self, tmp_path, capsys, fields, name):
         # json writes nan and inf as the NaN / Infinity tokens it also reads
@@ -293,3 +294,9 @@ class TestErrorPaths:
         assert main(["simulate", "--config", cfg, "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and name in err
+
+    def test_negative_seed_flag_exits_2(self, classic_cfg, capsys):
+        assert main(["simulate", "--config", classic_cfg, "--seed", "-1",
+                     "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "master_seed" in err

@@ -10,11 +10,8 @@ from kljn import (
     GridTooLarge,
     NORMALIZED,
     ProtocolConfig,
-    TieDraw,
-    assign_bits,
     bit_seed,
     build_lookup_table,
-    draw_parameters,
     run_bit,
     run_session,
 )
@@ -112,23 +109,29 @@ class TestConfigValidation:
         assert classic_config(recovery_tolerance=0.1).effective_recovery_tolerance() == 0.1
 
 
+def session_draws(cfg, indices):
+    """(Alice's, Bob's) drawn state per bit, from the session engine's
+    draw pass."""
+    states = protocol.party_states(cfg)
+    return [(states[0][a], states[1][b])
+            for a, b in zip(*protocol._draw_levels(cfg, list(indices)))]
+
+
 class TestDraws:
     def test_deterministic_per_bit(self):
         cfg = rrrt_config()
-        a1, b1 = draw_parameters(cfg, 7, bit_seed(cfg.master_seed, 7))
-        a2, b2 = draw_parameters(cfg, 7, bit_seed(cfg.master_seed, 7))
+        [(a1, b1)] = session_draws(cfg, [7])
+        [(a2, b2)] = session_draws(cfg, [7])
         assert (a1, b1) == (a2, b2)
 
     def test_bits_are_independent_streams(self):
         cfg = rrrt_config()
-        draws = {draw_parameters(cfg, i, bit_seed(cfg.master_seed, i))
-                 for i in range(40)}
+        draws = set(session_draws(cfg, range(40)))
         assert len(draws) > 10  # not stuck on one value
 
     def test_classic_draws_come_from_public_pair(self):
         cfg = classic_config()
-        for i in range(40):
-            a, b = draw_parameters(cfg, i, bit_seed(cfg.master_seed, i))
+        for a, b in session_draws(cfg, range(40)):
             assert a.resistance in (1000.0, 2000.0)
             assert b.resistance in (1000.0, 2000.0)
             assert a.temperature == b.temperature == 300.0
@@ -138,8 +141,7 @@ class TestDraws:
         temps = cfg.vmg_temperatures()
         expected = {(1000.0, 300.0), (2000.0, temps.t_ah)}
         seen = set()
-        for i in range(40):
-            a, _ = draw_parameters(cfg, i, bit_seed(cfg.master_seed, i))
+        for a, _ in session_draws(cfg, range(40)):
             seen.add((a.resistance, a.temperature))
         assert seen == expected
 
@@ -147,34 +149,34 @@ class TestDraws:
         cfg = rrrt_config()
         r_grid = set(cfg.resistance_grid())
         t_grid = set(cfg.temperature_grid())
-        for i in range(40):
-            a, b = draw_parameters(cfg, i, bit_seed(cfg.master_seed, i))
+        for a, b in session_draws(cfg, range(40)):
             assert {a.resistance, b.resistance} <= r_grid
             assert {a.temperature, b.temperature} <= t_grid
+
+
+def high_bits(cfg, alice_r, bob_r):
+    """(Alice's bit, Bob's bit, tie) of one draw, from the engine's
+    classifier."""
+    a_high, b_high, tie = protocol._high_bits(cfg, np.array([alice_r]),
+                                              np.array([bob_r]))
+    names = protocol._BIT_NAME
+    return names[bool(a_high[0])], names[bool(b_high[0])], bool(tie[0])
 
 
 class TestAssignBits:
     def test_classic(self):
         cfg = classic_config()
-        from kljn import PartyState
-        low, high = PartyState(1000.0, 300.0), PartyState(2000.0, 300.0)
-        assert assign_bits(cfg, low, high) == ("L", "H")
-        assert assign_bits(cfg, high, high) == ("H", "H")
+        assert high_bits(cfg, 1000.0, 2000.0) == ("L", "H", False)
+        assert high_bits(cfg, 2000.0, 2000.0) == ("H", "H", False)
 
     def test_quasi_continuum_orders_by_resistance(self):
         cfg = rr_config()
-        from kljn import PartyState
-        assert assign_bits(cfg, PartyState(1100.0, 300.0),
-                           PartyState(1900.0, 300.0)) == ("L", "H")
-        assert assign_bits(cfg, PartyState(1900.0, 300.0),
-                           PartyState(1100.0, 300.0)) == ("H", "L")
+        assert high_bits(cfg, 1100.0, 1900.0) == ("L", "H", False)
+        assert high_bits(cfg, 1900.0, 1100.0) == ("H", "L", False)
 
-    def test_tie_raises(self):
+    def test_tie_flagged(self):
         cfg = rr_config()
-        from kljn import PartyState
-        with pytest.raises(TieDraw):
-            assign_bits(cfg, PartyState(1500.0, 300.0),
-                        PartyState(1500.0, 300.0))
+        assert high_bits(cfg, 1500.0, 1500.0)[2]
 
 
 class TestLookupTable:
@@ -201,19 +203,20 @@ class TestLookupTable:
         table = build_lookup_table(cfg)
         r_grid, t_grid = cfg.resistance_grid(), cfg.temperature_grid()
         # every enumerated setting must map back to its own cell
-        for member in range(0, table.n_settings, 37):
-            r_a, t_a, r_b, t_b = table.setting_values(member)
-            cell = table.cell_index_for(r_a, t_a, r_b, t_b)
+        members = range(0, table.n_settings, 37)
+        settings = [table.setting_values(member) for member in members]
+        cells = table.cell_indices(*zip(*settings))
+        for member, cell in zip(members, cells.tolist()):
             assert table.combo_cells[member] == cell
             assert member in table.cell_members(cell)
         # quantized mode keys on the observable triple, so a value far
         # off every grid cell raises; exact mode demands grid membership
         with pytest.raises(KeyError):
-            table.cell_index_for(5.0, t_grid[0], r_grid[0], t_grid[0])
+            table.cell_indices([5.0], [t_grid[0]], [r_grid[0]], [t_grid[0]])
         exact = build_lookup_table(rrrt_config(r_levels=6, t_levels=5,
                                                degeneracy_tolerance=0.0))
         with pytest.raises(KeyError):
-            exact.cell_index_for(999.0, t_grid[0], r_grid[0], t_grid[0])
+            exact.cell_indices([999.0], [t_grid[0]], [r_grid[0]], [t_grid[0]])
 
     def test_singular_cells_share_one_bit_direction(self):
         cfg = rrrt_config(r_levels=8, t_levels=8)
@@ -253,8 +256,9 @@ class TestLookupTable:
         n = 16
         assert 0.0 < table.singular_fraction() <= 1.0 / n
         r = cfg.resistance_grid()
-        for r_a, r_b in ((r[0], r[5]), (r[9], r[2])):
-            assert not table.is_singular(r_a, 300.0, r_b, 300.0)
+        cells = table.cell_indices([r[0], r[9]], [300.0] * 2, [r[5], r[2]],
+                                   [300.0] * 2)
+        assert not table.cell_singular[cells].any()
         singular_members = np.flatnonzero(
             table.cell_singular[table.combo_cells])
         for m in singular_members:

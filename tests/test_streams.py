@@ -1,0 +1,82 @@
+"""The array pass over per-bit state streams against numpy itself."""
+
+import random
+
+import numpy as np
+import pytest
+
+from kljn import BandConfig, NORMALIZED, ProtocolConfig, bit_seed, protocol, run_session
+from kljn._streams import _seed_words, bounded_integers
+
+MASTER_SEEDS = [0, 2**32 + 5, 2**130 + 17,
+                *random.Random(6).sample(range(2**32), 3)]
+BOUNDS = [1, 2, 3, 5, 16, 20, 32, 64]
+
+
+def numpy_draws(master_seed, index, bounds):
+    rng = np.random.default_rng(bit_seed(master_seed, index))
+    return [int(rng.integers(n)) for n in bounds]
+
+
+@pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+def test_seed_words_match_seed_sequence(master_seed):
+    index = np.arange(50, dtype=np.uint64)
+    words = np.stack(_seed_words(master_seed, index), axis=1)
+    for i in range(50):
+        np.testing.assert_array_equal(
+            words[i], bit_seed(master_seed, i).generate_state(8, np.uint32))
+
+
+@pytest.mark.parametrize("master_seed", MASTER_SEEDS)
+@pytest.mark.parametrize("n", BOUNDS)
+@pytest.mark.parametrize("per_bit", [2, 4])
+def test_draws_match_numpy(master_seed, n, per_bit):
+    bounds = (n,) * per_bit
+    draws, exact = bounded_integers(master_seed, range(200), bounds)
+    assert exact.all()
+    for i in range(200):
+        assert draws[i].tolist() == numpy_draws(master_seed, i, bounds)
+
+
+@pytest.mark.parametrize("bounds", [(2, 1, 2, 1), (64, 1, 64, 1), (16, 5, 16, 5),
+                                    (1, 3, 1, 3)])
+def test_engine_layouts_match_numpy(bounds):
+    draws, exact = bounded_integers(108, range(300), bounds)
+    assert exact.all()
+    for i in range(300):
+        assert draws[i].tolist() == numpy_draws(108, i, bounds)
+
+
+def test_lemire_rejection_falls_back():
+    # (2**32 - n) % n = 2**30: a quarter of the words are rejected
+    n = 3 * 2**30
+    cfg = ProtocolConfig(variant="rr-kljn", band=BandConfig(1.0, 4.0, 4096),
+                         bits=300, master_seed=11, r_range=(1000.0, 2000.0),
+                         r_levels=n, t_eff=300.0, constants=NORMALIZED)
+    _, exact = bounded_integers(11, range(300), (n, 1, n, 1))
+    assert 0.25 < 1.0 - exact.mean() < 0.6  # about 1 - (3/4)**2
+    levels = protocol._draw_levels(cfg, list(range(300)))
+    for i in range(300):
+        assert levels[:, i].tolist() == numpy_draws(11, i, (n, n))
+
+
+def test_uncovered_indices_are_flagged():
+    draws, exact = bounded_integers(5, [3, 2**32, 4, -1], (16, 16))
+    assert exact.tolist() == [True, False, True, False]
+    assert draws[2].tolist() == numpy_draws(5, 4, (16, 16))
+    # beyond int64 the indices are no integer array: every lane is flagged
+    assert not bounded_integers(5, [3, 2**70], (16, 16))[1].any()
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(variant="classic-kljn", r_low=1000.0, r_high=2000.0, t_eff=300.0),
+    dict(variant="rrrt-kljn", r_range=(1000.0, 2000.0), r_levels=16,
+         t_range=(200.0, 400.0), t_levels=5),
+], ids=["classic", "rrrt"])
+def test_shuffled_session_matches_ordered(cfg):
+    cfg = ProtocolConfig(band=BandConfig(1.0, 4.0, 4096), bits=120,
+                         master_seed=2**32 + 9, constants=NORMALIZED, **cfg)
+    indices = list(range(cfg.bits))
+    random.Random(3).shuffle(indices)
+    shuffled = sorted(protocol._run_bits(cfg, indices), key=lambda o: o.index)
+    assert [repr(o) for o in shuffled] == [repr(o) for o in run_session(cfg).outcomes]
