@@ -54,7 +54,6 @@ from .resolver import (
     ResistorPair,
     VmgTemperatures,
     eve_resistor_pair_equal_temp,
-    partner_resistance_equal_temp,
     recover_partner,
     reduce_observables,
     solve_vmg_temperatures,

@@ -42,7 +42,7 @@ class TraceTooShort(KljnError):
 
 
 class KeyDisagreement(KljnError):
-    """The parties' key bits differ after the pre-agreed inversion."""
+    """The two parties' measured views of a bit differ."""
 
 
 class GridTooLarge(KljnError):

@@ -101,23 +101,21 @@ class WireObservables:
         if self.s_u < 0 or self.s_i < 0:
             raise ValueError(f"PSDs must be non-negative, got ({self.s_u}, {self.s_i})")
 
-    def from_partner_side(self) -> "WireObservables":
-        """The same wire seen from the other party: PSDs unchanged, power negated."""
-        return WireObservables(self.s_u, self.s_i, -self.p_ab)
-
     def __iter__(self):
         """Unpacks as (s_u, s_i, p_ab)."""
         return iter((self.s_u, self.s_i, self.p_ab))
 
 
-def relative_errors(predicted, measured) -> list[float]:
+def relative_errors(predicted, measured) -> list:
     """Per-component relative mismatch |p - m| / max(|p|, |m|, 1e-300)
-    of two triples, the one mismatch metric of the toolkit.
+    of two triples, the one mismatch metric of the toolkit.  Components
+    are floats, or arrays of one shape compared elementwise.
 
     Recovery residuals take the max of these; distances between wire
     triples take the sum of squares (:func:`squared_relative_error`).
     """
-    return [abs(p - m) / max(abs(p), abs(m), 1e-300)
+    return [abs(p - m) / (np.maximum(np.maximum(abs(p), abs(m)), 1e-300)
+                          if isinstance(p, np.ndarray) else max(abs(p), abs(m), 1e-300))
             for p, m in zip(predicted, measured)]
 
 

@@ -14,8 +14,10 @@ Variants:
   ties and singular-cell draws discarded, efficiency approaches 1 on
   fine grids.
 
-Alice is the pre-agreed inverting party, so the shared key bit always
-equals Bob's bit value (L -> 0, H -> 1).
+Each party decides from its own measurement, the partner state it recovers
+from the wire (rr/rrrt: it holds H when that resistance is below its own).
+Views that differ give a ``KeyDisagreement``; otherwise Alice, the pre-agreed
+inverting party, and Bob share Bob's bit value (L -> 0, H -> 1).
 
 Every random choice flows from ``master_seed`` via per-bit seed
 sequences: bit i draws both parties' states from
@@ -26,8 +28,8 @@ pass: per-config state is computed once, the state draws of all bits
 are one array pass that is bit-identical to those per-bit streams
 (``_streams``; a bit it cannot reproduce is drawn from its own
 generator), then observables (sampled mode: chunks of bit periods, each
-bit's noise from its own generator), bits, equal-temperature recovery
-and the singularity lookup are array operations.  :func:`run_bit` is
+bit's noise from its own generator), both recoveries, bits and the
+singularity lookup are array operations.  :func:`run_bit` is
 that pass on one index.
 """
 
@@ -49,16 +51,14 @@ from .physics import (
     PhysicalConstants,
     WireObservables,
     analytic_observable_arrays,
-    analytic_observables,
     estimate_observable_arrays,
     periodogram_bins,
-    squared_relative_error,
     synthesize_traces,
 )
 from .resolver import (
-    partner_resistance_equal_temp,
-    recover_partner,
-    reduce_observables,
+    RECOVERY_FAILURES,
+    recover_partner_arrays,
+    reduce_observable_arrays,
     solve_vmg_temperatures,
 )
 
@@ -105,6 +105,8 @@ class ProtocolConfig:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.mode not in ("analytic", "sampled"):
             raise ConfigError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
+        if self.max_combinations < 1:
+            raise ConfigError(f"max_combinations must be >= 1, got {self.max_combinations}")
         if self.bits < 0:
             raise ConfigError(f"bits must be >= 0, got {self.bits}")
         if self.master_seed < 0:
@@ -268,7 +270,7 @@ def _draw_levels(config: ProtocolConfig, indices: list[int]) -> np.ndarray:
 
 
 def _high_bits(config: ProtocolConfig, r_a: np.ndarray, r_b: np.ndarray):
-    """(Alice holds H, Bob holds H, tie) masks over drawn resistances."""
+    """(Alice holds H, Bob holds H, tie) masks over (Alice's, Bob's) resistances."""
     if config.variant in QUASI_CONTINUUM_VARIANTS:
         return r_a > r_b, r_b > r_a, r_a == r_b
     low_a, low_b = (config.vmg_resistors[::2] if config.variant == "vmg-kljn"
@@ -310,41 +312,24 @@ def _sampled_observables(config: ProtocolConfig, indices: list[int],
     return [np.concatenate(column) for column in zip(*chunks)]
 
 
-def _partner_recovery(config: ProtocolConfig, states, draws, own_r,
-                      s_i: np.ndarray, observables: list[WireObservables]):
-    """`recover(party, j)`: party 0 (Alice) or 1 (Bob) reconstructing the
-    other side of bit j from the wire; raises KljnError when it cannot."""
-    if config.variant == "vmg-kljn":
-        triples = {(a, b): analytic_observables(a, b, config.band, config.constants)
-                   for a in states[0] for b in states[1]}
-
-        def recover(party, j):
-            # the settings are public: pick the partner candidate whose
-            # triple (in Alice's frame, as the wire's) lies nearest
-            own = draws[party][j]
-            return min(states[1 - party], key=lambda c: squared_relative_error(
-                triples[(own, c) if party == 0 else (c, own)], observables[j]))
-    elif config.variant == "rrrt-kljn":
-        def recover(party, j):
-            own = draws[party][j]
-            seen = observables[j] if party == 0 else observables[j].from_partner_side()
-            reduced = reduce_observables(seen, own.resistance, own.temperature,
-                                         config.band.bandwidth_hz, config.constants)
-            recovered = recover_partner(reduced, config.effective_recovery_tolerance())
-            return PartyState(recovered.alpha * own.resistance,
-                              recovered.beta * own.temperature)
-    else:
-        t_eff, constants = config.t_eff, config.constants
-        with np.errstate(divide="ignore"):  # the closed form over all bits
-            partner = (4.0 * constants.k * t_eff / s_i - own_r).tolist()
-
-        def recover(party, j):
-            r = partner[party][j]
-            if not (math.isfinite(r) and r > 0.0):  # the typed error
-                partner_resistance_equal_temp(float(s_i[j]), float(own_r[party][j]),
-                                              t_eff, constants)
-            return PartyState(r, t_eff)
-    return recover
+def _partner_views(config: ProtocolConfig, grids, own_r, own_t, s_u, s_i, p_ab):
+    """Alice's, then Bob's recovery of the other side of every bit through
+    the one array route: the partner resistance it sees, its view of the
+    partner (None where recovery failed) and its `RECOVERY_FAILURES` code.
+    Binary variants see the nearer of the partner's `grids` (R, T) rows."""
+    for party in (0, 1):
+        # Bob sees the same wire with the power flowing into Alice negated
+        alpha, beta, failure = recover_partner_arrays(*reduce_observable_arrays(
+            s_u, s_i, -p_ab if party else p_ab, own_r[party], own_t[party],
+            config.band.bandwidth_hz, config.constants.k),
+            config.effective_recovery_tolerance())
+        r_seen, t_seen = alpha * own_r[party], beta * own_t[party]
+        if config.variant in BINARY_VARIANTS:  # the nearer public state, low on a tie
+            public = grids[1 - party]
+            r_seen, t_seen = public[np.abs(r_seen[:, None] - public[:, 0]).argmin(axis=1)].T
+        failure = failure.tolist()
+        yield r_seen, [None if code else PartyState(r, t) for r, t, code
+                       in zip(r_seen.tolist(), t_seen.tolist(), failure)], failure
 
 
 def _run_bits(config: ProtocolConfig, indices,
@@ -355,9 +340,8 @@ def _run_bits(config: ProtocolConfig, indices,
         return []
     states = party_states(config)
     levels = _draw_levels(config, indices)
-    r_a, t_a, r_b, t_b = (np.array([getattr(s, name) for s in party], dtype=float)[level]
-                          for party, level in zip(states, levels)
-                          for name in ("resistance", "temperature"))
+    grids = [np.array([(s.resistance, s.temperature) for s in party]) for party in states]
+    (r_a, t_a), (r_b, t_b) = (grid[level].T for grid, level in zip(grids, levels))
     alice, bob = ([party[k] for k in level.tolist()]
                   for party, level in zip(states, levels))
     if config.mode == "analytic":
@@ -367,20 +351,23 @@ def _run_bits(config: ProtocolConfig, indices,
         s_u, s_i, p_ab = _sampled_observables(config, indices, r_a, t_a, r_b, t_b)
     observables = [WireObservables(*triple) for triple in
                    zip(s_u.tolist(), s_i.tolist(), p_ab.tolist())]
-    recover = _partner_recovery(config, states, (alice, bob),
-                                np.stack([r_a, r_b]), s_i, observables)
+    tie = _high_bits(config, r_a, r_b)[2]
+    discarded, discard_status = np.zeros(len(indices), dtype=bool), STATUS_SINGULAR
+    if config.variant in QUASI_CONTINUUM_VARIANTS and not tie.all():
+        table = table or build_lookup_table(config)
+        discarded[~tie] = table.cell_singular[table.cell_indices(
+            r_a[~tie], t_a[~tie], r_b[~tie], t_b[~tie])]
+    (seen_b, views_of_bob, alice_failed), (seen_a, views_of_alice, bob_failed) = \
+        _partner_views(config, grids, (r_a, r_b), (t_a, t_b), s_u, s_i, p_ab)
 
-    a_high, b_high, tie = _high_bits(config, r_a, r_b)
-    if config.variant in BINARY_VARIANTS:
-        discarded, discard_status = a_high == b_high, STATUS_SAME_BIT
-    else:
-        discarded, discard_status = np.zeros(len(indices), dtype=bool), STATUS_SINGULAR
-        if not tie.all():
-            table = table or build_lookup_table(config)
-            discarded[~tie] = table.cell_singular[table.cell_indices(
-                r_a[~tie], t_a[~tie], r_b[~tie], t_b[~tie])]
+    # (Alice holds H, Bob holds H) as each party measures it
+    (a_high, alice_sees_b), (bob_sees_a, b_high) = (
+        _high_bits(config, r_a, seen_b)[:2], _high_bits(config, seen_a, r_b)[:2])
+    same_view = (a_high == bob_sees_a) & (alice_sees_b == b_high)
     # Alice inverts (pre-agreed); both then hold Bob's bit value.
-    agreed = (1 - a_high) == b_high
+    agreed = same_view & (a_high != b_high)
+    if config.variant in BINARY_VARIANTS:
+        discarded, discard_status = same_view & (a_high == b_high), STATUS_SAME_BIT
 
     outcomes = []
     for j, i in enumerate(indices):
@@ -391,20 +378,22 @@ def _run_bits(config: ProtocolConfig, indices,
             continue
         outcome.alice_bit = _BIT_NAME[bool(a_high[j])]
         outcome.bob_bit = _BIT_NAME[bool(b_high[j])]
-        try:
-            outcome.alice_view_of_bob = recover(0, j)
-            outcome.bob_view_of_alice = recover(1, j)
-        except KljnError as exc:  # its traceback would keep this frame alive
-            outcome.status, outcome.error = STATUS_ERROR, exc.with_traceback(None)
+        outcome.alice_view_of_bob = views_of_bob[j]
+        outcome.bob_view_of_alice = views_of_alice[j]
+        failed = alice_failed[j] or bob_failed[j]
+        if failed:
+            error_class, reason = RECOVERY_FAILURES[failed]
+            outcome.status = STATUS_ERROR
+            outcome.error = error_class(f"{'Alice' if alice_failed[j] else 'Bob'} "
+                                        f"cannot recover the partner: {reason}")
+        elif discarded[j]:
+            outcome.status = discard_status
+        elif not agreed[j]:
+            outcome.status = STATUS_ERROR
+            outcome.error = KeyDisagreement("the parties' measured views of the bit differ")
         else:
-            if discarded[j]:
-                outcome.status = discard_status
-            elif not agreed[j]:
-                outcome.status = STATUS_ERROR
-                outcome.error = KeyDisagreement("key disagreement after inversion")
-            else:
-                outcome.status = STATUS_SECURE
-                outcome.shared_key_bit = int(b_high[j])
+            outcome.status = STATUS_SECURE
+            outcome.shared_key_bit = int(b_high[j])
     return outcomes
 
 

@@ -14,16 +14,17 @@ subtracting pairs of equations eliminates b:
     gamma - phi = a / (1 + a),     delta - phi = 1 / (1 + a).
 
 Two recovery routes are implemented.  The elimination route solves the
-linear relations above directly and serves as the oracle.  The quadratic
-route eliminates `a` between pairs of the three equations (resultant of
-the two quadratics in `a`), yielding a quadratic in `b` whose roots are
-{b, 1}; the spurious unit root is rejected by back-substitution.  The
-routes must agree wherever the quadratic yields a unique physical root.
+linear relations above directly; its array form
+:func:`recover_partner_arrays` is the session route.  The paper's
+quadratic route, kept as its cross-check, eliminates `a` between pairs
+of the three equations (resultant of the two quadratics in `a`),
+yielding a quadratic in `b` whose roots are {b, 1}; the spurious unit
+root is rejected by back-substitution.  The routes must agree wherever
+the quadratic yields a unique physical root.
 
-Also here: the equal-temperature partner-resistance formula, the
-unordered resistor-pair extraction available to anyone on the wire at a
-known common temperature, and the temperature-matching solve for the
-four-resistor binary scheme.
+Also here: the unordered resistor-pair extraction available to anyone
+on the wire at a known common temperature, and the temperature-matching
+solve for the four-resistor binary scheme.
 """
 
 from __future__ import annotations
@@ -112,12 +113,15 @@ def reduce_observables(observables: WireObservables, own_r: float, own_t: float,
     """Reduce a measured wire triple by the party's own parameters."""
     if not (own_r > 0 and own_t > 0 and bandwidth_hz > 0):
         raise ValueError("own_r, own_t and bandwidth_hz must be positive")
-    scale = 4.0 * constants.k * own_t
-    return ReducedObservables(
-        gamma=observables.s_u / (scale * own_r),
-        phi=observables.p_ab / (scale * bandwidth_hz),
-        delta=observables.s_i * own_r / scale,
-    )
+    return ReducedObservables(*reduce_observable_arrays(
+        *observables, own_r, own_t, bandwidth_hz, constants.k))
+
+
+def reduce_observable_arrays(s_u, s_i, p_ab, own_r, own_t, bandwidth_hz, k):
+    """(gamma, phi, delta) of measured triples, reduced by the party's own
+    (R, T); floats or arrays of one shape."""
+    scale = 4.0 * k * own_t
+    return s_u / (scale * own_r), p_ab / (scale * bandwidth_hz), s_i * own_r / scale
 
 
 def _predicted_reduced(alpha: float, beta: float) -> tuple[float, float, float]:
@@ -281,21 +285,29 @@ def recover_partner(reduced: ReducedObservables, tolerance: float,
     raise ValueError(f"unknown recovery method {method!r}")
 
 
-def partner_resistance_equal_temp(s_i: float, own_r: float, t_eff: float,
-                                  constants: PhysicalConstants = SI) -> float:
-    """Partner resistance from the wire current PSD at a common temperature.
+#: Why :func:`recover_partner_arrays` fails a lane, by code (0: recovered),
+#: in the order the scalar elimination route checks them.
+RECOVERY_FAILURES = (
+    None,
+    (InconsistentObservables, "consistency identity violated"),
+    (NoPositiveRoot, "non-positive resistance or temperature ratio"),
+    (InconsistentObservables, "elimination residual exceeds the tolerance"),
+)
 
-    R_partner = 4 k T_eff / s_i - R_own, the 4kTR Johnson convention
-    throughout.
-    """
-    if not s_i > 0:
-        raise InconsistentObservables(f"current PSD must be positive, got {s_i}")
-    partner = 4.0 * constants.k * t_eff / s_i - own_r
-    if not math.isfinite(partner) or partner <= 0.0:
-        raise InconsistentObservables(
-            f"current PSD {s_i} is inconsistent with the equal-temperature "
-            f"model (implied partner resistance {partner})")
-    return partner
+
+def recover_partner_arrays(gamma, phi, delta, tolerance: float):
+    """The elimination route over arrays of reduced observables: (alpha,
+    beta, failure), where failure is 0 or the :data:`RECOVERY_FAILURES`
+    code of the first check ``recover_partner(..., "elimination")`` fails."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = (gamma - phi) / (delta - phi)
+        beta = 1.0 + phi * (1.0 + alpha) ** 2 / alpha
+        residual = np.max(relative_errors(_predicted_reduced(alpha, beta),
+                                          (gamma, phi, delta)), axis=0)
+    failure = np.select([~(np.abs(gamma + delta - 2.0 * phi - 1.0) <= tolerance),
+                         (delta - phi <= 0.0) | (gamma - phi <= 0.0) | ~(beta > 0.0),
+                         ~(residual <= tolerance)], [1, 2, 3], 0)
+    return alpha, beta, failure
 
 
 def eve_resistor_pair_equal_temp(s_u: float, s_i: float, t: float,

@@ -285,6 +285,10 @@ class TestErrorPaths:
         pytest.param({"family_tolerance": float("nan")}, "family_tolerance",
                      id="nan-family_tolerance"),
         pytest.param({"master_seed": -5}, "master_seed", id="negative-master_seed"),
+        *(pytest.param({"variant": "rrrt-kljn", "r_range": [1000.0, 2000.0],
+                        "r_levels": 4, "t_range": [200.0, 400.0], "t_levels": 4,
+                        "max_combinations": budget}, "max_combinations",
+                       id=f"max_combinations-{budget}") for budget in (0, -1)),
     ])
     def test_bad_physical_input_exits_2(self, tmp_path, capsys, fields, name):
         # json writes nan and inf as the NaN / Infinity tokens it also reads

@@ -15,7 +15,15 @@ from kljn import (
     run_bit,
     run_session,
 )
-from kljn import NoPositiveRoot, eve_guess_session, lookup, protocol
+from kljn import (
+    KeyDisagreement,
+    KljnError,
+    NoPositiveRoot,
+    eve_guess_session,
+    lookup,
+    protocol,
+    resolver,
+)
 from kljn.physics import analytic_observable_arrays
 from kljn.protocol import (
     STATUS_SAME_BIT,
@@ -375,6 +383,32 @@ class TestRunBit:
             assert o.alice_view_of_bob.temperature == o.bob_draw.temperature
             assert o.bob_view_of_alice.resistance == o.alice_draw.resistance
 
+    @pytest.mark.parametrize("make", [classic_config, vmg_config, rr_config,
+                                      rrrt_config])
+    def test_analytic_decisions_follow_the_draws(self, make):
+        # the rule the parties' measured views reproduce on exact data
+        cfg = make(bits=200)
+        table = (build_lookup_table(cfg) if cfg.variant in ("rr-kljn", "rrrt-kljn")
+                 else None)
+        # each party's low resistance in the binary variants
+        lows = {"classic-kljn": (1000.0, 1000.0), "vmg-kljn": (1000.0, 3000.0)}
+        for o in run_session(cfg).outcomes:
+            r_a, r_b = o.alice_draw.resistance, o.bob_draw.resistance
+            if table is None:
+                a_high, b_high = r_a != lows[cfg.variant][0], r_b != lows[cfg.variant][1]
+                expected = STATUS_SAME_BIT if a_high == b_high else STATUS_SECURE
+            elif r_a == r_b:
+                expected = STATUS_TIE
+            else:
+                b_high = r_b > r_a
+                cell = table.cell_indices([r_a], [o.alice_draw.temperature], [r_b],
+                                          [o.bob_draw.temperature])
+                expected = (STATUS_SINGULAR if table.cell_singular[cell][0]
+                            else STATUS_SECURE)
+            assert o.status == expected
+            assert o.shared_key_bit == (int(b_high) if expected == STATUS_SECURE
+                                        else None)
+
     def test_run_bit_reproducible(self):
         cfg = rrrt_config()
         table = build_lookup_table(cfg)
@@ -522,13 +556,42 @@ class TestBatchEngine:
         assert rows == [3, 3, 3, 1]
 
     def test_sampled_rrrt_errors_are_typed(self):
-        # the quadratic route finds no root on noisy rrrt triples
-        report = run_session(rrrt_config(bits=12, **SMALL_SAMPLED))
+        # noisy rrrt triples: a party misreads its bit, or cannot recover
+        report = run_session(rrrt_config(bits=40, **SMALL_SAMPLED))
         errors = [o.error for o in report.outcomes if o.status == "error"]
-        assert errors and all(isinstance(e, NoPositiveRoot) for e in errors)
+        recovery_errors = tuple(cls for cls, _ in resolver.RECOVERY_FAILURES[1:])
+        assert errors and all(isinstance(e, (KeyDisagreement, *recovery_errors))
+                              for e in errors)
+        assert all(isinstance(e, KljnError) for e in errors)
         # a kept traceback would hold the whole session's frame alive
         assert all(e.__traceback__ is None for e in errors)
         assert all(o.error is None for o in report.outcomes if o.status != "error")
+
+    def test_sampled_rrrt_keeps_bits(self):
+        # 16 levels, 4096 samples in 64 segments: every non-tie bit recovers
+        cfg = rrrt_config(bits=200, master_seed=7, mode="sampled",
+                          estimator_segments=64)
+        outcomes = run_session(cfg).outcomes
+        assert sum(o.status == STATUS_SECURE for o in outcomes) > 0
+        errors = [o for o in outcomes if o.error is not None]
+        assert not any(isinstance(o.error, NoPositiveRoot) for o in errors)
+        assert errors and all(isinstance(o.error, KeyDisagreement) for o in errors)
+        # Alice inverts her measured bit, so equal bits are unequal key bits
+        assert all(o.alice_bit == o.bob_bit for o in errors)
+
+    @pytest.mark.parametrize("make", [classic_config, vmg_config, rr_config,
+                                      rrrt_config])
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    def test_sessions_skip_the_scalar_routes(self, make, mode, monkeypatch):
+        def scalar_route(*args, **kwargs):
+            raise AssertionError("the session path called a scalar recovery route")
+
+        for name in ("recover_partner", "_recover_by_elimination",
+                     "_recover_by_quadratic"):
+            monkeypatch.setattr(resolver, name, scalar_route)
+        report = run_session(make(bits=12, **(SMALL_SAMPLED if mode == "sampled"
+                                              else {})))
+        assert sum(report.counts.values()) == 12
 
     def test_vmg_temperatures_solved_once_per_session(self, monkeypatch):
         calls = []

@@ -1,5 +1,6 @@
 """Parameter recovery algebra: reduction, both recovery routes, the
-equal-temperature formulas, and the temperature-matching solve."""
+session's array route, the equal-temperature pair extraction, and the
+temperature-matching solve."""
 
 import numpy as np
 import pytest
@@ -9,17 +10,23 @@ from kljn import (
     InadmissibleTemperatures,
     InconsistentObservables,
     NORMALIZED,
+    NoPositiveRoot,
     PartyState,
     ReducedObservables,
     WireObservables,
     analytic_observables,
     eve_resistor_pair_equal_temp,
-    partner_resistance_equal_temp,
     recover_partner,
     reduce_observables,
     solve_vmg_temperatures,
 )
-from kljn.resolver import equation_residual, vmg_matching_residual
+from kljn.resolver import (
+    RECOVERY_FAILURES,
+    equation_residual,
+    recover_partner_arrays,
+    reduce_observable_arrays,
+    vmg_matching_residual,
+)
 
 BAND = BandConfig(bandwidth_hz=1.0, sample_rate_hz=4.0, samples_per_bit=16)
 
@@ -134,29 +141,74 @@ class TestRecoverPartner:
         assert equation_residual(red, 2.0, 0.4) > 1e-2
 
 
-class TestPartnerResistanceEqualTemp:
+def recover_from_wire(alice, bob, tolerance=1e-6):
+    """Alice's (alpha, beta, failure) for the wire of one draw, through
+    the array route."""
+    s_u, s_i, p_ab = (np.array([v]) for v in analytic_observables(alice, bob, BAND,
+                                                                   NORMALIZED))
+    return recover_partner_arrays(*reduce_observable_arrays(
+        s_u, s_i, p_ab, alice.resistance, alice.temperature, 1.0, 1.0), tolerance)
+
+
+class TestRecoverPartnerArrays:
+    def test_matches_scalar_elimination(self):
+        rng = np.random.default_rng(7)
+        alpha, beta = np.exp(rng.uniform(np.log(0.1), np.log(10), (2, 2000)))
+        reduced = [exact_reduced(a, b) for a, b in zip(alpha, beta)]
+        got_alpha, got_beta, failure = recover_partner_arrays(
+            *(np.array([getattr(r, name) for r in reduced])
+              for name in ("gamma", "phi", "delta")), 1e-9)
+        assert not failure.any()
+        scalar = [recover_partner(r, 1e-9, "elimination") for r in reduced]
+        np.testing.assert_allclose(got_alpha, [rec.alpha for rec in scalar], rtol=1e-12)
+        np.testing.assert_allclose(got_beta, [rec.beta for rec in scalar], rtol=1e-12)
+
+    @pytest.mark.parametrize("triple, tolerance, error", [
+        ((1.0, 0.3, 1.0), 1e-6, InconsistentObservables),  # identity violated
+        ((1.5, 0.25, 0.0), 1e-6, NoPositiveRoot),  # delta - phi <= 0
+        ((0.0, -0.5, 0.0), 1e-6, NoPositiveRoot),  # beta <= 0
+        ((0.3, -0.2, 0.3009), 1e-3, InconsistentObservables),  # residual > tolerance
+    ], ids=["identity", "resistance-ratio", "temperature-ratio", "residual"])
+    def test_flags_the_scalar_error_class(self, triple, tolerance, error):
+        with pytest.raises(error):
+            recover_partner(ReducedObservables(*triple), tolerance, "elimination")
+        # a good lane next to the failing one is unaffected
+        good = exact_reduced(2.0, 3.0)
+        lanes = zip(triple, (good.gamma, good.phi, good.delta))
+        _, _, failure = recover_partner_arrays(*map(np.array, lanes), tolerance)
+        assert failure[1] == 0 and RECOVERY_FAILURES[failure[0]][0] is error
+
+
+class TestEqualTemperatureRecovery:
+    """The array route at a common temperature (beta = 1)."""
+
     def test_known_pair(self):
         a = PartyState(1000.0, 300.0)
         b = PartyState(2000.0, 300.0)
-        obs = analytic_observables(a, b, BAND, NORMALIZED)
         # s_i = 4kT/(R_A+R_B) at equal temperature
-        assert obs.s_i == pytest.approx(4 * 300.0 / 3000.0, rel=1e-13)
-        r_b = partner_resistance_equal_temp(obs.s_i, 1000.0, 300.0, NORMALIZED)
-        assert r_b == pytest.approx(2000.0, rel=1e-12)
+        assert analytic_observables(a, b, BAND, NORMALIZED).s_i == pytest.approx(
+            4 * 300.0 / 3000.0, rel=1e-13)
+        alpha, beta, failure = recover_from_wire(a, b)
+        assert failure[0] == 0
+        assert alpha[0] * 1000.0 == pytest.approx(2000.0, rel=1e-12)
+        assert beta[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_symmetric_case(self):
         a = PartyState(1500.0, 300.0)
-        obs = analytic_observables(a, a, BAND, NORMALIZED)
-        r_b = partner_resistance_equal_temp(obs.s_i, 1500.0, 300.0, NORMALIZED)
-        assert r_b == pytest.approx(1500.0, rel=1e-12)
+        alpha, beta, failure = recover_from_wire(a, a)
+        assert failure[0] == 0
+        assert alpha[0] * 1500.0 == pytest.approx(1500.0, rel=1e-12)
 
-    def test_rejects_inconsistent_spectra(self):
-        with pytest.raises(InconsistentObservables):
-            partner_resistance_equal_temp(0.0, 1000.0, 300.0, NORMALIZED)
-        with pytest.raises(InconsistentObservables):
-            # implied total resistance below own resistance
-            partner_resistance_equal_temp(4 * 300.0 / 500.0, 1000.0, 300.0,
-                                          NORMALIZED)
+    def test_flags_inconsistent_spectra(self):
+        # a zero current PSD, or one implying a total resistance below
+        # Alice's own (500 < 1000), violates the consistency identity
+        obs = analytic_observables(PartyState(1000.0, 300.0),
+                                   PartyState(2000.0, 300.0), BAND, NORMALIZED)
+        s_i = np.array([0.0, 4 * 300.0 / 500.0])
+        _, _, failure = recover_partner_arrays(*reduce_observable_arrays(
+            obs.s_u, s_i, obs.p_ab, 1000.0, 300.0, 1.0, 1.0), 1e-6)
+        assert [RECOVERY_FAILURES[code][0] for code in failure] == [
+            InconsistentObservables] * 2
 
 
 class TestEvePairExtraction:
