@@ -1,13 +1,13 @@
-"""numpy's per-bit state streams, run as one array pass over bit indices.
+"""numpy's per-bit random streams, run as one array pass over bit indices.
 
 Bit i of a session draws its party states from
-``default_rng(SeedSequence(master_seed, spawn_key=(i, 0)))``.  This
-module reproduces that chain for many indices at once and returns what
-``Generator.integers(n)`` returns, call by call:
+``default_rng(SeedSequence(master_seed, spawn_key=(i, 0)))`` and, in
+sampled mode, its noise from the same chain with the purpose word 1 in
+place of 0.  This module reproduces that chain for many indices at once:
 
 * ``SeedSequence`` hashes 32-bit words with data-independent mixing
   constants.  The words are the master seed's, padded to the pool size
-  of 4, then i, then the purpose 0; the master's words give the same
+  of 4, then i, then the purpose word; the master's words give the same
   pool on every lane, so only i and the purpose are mixed per lane.
 * ``PCG64`` takes ``generate_state(4, uint64)`` as (seed hi, seed lo,
   inc hi, inc lo) and seeds as state = 0, inc = (seq << 1) | 1, one
@@ -17,10 +17,15 @@ module reproduces that chain for many indices at once and returns what
   the low half of a 64-bit output and then its high half; n = 1 draws
   nothing.
 
-A lane is not reproduced when Lemire's method rejects one of its words
-(it would consume more of the stream) or when its index is outside
-[0, 2**32) and so hashes as another number of words.  Those lanes are
-flagged for the caller to draw with numpy itself.
+:func:`bounded_integers` returns the state draws themselves.
+:func:`pcg64_states` returns each lane's seeded PCG64 state, for a
+caller that sets it on one reused ``Generator`` and draws from it with
+numpy (the noise normals).
+
+A lane is not reproduced when its index is outside [0, 2**32) and so
+hashes as another number of words, or, for the draws, when Lemire's
+method rejects one of its words (it would consume more of the stream).
+Those lanes are left for the caller to draw with numpy itself.
 """
 
 from __future__ import annotations
@@ -72,8 +77,8 @@ def _int_words(value: int) -> list[int]:
     return words
 
 
-def _seed_words(master_seed: int, index: np.ndarray) -> list[np.ndarray]:
-    """`SeedSequence(master_seed, spawn_key=(i, 0)).generate_state(8,
+def _seed_words(master_seed: int, index: np.ndarray, purpose: int = 0) -> list[np.ndarray]:
+    """`SeedSequence(master_seed, spawn_key=(i, purpose)).generate_state(8,
     uint32)` per index, as 8 uint64 arrays of 32-bit words."""
     words = _int_words(master_seed)
     words += [0] * (_POOL_SIZE - len(words))
@@ -83,7 +88,7 @@ def _seed_words(master_seed: int, index: np.ndarray) -> list[np.ndarray]:
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], constant.hash(pool[src]))
-    for word in (*words[_POOL_SIZE:], index, 0):
+    for word in (*words[_POOL_SIZE:], index, purpose):
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], constant.hash(word))
     constant = _HashConstant(_INIT_B, _MULT_B)
@@ -120,6 +125,43 @@ def _xsl_rr(state) -> np.ndarray:
     return (x >> rot) | (x << ((64 - rot) & 63))
 
 
+def _lanes(master_seed, indices, purpose: int):
+    """`indices` as an integer array and each lane's PCG64 (state, inc),
+    as 32-bit limbs least significant first, right after seeding from
+    ``SeedSequence(master_seed, spawn_key=(i, purpose))``, with the mask
+    of lanes reproduced.  No lane is reproduced for a negative master
+    seed, a purpose beyond one word or indices of no integer dtype."""
+    index = np.asarray(indices)
+    master_seed, purpose = operator.index(master_seed), operator.index(purpose)
+    if (len(index) == 0 or index.dtype.kind not in "iu" or master_seed < 0
+            or not 0 <= purpose <= _MASK32):
+        return index, None, None, np.zeros(len(index), dtype=bool)
+    words = _seed_words(master_seed, (index & _MASK32).astype(np.uint64), purpose)
+    seed = words[2:4] + words[0:2]
+    seq = words[6:8] + words[4:6]
+    inc = [((w << 1) | (lower >> 31)) & _MASK32 for w, lower in zip(seq, [0] + seq[:3])]
+    inc[0] |= 1
+    return index, _step(_add(inc, seed), inc), inc, (index >= 0) & (index <= _MASK32)
+
+
+def _ints(limbs) -> list[int]:
+    """Per-lane Python ints of 128-bit values held as 32-bit limbs."""
+    high, low = ((limbs[k + 1] << 32) | limbs[k] for k in (2, 0))
+    return [(h << 64) | lo for h, lo in zip(high.tolist(), low.tolist())]
+
+
+def pcg64_states(master_seed: int, indices, purpose: int) -> list:
+    """``default_rng(SeedSequence(master_seed, spawn_key=(i, purpose)))
+    .bit_generator.state`` for each i of `indices`, or None for a lane
+    that must be seeded with numpy."""
+    index, state, inc, exact = _lanes(master_seed, indices, purpose)
+    if state is None:
+        return [None] * len(index)
+    return [{"bit_generator": "PCG64", "state": {"state": s, "inc": c},
+             "has_uint32": 0, "uinteger": 0} if ok else None
+            for s, c, ok in zip(_ints(state), _ints(inc), exact.tolist())]
+
+
 def bounded_integers(master_seed: int, indices, bounds) -> tuple[np.ndarray, np.ndarray]:
     """``[rng.integers(n) for n in bounds]`` for each i of `indices`, with
     ``rng = default_rng(SeedSequence(master_seed, spawn_key=(i, 0)))``.
@@ -128,20 +170,11 @@ def bounded_integers(master_seed: int, indices, bounds) -> tuple[np.ndarray, np.
     mask of the lanes reproduced; the other lanes must be drawn with
     numpy.
     """
-    index = np.asarray(indices)
-    draws = np.zeros((len(index), len(bounds)), dtype=np.int64)
     bounds = [operator.index(n) for n in bounds]
-    master_seed = operator.index(master_seed)
-    if (len(index) == 0 or index.dtype.kind not in "iu" or master_seed < 0
-            or not all(1 <= n <= _MASK32 for n in bounds)):
+    index, state, inc, exact = _lanes(master_seed, indices, 0)
+    draws = np.zeros((len(index), len(bounds)), dtype=np.int64)
+    if state is None or not all(1 <= n <= _MASK32 for n in bounds):
         return draws, np.zeros(len(index), dtype=bool)
-    exact = (index >= 0) & (index <= _MASK32)
-    words = _seed_words(master_seed, (index & _MASK32).astype(np.uint64))
-    seed = words[2:4] + words[0:2]
-    seq = words[6:8] + words[4:6]
-    inc = [((w << 1) | (lower >> 31)) & _MASK32 for w, lower in zip(seq, [0] + seq[:3])]
-    inc[0] |= 1
-    state = _step(_add(inc, seed), inc)
 
     uint32s = []  # next_uint32 in order: low half, then high half
     for column, n in enumerate(bounds):

@@ -133,10 +133,16 @@ def _binary_classes(config: ProtocolConfig) -> dict[str, WireObservables]:
             for name, (a, b) in pairs.items()}
 
 
-def _nearest_class(observables: WireObservables,
-                   classes: dict[str, WireObservables]) -> str:
-    return min(classes, key=lambda name: squared_relative_error(
-        observables, classes[name]))
+def _nearest_classes(observables, classes: dict[str, WireObservables]) -> list[str]:
+    """Name of the nearest of `classes` for each triple of `observables`,
+    by :func:`squared_relative_error`; of equals, the first in `classes`'
+    order."""
+    if not observables:
+        return []
+    columns = [np.array(column, dtype=float) for column in zip(*observables)]
+    distances = [squared_relative_error(columns, centre) for centre in classes.values()]
+    names = list(classes)
+    return [names[k] for k in np.argmin(distances, axis=0).tolist()]
 
 
 def eve_nearest_class(view: EveView, config: ProtocolConfig) -> str:
@@ -146,7 +152,7 @@ def eve_nearest_class(view: EveView, config: ProtocolConfig) -> str:
     LH/HL pair is irreducibly ambiguous: both produce the same wire
     triple, which is exactly what makes those bits secure.
     """
-    return _nearest_class(view.observables, _binary_classes(config))
+    return _nearest_classes([view.observables], _binary_classes(config))[0]
 
 
 def eve_pair_extraction(view: EveView, t_eff: float,
@@ -252,19 +258,17 @@ def eve_guess_session(config: ProtocolConfig, strategy: str,
         report = run_session(config)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(0xEE,)))
-    record = GuessRecord(strategy=strategy)
+    secure = [outcome for outcome in report.outcomes if outcome.status == STATUS_SECURE]
     # quasi-continuum variants have no class model: no finite class set
     # distinguishes their secure draws
-    classes = (_binary_classes(config) if strategy == "nearest-class"
-               and config.variant in BINARY_VARIANTS else None)
-    for outcome in report.outcomes:
-        if outcome.status != STATUS_SECURE:
-            continue
-        label = _nearest_class(outcome.observables, classes) if classes else None
-        guess = _CLASS_BITS.get(label)
-        if guess is None:  # the LH-or-HL class, or no class model: a coin
-            guess = int(rng.integers(2))
-        record.bit_indices.append(outcome.index)
-        record.guesses.append(guess)
-        record.truths.append(outcome.shared_key_bit)
-    return record
+    labels = (_nearest_classes([outcome.observables for outcome in secure],
+                               _binary_classes(config))
+              if strategy == "nearest-class" and config.variant in BINARY_VARIANTS
+              else [None] * len(secure))
+    guesses = [_CLASS_BITS.get(label) for label in labels]
+    # the LH-or-HL class, or no class model: a coin each, in bit order
+    coins = iter(rng.integers(2, size=guesses.count(None)).tolist())
+    return GuessRecord(strategy=strategy,
+                       bit_indices=[outcome.index for outcome in secure],
+                       guesses=[next(coins) if g is None else g for g in guesses],
+                       truths=[outcome.shared_key_bit for outcome in secure])

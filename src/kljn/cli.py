@@ -27,7 +27,7 @@ from . import __version__
 from .adversary import (
     EveView,
     _binary_classes,
-    _nearest_class,
+    _nearest_classes,
     default_assumed_grid,
     eve_guess_session,
     eve_pair_extraction,
@@ -97,6 +97,7 @@ def _attack_rows(config: ProtocolConfig, extras: dict, report):
     temperatures).  A bit the model cannot fit gets one row of its
     index with empty cells.
     """
+    secure = [o for o in report.outcomes if o.status == STATUS_SECURE]
     if config.variant == "rrrt-kljn":
         columns = _FAMILY_COLUMNS
         grid = default_assumed_grid(config, extras.get("eve_grid_points", 10))
@@ -107,12 +108,9 @@ def _attack_rows(config: ProtocolConfig, extras: dict, report):
                      p.implied_beta, p.implied_alice_bit(), p.residual)
                     for p in eve_rrrt_solution_family(view, grid, tolerance,
                                                       config.constants)]
-    elif config.variant == "vmg-kljn":
-        columns = _CLASS_COLUMNS
-        classes = _binary_classes(config)
-
-        def analyse(view):
-            return [(_nearest_class(view.observables, classes),)]
+    elif config.variant == "vmg-kljn":  # every triple has a nearest class
+        labels = _nearest_classes([o.observables for o in secure], _binary_classes(config))
+        return _CLASS_COLUMNS, [(o.index, label) for o, label in zip(secure, labels)]
     else:
         columns = _PAIR_COLUMNS
         tolerance = config.effective_recovery_tolerance()
@@ -123,9 +121,7 @@ def _attack_rows(config: ProtocolConfig, extras: dict, report):
             return [(pair.low, pair.high, int(pair.degenerate))]
 
     rows = []
-    for outcome in report.outcomes:
-        if outcome.status != STATUS_SECURE:
-            continue
+    for outcome in secure:
         try:
             cells = analyse(EveView(outcome.observables, config.band.bandwidth_hz))
         except KljnError:

@@ -6,7 +6,9 @@ provides the exact analytic wire observables (voltage PSD, current PSD,
 net power flow), band-limited Gaussian noise synthesis of bit periods,
 and averaged-periodogram estimation of the observables from synthesized
 traces; the sampled functions work on one row per bit period, and their
-one-period forms are thin wrappers.
+one-period forms are thin wrappers.  Both sampled stages touch only the
+in-band rFFT bins, which run contiguously from bin 1, and the divider
+mixes the two voltages in place.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -114,6 +116,10 @@ def relative_errors(predicted, measured) -> list:
     Recovery residuals take the max of these; distances between wire
     triples take the sum of squares (:func:`squared_relative_error`).
     """
+    # Floats take Python's max: the scalar callers (the family sweep's
+    # per-point residual, the resolver's equation residuals) run it per
+    # point, where numpy's maximum on floats is about 1.3x (sweep) to 2x
+    # (residuals) slower and would return numpy floats.
     return [abs(p - m) / (np.maximum(np.maximum(abs(p), abs(m)), 1e-300)
                           if isinstance(p, np.ndarray) else max(abs(p), abs(m), 1e-300))
             for p, m in zip(predicted, measured)]
@@ -167,7 +173,7 @@ def analytic_observables(alice: PartyState, bob: PartyState, band: BandConfig,
     return WireObservables(float(s_u), float(s_i), float(p_ab))
 
 
-def synthesize_traces(r_a, t_a, r_b, t_b, band: BandConfig, seeds,
+def synthesize_traces(r_a, t_a, r_b, t_b, band: BandConfig, generators,
                       constants: PhysicalConstants = SI):
     """Wire voltage and current samples, one row per bit period.
 
@@ -176,17 +182,21 @@ def synthesize_traces(r_a, t_a, r_b, t_b, band: BandConfig, seeds,
     (R_A + R_B), i = (u_A - u_B) / (R_A + R_B).  Each is synthesized from
     independent complex Gaussian rFFT bins of flat one-sided PSD on
     0 < f <= bandwidth (no DC or Nyquist bin: zero mean, strictly
-    in-band).  Row j draws its bins from ``default_rng(seeds[j])`` in the
-    order u_A real, u_A imaginary, u_B real, u_B imaginary.
+    in-band).  Row j draws its bins, in the order u_A real, u_A
+    imaginary, u_B real, u_B imaginary, from the j-th numpy ``Generator``
+    that `generators` yields; each is drawn from before the next is
+    taken, so one generator may be re-seeded per row.
     """
     n = band.samples_per_bit
     freqs = np.fft.rfftfreq(n, d=1.0 / band.sample_rate_hz)
-    in_band = (freqs > 0) & (freqs <= band.bandwidth_hz) & (freqs < band.sample_rate_hz / 2.0)
-    normals = np.empty((len(seeds), 4, int(np.count_nonzero(in_band))))
-    for row, seed in zip(normals, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
+    # the in-band bins run contiguously from bin 1
+    bins = slice(1, 1 + int(np.count_nonzero(
+        (freqs > 0) & (freqs <= band.bandwidth_hz) & (freqs < band.sample_rate_hz / 2.0))))
     r_a, t_a, r_b, t_b = (np.asarray(v, dtype=float)[:, np.newaxis]
                           for v in (r_a, t_a, r_b, t_b))
+    normals = np.empty((len(r_a), 4, bins.stop - 1))
+    for row, rng in zip(normals, generators, strict=True):
+        rng.standard_normal(out=row)
     spectrum = np.zeros((len(normals), len(freqs)), dtype=complex)
     voltages = []
     for psd, re, im in ((4.0 * constants.k * t_a * r_a, 0, 1),
@@ -195,12 +205,18 @@ def synthesize_traces(r_a, t_a, r_b, t_b, band: BandConfig, seeds,
         # 2|X_k|^2 / (fs n) an unbiased estimate of `psd` in-band.
         amplitude = np.sqrt(psd * band.sample_rate_hz * n / 4.0)
         # the bins of amplitude * (re + 1j * im), without complex temporaries
-        spectrum.real[:, in_band] = amplitude * normals[:, re]
-        spectrum.imag[:, in_band] = amplitude * normals[:, im]
+        np.multiply(amplitude, normals[:, re], out=spectrum.real[:, bins])
+        np.multiply(amplitude, normals[:, im], out=spectrum.imag[:, bins])
         voltages.append(np.fft.irfft(spectrum, n))
     u_a, u_b = voltages
     total_r = r_a + r_b
-    return (u_a * r_b + u_b * r_a) / total_r, (u_a - u_b) / total_r
+    # the divider's expressions, evaluated in place
+    u_wire = u_a * r_b
+    u_wire += u_b * r_a
+    u_wire /= total_r
+    u_a -= u_b
+    u_a /= total_r
+    return u_wire, u_a
 
 
 def synthesize_bit_period(alice: PartyState, bob: PartyState, band: BandConfig,
@@ -208,7 +224,7 @@ def synthesize_bit_period(alice: PartyState, bob: PartyState, band: BandConfig,
     """:func:`synthesize_traces` for one bit period."""
     u_wire, i_wire = synthesize_traces(
         [alice.resistance], [alice.temperature], [bob.resistance],
-        [bob.temperature], band, [seed], constants)
+        [bob.temperature], band, [np.random.default_rng(seed)], constants)
     return NoiseTrace(u_wire=u_wire[0], i_wire=i_wire[0], seed=seed)
 
 
@@ -235,16 +251,17 @@ def _averaged_periodogram_psd(x: np.ndarray, band: BandConfig, segments: int) ->
     """Mean in-band PSD per row from non-overlapping rectangular-window
     periodograms, over the :func:`periodogram_bins`."""
     seg_len = x.shape[1] // segments
-    in_band = periodogram_bins(seg_len, band)
-    if not np.any(in_band):
+    n_bins = int(np.count_nonzero(periodogram_bins(seg_len, band)))
+    if not n_bins:
         raise TraceTooShort(
             f"segment length {seg_len} resolves no bins inside the "
             f"{band.bandwidth_hz} Hz band at {band.sample_rate_hz} Hz sampling")
     blocks = x[:, : segments * seg_len].reshape(len(x), segments, seg_len)
-    spectra = np.fft.rfft(blocks, axis=2)
+    # the estimator's bins run contiguously from bin 1
+    spectra = np.fft.rfft(blocks, axis=2)[:, :, 1:1 + n_bins]
     psd = 2.0 * np.abs(spectra) ** 2 / (band.sample_rate_hz * seg_len)
     # contiguous bin-major rows: each sums in the order of a one-trace mean
-    rows = np.ascontiguousarray(psd.transpose(0, 2, 1)[:, in_band])
+    rows = np.ascontiguousarray(psd.transpose(0, 2, 1))
     return np.mean(rows.reshape(len(x), -1), axis=1)
 
 

@@ -27,21 +27,23 @@ independent and may be evaluated in any order.  A session is one batch
 pass: per-config state is computed once, the state draws of all bits
 are one array pass that is bit-identical to those per-bit streams
 (``_streams``; a bit it cannot reproduce is drawn from its own
-generator), then observables (sampled mode: chunks of bit periods, each
-bit's noise from its own generator), both recoveries, bits and the
-singularity lookup are array operations.  :func:`run_bit` is
-that pass on one index.
+generator), then observables (sampled mode: chunks of bit periods; the
+noise generators' seeded states are one more ``_streams`` pass, set in
+turn on one reused generator that draws each bit's normals), both
+recoveries, bits and the singularity lookup are array operations.
+:func:`run_bit` is that pass on one index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from ._streams import bounded_integers
+from ._streams import bounded_integers, pcg64_states
 from .errors import ConfigError, KeyDisagreement, KljnError
 from .lookup import DEFAULT_MAX_COMBINATIONS, LookupTable, build_table
 from .physics import (
@@ -293,20 +295,37 @@ _BIT_NAME = {False: "L", True: "H"}
 
 #: Samples per trace held at once in sampled mode: bit periods are
 #: synthesized and estimated max(1, _CHUNK_SAMPLES // samples_per_bit)
-#: at a time.
-_CHUNK_SAMPLES = 1 << 16
+#: at a time.  Results do not depend on it; 2**14 was the fastest of
+#: 2**13 to 2**16 on 4096-sample bit periods.
+_CHUNK_SAMPLES = 1 << 14
+
+
+def _noise_generators(config: ProtocolConfig, indices: list[int]):
+    """Each bit's sampled-noise generator, ``default_rng(bit_seed(
+    master_seed, i, purpose=1))``, in order: one reused ``Generator`` set
+    to the seeded state `_streams` computes for the bit, or the bit's own
+    generator where that pass does not reach.  Draw from each before
+    taking the next."""
+    rng = np.random.Generator(np.random.PCG64())
+    for i, state in zip(indices, pcg64_states(config.master_seed, indices, purpose=1)):
+        if state is None:
+            yield np.random.default_rng(bit_seed(config.master_seed, i, purpose=1))
+        else:
+            rng.bit_generator.state = state
+            yield rng
 
 
 def _sampled_observables(config: ProtocolConfig, indices: list[int],
                          r_a, t_a, r_b, t_b):
     """Estimated (s_u, s_i, p_ab) arrays, chunk by chunk of bit periods."""
     step = max(1, _CHUNK_SAMPLES // config.band.samples_per_bit)
+    generators = _noise_generators(config, indices)
     chunks = []
     for start in range(0, len(indices), step):
         rows = slice(start, start + step)
-        seeds = [bit_seed(config.master_seed, i, purpose=1) for i in indices[rows]]
         traces = synthesize_traces(r_a[rows], t_a[rows], r_b[rows], t_b[rows],
-                                   config.band, seeds, config.constants)
+                                   config.band, islice(generators, step),
+                                   config.constants)
         chunks.append(estimate_observable_arrays(*traces, config.band,
                                                  config.estimator_segments))
     return [np.concatenate(column) for column in zip(*chunks)]

@@ -23,8 +23,9 @@ from kljn import (
     run_session,
     wilson_interval,
 )
-from kljn.adversary import default_assumed_grid
-from kljn.protocol import STATUS_SECURE
+from kljn.adversary import _binary_classes, _nearest_classes, default_assumed_grid
+from kljn.physics import squared_relative_error
+from kljn.protocol import BINARY_VARIANTS, STATUS_SECURE
 
 BAND = BandConfig(bandwidth_hz=1.0, sample_rate_hz=4.0, samples_per_bit=4096)
 R_LOW, R_HIGH, T_EFF = 1000.0, 2000.0, 300.0
@@ -190,6 +191,44 @@ class TestGuessSession:
         record = eve_guess_session(cfg, "nearest-class", report)
         lo, hi = record.wilson_interval(0.99)
         assert lo <= 0.5 <= hi
+
+    @pytest.mark.parametrize("variant", [
+        dict(variant="classic-kljn", r_low=R_LOW, r_high=R_HIGH, t_eff=T_EFF),
+        dict(variant="vmg-kljn", vmg_resistors=(1000.0, 2000.0, 1200.0, 2500.0),
+             t_eff=T_EFF),
+        dict(variant="rr-kljn", r_range=(1000.0, 2000.0), r_levels=16, t_eff=T_EFF),
+        dict(variant="rrrt-kljn", r_range=(1000.0, 2000.0), r_levels=8,
+             t_range=(200.0, 400.0), t_levels=8),
+    ], ids=["classic", "vmg", "rr", "rrrt"])
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    @pytest.mark.parametrize("seed", [3, 7, 2**32 + 5])
+    def test_array_replay_matches_per_bit_loop(self, variant, mode, seed):
+        sampled = dict(band=BandConfig(1.0, 4.0, 1024), estimator_segments=16)
+        cfg = ProtocolConfig(bits=150, master_seed=seed, mode=mode,
+                             constants=NORMALIZED, **(sampled if mode == "sampled"
+                                                      else dict(band=BAND)), **variant)
+        report = run_session(cfg)
+        secure = [o for o in report.outcomes if o.status == STATUS_SECURE]
+        binary = cfg.variant in BINARY_VARIANTS
+        classes = _binary_classes(cfg) if binary else None
+        # the scalar classifier: min over the class centres in their order
+        labels = [min(classes, key=lambda name: squared_relative_error(
+            o.observables, classes[name])) for o in secure] if binary else None
+        if binary:
+            assert _nearest_classes([o.observables for o in secure], classes) == labels
+        for strategy in ("random", "nearest-class"):
+            # the per-bit replay: a class bit, else one scalar coin per bit
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(0xEE,)))
+            guesses = []
+            for k in range(len(secure)):
+                guess = ({"LL": 0, "HH": 1}.get(labels[k])
+                         if binary and strategy == "nearest-class" else None)
+                guesses.append(int(rng.integers(2)) if guess is None else guess)
+            record = eve_guess_session(cfg, strategy, report)
+            assert record.bit_indices == [o.index for o in secure]
+            assert record.guesses == guesses
+            assert record.truths == [o.shared_key_bit for o in secure]
 
     def test_guesses_deterministic_given_seed(self):
         cfg = self.session_config()

@@ -544,6 +544,26 @@ class TestBatchEngine:
                     o.bob_draw.resistance, o.bob_draw.temperature) == draws
             assert tuple(o.observables) == triple
 
+    @pytest.mark.parametrize("make", [classic_config, vmg_config, rr_config,
+                                      rrrt_config])
+    @pytest.mark.parametrize("bits_per_chunk", [1, None, 64],
+                             ids=["bit-per-chunk", "engine-chunks", "one-chunk"])
+    def test_benchmark_geometry_matches_per_bit_reference(self, make, bits_per_chunk,
+                                                          monkeypatch):
+        # 4096 samples in 64 segments, as the benchmark runs sampled mode
+        cfg = make(bits=13, mode="sampled", estimator_segments=64)
+        samples = cfg.band.samples_per_bit
+        assert samples == 4096
+        if bits_per_chunk:
+            monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", bits_per_chunk * samples)
+        else:
+            assert -(-cfg.bits // (protocol._CHUNK_SAMPLES // samples)) >= 3
+        for o in run_session(cfg).outcomes:
+            draws, triple = reference_bit(cfg, o.index)
+            assert (o.alice_draw.resistance, o.alice_draw.temperature,
+                    o.bob_draw.resistance, o.bob_draw.temperature) == draws
+            assert tuple(o.observables) == triple
+
     def test_ragged_last_chunk(self, monkeypatch):
         cfg = classic_config(bits=10, **SMALL_SAMPLED)
         whole = [repr(o) for o in run_session(cfg).outcomes]

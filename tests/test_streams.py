@@ -1,4 +1,4 @@
-"""The array pass over per-bit state streams against numpy itself."""
+"""The array pass over per-bit state and noise streams against numpy itself."""
 
 import random
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from kljn import BandConfig, NORMALIZED, ProtocolConfig, bit_seed, protocol, run_session
-from kljn._streams import _seed_words, bounded_integers
+from kljn._streams import _seed_words, bounded_integers, pcg64_states
+from kljn.physics import synthesize_traces
 
 MASTER_SEEDS = [0, 2**32 + 5, 2**130 + 17,
                 *random.Random(6).sample(range(2**32), 3)]
@@ -80,3 +81,52 @@ def test_shuffled_session_matches_ordered(cfg):
     random.Random(3).shuffle(indices)
     shuffled = sorted(protocol._run_bits(cfg, indices), key=lambda o: o.index)
     assert [repr(o) for o in shuffled] == [repr(o) for o in run_session(cfg).outcomes]
+
+
+NOISE_SEEDS = [0, 2**32 + 5, 2**70, *random.Random(8).sample(range(2**32), 2)]
+
+
+def numpy_noise(master_seed, index, size):
+    return np.random.default_rng(bit_seed(master_seed, index, 1)).standard_normal(size)
+
+
+@pytest.mark.parametrize("master_seed", NOISE_SEEDS)
+def test_noise_states_match_numpy(master_seed):
+    indices = [*random.Random(master_seed % 101).sample(range(2**32), 30), 0,
+               2**32 - 1, 2**32 + 3]
+    states = pcg64_states(master_seed, indices, purpose=1)
+    assert states[-1] is None  # beyond one index word: seeded with numpy
+    rng = np.random.Generator(np.random.PCG64())
+    for i, state in zip(indices[:-1], states):
+        rng.bit_generator.state = state
+        assert rng.standard_normal(300).tolist() == numpy_noise(master_seed, i, 300).tolist()
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**32 + 5, 2**70])
+def test_noise_generators_share_one_generator(master_seed):
+    cfg = ProtocolConfig(variant="classic-kljn", band=BandConfig(1.0, 4.0, 1000),
+                         bits=0, master_seed=master_seed, r_low=1000.0,
+                         r_high=2000.0, t_eff=300.0, constants=NORMALIZED)
+    indices = [5, 2**32 + 1, 9, 3, 2**33, 7]
+    used, rows = [], []
+    for rng in protocol._noise_generators(cfg, indices):
+        used.append(rng)
+        rows.append(rng.standard_normal(64).tolist())
+    assert rows == [numpy_noise(master_seed, i, 64).tolist() for i in indices]
+    assert len({id(rng) for rng, i in zip(used, indices) if i < 2**32}) == 1
+    # a chunk of bit periods, each row drawn before the next state is set
+    r, t = [1000.0, 2000.0, 1200.0, 1000.0, 2000.0, 1500.0], [300.0] * 6
+    traces = synthesize_traces(r, t, r[::-1], t, cfg.band,
+                               protocol._noise_generators(cfg, indices), NORMALIZED)
+    expected = synthesize_traces(r, t, r[::-1], t, cfg.band, [
+        np.random.default_rng(bit_seed(master_seed, i, 1)) for i in indices], NORMALIZED)
+    for got, want in zip(traces, expected):
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_coin_batch_matches_scalar_draws(seed):
+    for k in (0, 1, 2, 3, 17, 200):
+        rng = np.random.default_rng(seed)
+        scalar = [int(rng.integers(2)) for _ in range(k)]
+        assert np.random.default_rng(seed).integers(2, size=k).tolist() == scalar
