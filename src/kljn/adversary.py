@@ -37,7 +37,6 @@ from .physics import (
 )
 from .protocol import (
     BINARY_VARIANTS,
-    STATUS_SECURE,
     ProtocolConfig,
     SessionReport,
     party_states,
@@ -134,12 +133,10 @@ def _binary_classes(config: ProtocolConfig) -> dict[str, WireObservables]:
 
 
 def _nearest_classes(observables, classes: dict[str, WireObservables]) -> list[str]:
-    """Name of the nearest of `classes` for each triple of `observables`,
-    by :func:`squared_relative_error`; of equals, the first in `classes`'
-    order."""
-    if not observables:
-        return []
-    columns = [np.array(column, dtype=float) for column in zip(*observables)]
+    """Name of the nearest of `classes` for each triple of the (s_u, s_i,
+    p_ab) columns `observables`, by :func:`squared_relative_error`; of
+    equals, the first in `classes`' order."""
+    columns = [np.asarray(column, dtype=float) for column in observables]
     distances = [squared_relative_error(columns, centre) for centre in classes.values()]
     names = list(classes)
     return [names[k] for k in np.argmin(distances, axis=0).tolist()]
@@ -152,7 +149,8 @@ def eve_nearest_class(view: EveView, config: ProtocolConfig) -> str:
     LH/HL pair is irreducibly ambiguous: both produce the same wire
     triple, which is exactly what makes those bits secure.
     """
-    return _nearest_classes([view.observables], _binary_classes(config))[0]
+    return _nearest_classes([[value] for value in view.observables],
+                            _binary_classes(config))[0]
 
 
 def eve_pair_extraction(view: EveView, t_eff: float,
@@ -249,7 +247,7 @@ def eve_guess_session(config: ProtocolConfig, strategy: str,
     """Replay a session from Eve's view and score her key guesses.
 
     Only the wire observables and public configuration feed the
-    strategy; scoring uses the true shared bits of the secure outcomes.
+    strategy; scoring uses the true shared bits of the secure entries.
     Pass `report` to reuse an already-run session.
     """
     if strategy not in STRATEGIES:
@@ -258,17 +256,17 @@ def eve_guess_session(config: ProtocolConfig, strategy: str,
         report = run_session(config)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(0xEE,)))
-    secure = [outcome for outcome in report.outcomes if outcome.status == STATUS_SECURE]
+    secure = report.secure
     # quasi-continuum variants have no class model: no finite class set
     # distinguishes their secure draws
-    labels = (_nearest_classes([outcome.observables for outcome in secure],
+    labels = (_nearest_classes([column[secure] for column in report.observables],
                                _binary_classes(config))
               if strategy == "nearest-class" and config.variant in BINARY_VARIANTS
-              else [None] * len(secure))
+              else [None] * np.count_nonzero(secure))
     guesses = [_CLASS_BITS.get(label) for label in labels]
     # the LH-or-HL class, or no class model: a coin each, in bit order
     coins = iter(rng.integers(2, size=guesses.count(None)).tolist())
     return GuessRecord(strategy=strategy,
-                       bit_indices=[outcome.index for outcome in secure],
+                       bit_indices=np.compress(secure, report.indices).tolist(),
                        guesses=[next(coins) if g is None else g for g in guesses],
-                       truths=[outcome.shared_key_bit for outcome in secure])
+                       truths=report.key_bits)

@@ -22,6 +22,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from itertools import repeat
+
+import numpy as np
 
 from . import __version__
 from .adversary import (
@@ -35,13 +38,15 @@ from .adversary import (
 )
 from .config import load_config
 from .errors import ConfigError, GridTooLarge, KljnError
+from .physics import WireObservables
 from .protocol import (
     STATUS_SECURE,
+    STATUS_TIE,
     ProtocolConfig,
     build_lookup_table,
     run_session,
 )
-from .report import session_to_report, write_csv, write_report
+from .report import write_csv
 from .resolver import vmg_matching_residual
 
 EXIT_OK = 0
@@ -61,22 +66,56 @@ def _load(args) -> tuple[ProtocolConfig, dict]:
     return config, extras
 
 
-def _eve_guesses(config: ProtocolConfig, extras: dict, report):
-    return eve_guess_session(config, extras.get("eve_strategy", "nearest-class"),
-                             report=report)
+_SESSION_COLUMNS = [
+    "index", "variant", "alice_r", "alice_t", "bob_r", "bob_t",
+    "s_u", "s_i", "p_ab", "status", "alice_bit", "bob_bit",
+    "shared_key_bit", "eve_guess", "eve_correct",
+]
+
+
+def _session_rows(report, guesses):
+    """The per-bit rows of a session, read from its columns; the key and
+    Eve's cells only on secure bits."""
+    secure, tie = report.secure, report.status == STATUS_TIE
+    key, guess, correct = np.full((3, report.total_bits), None, dtype=object)
+    key[secure], guess[secure] = report.key_bits, guesses.guesses
+    correct[secure] = [int(g == t) for g, t in zip(guesses.guesses, guesses.truths)]
+    return zip(report.indices, repeat(report.variant),
+               *([getattr(state, name) for state in draws]
+                 for draws in report.draws for name in ("resistance", "temperature")),
+               *(column.tolist() for column in report.observables),
+               report.status.tolist(),
+               *(np.where(tie, None, np.where(high, "H", "L")).tolist()
+                 for high in report.high),
+               key.tolist(), guess.tolist(), correct.tolist())
 
 
 def cmd_simulate(args) -> int:
     config, extras = _load(args)
     report = run_session(config)
-    guesses = _eve_guesses(config, extras, report)
-    csv_report = session_to_report(report, guesses)
+    guesses = eve_guess_session(config, extras.get("eve_strategy", "nearest-class"), report)
+    counts = report.counts
     if args.out:
-        write_report(csv_report, args.out)
+        summary = {
+            "schema": "kljn-csv-1",
+            "variant": config.variant,
+            "mode": config.mode,
+            "master_seed": config.master_seed,
+            "total_bits": report.total_bits,
+            "secure_bits": counts.get(STATUS_SECURE, 0),
+            "efficiency": report.efficiency,
+            **{f"count_{status}": count for status, count in sorted(counts.items())},
+            "eve_strategy": guesses.strategy,
+            "eve_accuracy": guesses.accuracy,
+        }
+        interval = guesses.wilson_interval()
+        if interval:
+            summary["eve_wilson99_low"], summary["eve_wilson99_high"] = interval
+        write_csv(_SESSION_COLUMNS, _session_rows(report, guesses), summary, args.out)
     efficiency = "n/a" if report.efficiency is None else f"{report.efficiency:.4f}"
     accuracy = "n/a" if guesses.accuracy is None else f"{guesses.accuracy:.4f}"
     _say(args, f"variant={config.variant} bits={config.bits} "
-               f"secure={report.counts.get(STATUS_SECURE, 0)} "
+               f"secure={counts.get(STATUS_SECURE, 0)} "
                f"efficiency={efficiency} eve[{guesses.strategy}]={accuracy}")
     return EXIT_OK
 
@@ -87,8 +126,9 @@ _CLASS_COLUMNS = ["index", "eve_class"]
 _PAIR_COLUMNS = ["index", "r_pair_low", "r_pair_high", "degenerate"]
 
 
-def _attack_rows(config: ProtocolConfig, extras: dict, report):
-    """(columns, rows) of Eve's analysis of each secure bit.
+def _attack_rows(config: ProtocolConfig, extras: dict, indices, observables):
+    """(columns, rows) of Eve's analysis of the secure bits `indices`,
+    whose (s_u, s_i, p_ab) columns are `observables`.
 
     Eve's public model is built once per session: the assumed-R_A grid
     of the family sweep (random temperatures), the class centres
@@ -97,7 +137,6 @@ def _attack_rows(config: ProtocolConfig, extras: dict, report):
     temperatures).  A bit the model cannot fit gets one row of its
     index with empty cells.
     """
-    secure = [o for o in report.outcomes if o.status == STATUS_SECURE]
     if config.variant == "rrrt-kljn":
         columns = _FAMILY_COLUMNS
         grid = default_assumed_grid(config, extras.get("eve_grid_points", 10))
@@ -109,8 +148,8 @@ def _attack_rows(config: ProtocolConfig, extras: dict, report):
                     for p in eve_rrrt_solution_family(view, grid, tolerance,
                                                       config.constants)]
     elif config.variant == "vmg-kljn":  # every triple has a nearest class
-        labels = _nearest_classes([o.observables for o in secure], _binary_classes(config))
-        return _CLASS_COLUMNS, [(o.index, label) for o, label in zip(secure, labels)]
+        return _CLASS_COLUMNS, list(zip(indices, _nearest_classes(
+            observables, _binary_classes(config))))
     else:
         columns = _PAIR_COLUMNS
         tolerance = config.effective_recovery_tolerance()
@@ -121,20 +160,21 @@ def _attack_rows(config: ProtocolConfig, extras: dict, report):
             return [(pair.low, pair.high, int(pair.degenerate))]
 
     rows = []
-    for outcome in secure:
+    for index, triple in zip(indices, zip(*(column.tolist() for column in observables))):
         try:
-            cells = analyse(EveView(outcome.observables, config.band.bandwidth_hz))
+            cells = analyse(EveView(WireObservables(*triple), config.band.bandwidth_hz))
         except KljnError:
             cells = [(None,) * (len(columns) - 1)]
-        rows.extend((outcome.index, *row) for row in cells)
+        rows.extend((index, *row) for row in cells)
     return columns, rows
 
 
 def cmd_attack(args) -> int:
     config, extras = _load(args)
     report = run_session(config)
-    guesses = _eve_guesses(config, extras, report)
-    columns, rows = _attack_rows(config, extras, report)
+    guesses = eve_guess_session(config, extras.get("eve_strategy", "nearest-class"), report)
+    columns, rows = _attack_rows(config, extras, guesses.bit_indices,
+                                 [column[report.secure] for column in report.observables])
     summary = {
         "schema": "kljn-attack-csv-1",
         "variant": config.variant,
@@ -178,9 +218,6 @@ _MEMBER_DUMP_LIMIT = 100_000  # settings; above this, membership lists are omitt
 def cmd_table(args) -> int:
     config, _ = _load(args)
     table = build_lookup_table(config)
-    if config.degeneracy_tolerance == 0.0:
-        print("warning: zero cell width puts every setting in its own cell; "
-              "all cells are singular", file=sys.stderr)
     if args.out:
         with_members = table.n_settings <= _MEMBER_DUMP_LIMIT
         columns = ["cell", "size", "singular"] + (["members"] if with_members else [])

@@ -2,11 +2,13 @@
 
 For quasi-continuum variants every joint setting (R_A-level, T_A-level,
 R_B-level, T_B-level) maps to an analytic observable triple.  Triples
-are quantized into relative-width cells; a cell is *singular* when all
-settings landing in it imply the same bit assignment, so observing such
-a triple hands the bit to an eavesdropper.  Secure operation requires
-the drawn setting's cell to be degenerate (at least two opposite bit
-situations within one cell).
+are quantized into cells of a positive relative width; a cell is
+*singular* when all settings landing in it imply the same bit
+assignment, so observing such a triple hands the bit to an
+eavesdropper.  Secure operation requires the drawn setting's cell to be
+degenerate (at least two opposite bit situations within one cell).  A
+zero width would make every setting its own singular cell and discard
+every bit, so configs reject it.
 
 Tables for fine grids enumerate levels^4 settings, so the build
 streams them: it walks the Alice settings in blocks of about 2^20 joint
@@ -21,7 +23,7 @@ when they are first asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -70,10 +72,9 @@ def _pack_keys(i_su: np.ndarray, i_si: np.ndarray, i_p: np.ndarray,
 
 
 def _blocks(r_grid: np.ndarray, t_grid: np.ndarray):
-    """Yield (first setting index, r_a, t_a, r_b, t_b) per block of Alice
-    settings.  Alice's values are columns and Bob's are rows, so the four
-    arrays broadcast to the block's settings in row-major
-    (r_a, t_a, r_b, t_b) order."""
+    """Yield (r_a, t_a, r_b, t_b) per block of Alice settings.  Alice's
+    values are columns and Bob's are rows, so the four arrays broadcast
+    to the block's settings in row-major (r_a, t_a, r_b, t_b) order."""
     r_party = np.repeat(r_grid, len(t_grid))
     t_party = np.tile(t_grid, len(r_grid))
     n_party = len(r_party)
@@ -81,17 +82,12 @@ def _blocks(r_grid: np.ndarray, t_grid: np.ndarray):
     rows = max(1, _BLOCK_SETTINGS // n_party)
     for start in range(0, n_party, rows):
         alice = slice(start, start + rows)
-        yield (start * n_party, r_party[alice, np.newaxis],
-               t_party[alice, np.newaxis], r_b, t_b)
+        yield r_party[alice, np.newaxis], t_party[alice, np.newaxis], r_b, t_b
 
 
-def _block_keys(first: int, r_a, t_a, r_b, t_b, bandwidth_hz: float,
-                k: float, rel_width: float, p_scale: float) -> np.ndarray:
-    """Flat cell keys of broadcast settings; in exact mode (zero width)
-    each setting's key is its own index, counted from `first`."""
-    if rel_width == 0.0:
-        return np.arange(first, first + np.broadcast(r_a, r_b).size,
-                         dtype=np.int64)
+def _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz: float, k: float,
+                rel_width: float, p_scale: float) -> np.ndarray:
+    """Flat cell keys of broadcast settings."""
     s_u, s_i, p = analytic_observable_arrays(r_a, t_a, r_b, t_b,
                                              bandwidth_hz, k)
     return _pack_keys(_quantize_positive(s_u.ravel(), rel_width),
@@ -103,14 +99,6 @@ def _block_keys(first: int, r_a, t_a, r_b, t_b, bandwidth_hz: float,
 def _block_bits(r_a, r_b) -> np.ndarray:
     """sign(R_B - R_A) per broadcast setting: -1/0/+1."""
     return np.sign(r_b - r_a).astype(np.int8).ravel()
-
-
-def _grid_positions(values: np.ndarray, grid: np.ndarray, name: str) -> np.ndarray:
-    pos = np.argmin(np.abs(grid[np.newaxis, :] - values[:, np.newaxis]), axis=1)
-    off = ~np.isclose(grid[pos], values, rtol=1e-12, atol=0.0)
-    if off.any():
-        raise KeyError(f"{name} value {values[off][0]} is not on the configured grid")
-    return pos
 
 
 def _group(keys: np.ndarray, counts: np.ndarray, masks: np.ndarray):
@@ -138,7 +126,6 @@ class LookupTable:
     cell_keys: np.ndarray          # sorted unique packed keys
     cell_singular: np.ndarray      # bool, aligned with cell_keys
     cell_sizes: np.ndarray         # int64, aligned with cell_keys
-    exact_cells: bool = field(default=False)  # rel_cell_width == 0 mode
 
     @property
     def n_settings(self) -> int:
@@ -158,9 +145,9 @@ class LookupTable:
         (r_a, t_a, r_b, t_b) grid levels), computed on first use."""
         return np.concatenate([
             np.searchsorted(self.cell_keys, _block_keys(
-                first, r_a, t_a, r_b, t_b, self.bandwidth_hz, self.k,
+                r_a, t_a, r_b, t_b, self.bandwidth_hz, self.k,
                 self.rel_cell_width, self.p_scale))
-            for first, r_a, t_a, r_b, t_b in _blocks(self.r_grid, self.t_grid)])
+            for r_a, t_a, r_b, t_b in _blocks(self.r_grid, self.t_grid)])
 
     @cached_property
     def combo_bits(self) -> np.ndarray:
@@ -168,18 +155,12 @@ class LookupTable:
         first use."""
         return np.concatenate([
             _block_bits(r_a, r_b)
-            for _, r_a, _, r_b, _ in _blocks(self.r_grid, self.t_grid)])
+            for r_a, _, r_b, _ in _blocks(self.r_grid, self.t_grid)])
 
     def cell_indices(self, r_a, t_a, r_b, t_b) -> np.ndarray:
         """Cell index per drawn setting (equal-length arrays on the grids)."""
         r_a, t_a, r_b, t_b = (np.asarray(v, dtype=float) for v in (r_a, t_a, r_b, t_b))
-        if self.exact_cells:
-            n_t = len(self.t_grid)
-            a, b = (_grid_positions(r, self.r_grid, f"r_{side}") * n_t
-                    + _grid_positions(t, self.t_grid, f"t_{side}")
-                    for side, r, t in (("a", r_a, t_a), ("b", r_b, t_b)))
-            return a * len(self.r_grid) * n_t + b
-        keys = _block_keys(0, r_a, t_a, r_b, t_b, self.bandwidth_hz, self.k,
+        keys = _block_keys(r_a, t_a, r_b, t_b, self.bandwidth_hz, self.k,
                            self.rel_cell_width, self.p_scale)
         pos = np.searchsorted(self.cell_keys, keys)
         found = self.cell_keys[np.minimum(pos, self.n_cells - 1)] == keys
@@ -211,11 +192,8 @@ class LookupTable:
 def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
                 constants: PhysicalConstants, rel_cell_width: float,
                 max_combinations: int = DEFAULT_MAX_COMBINATIONS) -> LookupTable:
-    """Enumerate all joint settings and group them into quantized cells.
-
-    `rel_cell_width` zero is a degenerate mode: every setting becomes
-    its own cell (and is therefore singular).
-    """
+    """Enumerate all joint settings and group them into quantized cells
+    of relative width `rel_cell_width` (> 0)."""
     r_grid = np.asarray(r_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     n_party = len(r_grid) * len(t_grid)
@@ -238,9 +216,9 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
     # a cell is singular when its OR-ed mask has a single bit set
     cells = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
              np.empty(0, dtype=np.int8))
-    for first, r_a, t_a, r_b, t_b in _blocks(r_grid, t_grid):
-        keys = _block_keys(first, r_a, t_a, r_b, t_b, bandwidth_hz,
-                           constants.k, rel_cell_width, p_scale)
+    for r_a, t_a, r_b, t_b in _blocks(r_grid, t_grid):
+        keys = _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, constants.k,
+                           rel_cell_width, p_scale)
         bits = _block_bits(r_a, r_b)
         runs = [cells]
         for bit in (-1, 0, 1):
@@ -256,5 +234,4 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
                        bandwidth_hz=bandwidth_hz, k=constants.k,
                        p_scale=p_scale, cell_keys=cell_keys,
                        cell_singular=(cell_masks & (cell_masks - 1)) == 0,
-                       cell_sizes=cell_sizes,
-                       exact_cells=rel_cell_width == 0.0)
+                       cell_sizes=cell_sizes)

@@ -108,10 +108,12 @@ class WireObservables:
         return iter((self.s_u, self.s_i, self.p_ab))
 
 
-def relative_errors(predicted, measured) -> list:
-    """Per-component relative mismatch |p - m| / max(|p|, |m|, 1e-300)
-    of two triples, the one mismatch metric of the toolkit.  Components
-    are floats, or arrays of one shape compared elementwise.
+def relative_errors(predicted, measured, floors=(0.0, 0.0, 0.0)) -> list:
+    """Per-component relative mismatch |p - m| / max(|p|, |m|, floor,
+    1e-300) of two triples, the one mismatch metric of the toolkit.
+    Components are floats, or arrays of one shape compared elementwise;
+    a component's floor is the scale below which its mismatch counts as
+    absolute.
 
     Recovery residuals take the max of these; distances between wire
     triples take the sum of squares (:func:`squared_relative_error`).
@@ -120,9 +122,9 @@ def relative_errors(predicted, measured) -> list:
     # per-point residual, the resolver's equation residuals) run it per
     # point, where numpy's maximum on floats is about 1.3x (sweep) to 2x
     # (residuals) slower and would return numpy floats.
-    return [abs(p - m) / (np.maximum(np.maximum(abs(p), abs(m)), 1e-300)
-                          if isinstance(p, np.ndarray) else max(abs(p), abs(m), 1e-300))
-            for p, m in zip(predicted, measured)]
+    return [abs(p - m) / (np.maximum(np.maximum(abs(p), abs(m)), np.maximum(floor, 1e-300))
+                          if isinstance(p, np.ndarray) else max(abs(p), abs(m), floor, 1e-300))
+            for p, m, floor in zip(predicted, measured, floors)]
 
 
 def squared_relative_error(predicted, measured) -> float:

@@ -30,13 +30,16 @@ are one array pass that is bit-identical to those per-bit streams
 generator), then observables (sampled mode: chunks of bit periods; the
 noise generators' seeded states are one more ``_streams`` pass, set in
 turn on one reused generator that draws each bit's normals), both
-recoveries, bits and the singularity lookup are array operations.
-:func:`run_bit` is that pass on one index.
+recoveries, bits, the singularity lookup and the statuses are array
+operations.  The pass returns its arrays as a columnar
+:class:`SessionReport`, which builds a bit's :class:`BitOutcome` only
+when asked; :func:`run_bit` is that pass on one index.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional
@@ -113,9 +116,6 @@ class ProtocolConfig:
             raise ConfigError(f"bits must be >= 0, got {self.bits}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-        if not 0 <= self.degeneracy_tolerance < math.inf:
-            raise ConfigError(f"degeneracy_tolerance must be finite and >= 0, "
-                              f"got {self.degeneracy_tolerance}")
         segments = self.estimator_segments
         seg_len = self.band.samples_per_bit // max(segments, 1)
         if segments < 1 or (self.mode == "sampled" and (
@@ -124,7 +124,8 @@ class ProtocolConfig:
                               f"sampled mode, leave >= 2 samples and an in-band "
                               f"periodogram bin per segment")
         physical = {"r_low": self.r_low, "r_high": self.r_high, "t_eff": self.t_eff,
-                    "recovery_tolerance": self.recovery_tolerance}
+                    "recovery_tolerance": self.recovery_tolerance,
+                    "degeneracy_tolerance": self.degeneracy_tolerance}
         if self.vmg_resistors is not None:
             physical.update(zip(("r_al", "r_ah", "r_bl", "r_bh"), self.vmg_resistors))
         for name, value in physical.items():
@@ -200,19 +201,85 @@ class BitOutcome:
     error: Optional[KljnError] = None
 
 
+_BIT_NAME = {False: "L", True: "H"}
+
+
 @dataclass
 class SessionReport:
+    """A session as columns over its bits: entry j of every column is bit
+    ``indices[j]``.
+
+    ``draws``, ``high``, ``views`` and ``failures`` hold a column per
+    party, Alice's then Bob's: the drawn states, whether the party
+    measures that it holds H, its view of the partner as (R, T) rows,
+    and its recovery's `RECOVERY_FAILURES` code.  A tie has no measured
+    bits or views, and a failed recovery no view.  :meth:`outcome`
+    builds one entry's `BitOutcome`, typing its error from the codes.
+    """
+
     variant: str
-    mode: str
-    master_seed: int
-    total_bits: int
-    outcomes: list[BitOutcome]
-    counts: dict[str, int]
-    efficiency: Optional[float]  # None when no bits were run
+    indices: list[int]
+    draws: tuple[list[PartyState], list[PartyState]]
+    observables: tuple[np.ndarray, np.ndarray, np.ndarray]  # (s_u, s_i, p_ab)
+    status: np.ndarray
+    high: tuple[np.ndarray, np.ndarray]
+    views: tuple[np.ndarray, np.ndarray]
+    failures: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def total_bits(self) -> int:
+        return len(self.indices)
+
+    @property
+    def secure(self) -> np.ndarray:
+        """Mask of the secure entries."""
+        return self.status == STATUS_SECURE
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Entries per status, in order of first occurrence."""
+        return dict(Counter(self.status.tolist()))
+
+    @property
+    def efficiency(self) -> Optional[float]:
+        """Secure fraction of the bits; None when no bits were run."""
+        return (self.counts.get(STATUS_SECURE, 0) / self.total_bits
+                if self.total_bits else None)
 
     @property
     def key_bits(self) -> list[int]:
-        return [o.shared_key_bit for o in self.outcomes if o.status == STATUS_SECURE]
+        return self.high[1][self.secure].astype(int).tolist()
+
+    def outcome(self, j: int) -> BitOutcome:
+        """Entry j as a `BitOutcome`."""
+        status = str(self.status[j])
+        measured = status != STATUS_TIE
+        alice_bit, bob_bit = (_BIT_NAME[bool(high[j])] if measured else None
+                              for high in self.high)
+        view_of_bob, view_of_alice = (
+            PartyState(*view[:, j].tolist()) if measured and not failed[j] else None
+            for view, failed in zip(self.views, self.failures))
+        return BitOutcome(
+            index=self.indices[j], alice_draw=self.draws[0][j],
+            bob_draw=self.draws[1][j],
+            observables=WireObservables(*(column[j].item() for column in self.observables)),
+            status=status, alice_bit=alice_bit, bob_bit=bob_bit,
+            shared_key_bit=int(self.high[1][j]) if status == STATUS_SECURE else None,
+            alice_view_of_bob=view_of_bob, bob_view_of_alice=view_of_alice,
+            error=self._error(j) if status == STATUS_ERROR else None)
+
+    def _error(self, j: int) -> KljnError:
+        """Error entry j's typed error: the first failed recovery's, else
+        the parties' disagreement."""
+        for name, failed in zip(("Alice", "Bob"), self.failures):
+            if failed[j]:
+                error_class, reason = RECOVERY_FAILURES[failed[j]]
+                return error_class(f"{name} cannot recover the partner: {reason}")
+        return KeyDisagreement("the parties' measured views of the bit differ")
+
+    @property
+    def outcomes(self) -> list[BitOutcome]:
+        return [self.outcome(j) for j in range(self.total_bits)]
 
 
 def bit_seed(master_seed: int, bit_index: int, purpose: int = 0) -> np.random.SeedSequence:
@@ -291,8 +358,6 @@ def build_lookup_table(config: ProtocolConfig) -> LookupTable:
                        max_combinations=config.max_combinations)
 
 
-_BIT_NAME = {False: "L", True: "H"}
-
 #: Samples per trace held at once in sampled mode: bit periods are
 #: synthesized and estimated max(1, _CHUNK_SAMPLES // samples_per_bit)
 #: at a time.  Results do not depend on it; 2**14 was the fastest of
@@ -320,7 +385,7 @@ def _sampled_observables(config: ProtocolConfig, indices: list[int],
     """Estimated (s_u, s_i, p_ab) arrays, chunk by chunk of bit periods."""
     step = max(1, _CHUNK_SAMPLES // config.band.samples_per_bit)
     generators = _noise_generators(config, indices)
-    chunks = []
+    chunks = [(np.empty(0),) * 3]
     for start in range(0, len(indices), step):
         rows = slice(start, start + step)
         traces = synthesize_traces(r_a[rows], t_a[rows], r_b[rows], t_b[rows],
@@ -333,87 +398,61 @@ def _sampled_observables(config: ProtocolConfig, indices: list[int],
 
 def _partner_views(config: ProtocolConfig, grids, own_r, own_t, s_u, s_i, p_ab):
     """Alice's, then Bob's recovery of the other side of every bit through
-    the one array route: the partner resistance it sees, its view of the
-    partner (None where recovery failed) and its `RECOVERY_FAILURES` code.
-    Binary variants see the nearer of the partner's `grids` (R, T) rows."""
+    the one array route: its view of the partner as (R, T) rows and its
+    `RECOVERY_FAILURES` codes.  Binary variants see the nearer of the
+    partner's `grids` (R, T) rows."""
     for party in (0, 1):
         # Bob sees the same wire with the power flowing into Alice negated
         alpha, beta, failure = recover_partner_arrays(*reduce_observable_arrays(
             s_u, s_i, -p_ab if party else p_ab, own_r[party], own_t[party],
             config.band.bandwidth_hz, config.constants.k),
             config.effective_recovery_tolerance())
-        r_seen, t_seen = alpha * own_r[party], beta * own_t[party]
+        seen = np.array([alpha * own_r[party], beta * own_t[party]])
         if config.variant in BINARY_VARIANTS:  # the nearer public state, low on a tie
             public = grids[1 - party]
-            r_seen, t_seen = public[np.abs(r_seen[:, None] - public[:, 0]).argmin(axis=1)].T
-        failure = failure.tolist()
-        yield r_seen, [None if code else PartyState(r, t) for r, t, code
-                       in zip(r_seen.tolist(), t_seen.tolist(), failure)], failure
+            seen = public[np.abs(seen[0][:, None] - public[:, 0]).argmin(axis=1)].T
+        yield seen, failure
 
 
 def _run_bits(config: ProtocolConfig, indices,
-              table: Optional[LookupTable] = None) -> list[BitOutcome]:
+              table: Optional[LookupTable] = None) -> SessionReport:
     """The session engine: the bit periods in `indices` in one pass."""
     indices = list(indices)
-    if not indices:
-        return []
     states = party_states(config)
     levels = _draw_levels(config, indices)
     grids = [np.array([(s.resistance, s.temperature) for s in party]) for party in states]
     (r_a, t_a), (r_b, t_b) = (grid[level].T for grid, level in zip(grids, levels))
-    alice, bob = ([party[k] for k in level.tolist()]
-                  for party, level in zip(states, levels))
     if config.mode == "analytic":
-        s_u, s_i, p_ab = analytic_observable_arrays(
+        observables = analytic_observable_arrays(
             r_a, t_a, r_b, t_b, config.band.bandwidth_hz, config.constants.k)
     else:
-        s_u, s_i, p_ab = _sampled_observables(config, indices, r_a, t_a, r_b, t_b)
-    observables = [WireObservables(*triple) for triple in
-                   zip(s_u.tolist(), s_i.tolist(), p_ab.tolist())]
+        observables = _sampled_observables(config, indices, r_a, t_a, r_b, t_b)
     tie = _high_bits(config, r_a, r_b)[2]
     discarded, discard_status = np.zeros(len(indices), dtype=bool), STATUS_SINGULAR
     if config.variant in QUASI_CONTINUUM_VARIANTS and not tie.all():
         table = table or build_lookup_table(config)
         discarded[~tie] = table.cell_singular[table.cell_indices(
             r_a[~tie], t_a[~tie], r_b[~tie], t_b[~tie])]
-    (seen_b, views_of_bob, alice_failed), (seen_a, views_of_alice, bob_failed) = \
-        _partner_views(config, grids, (r_a, r_b), (t_a, t_b), s_u, s_i, p_ab)
+    (view_of_bob, alice_failed), (view_of_alice, bob_failed) = \
+        _partner_views(config, grids, (r_a, r_b), (t_a, t_b), *observables)
 
     # (Alice holds H, Bob holds H) as each party measures it
     (a_high, alice_sees_b), (bob_sees_a, b_high) = (
-        _high_bits(config, r_a, seen_b)[:2], _high_bits(config, seen_a, r_b)[:2])
+        _high_bits(config, r_a, view_of_bob[0])[:2],
+        _high_bits(config, view_of_alice[0], r_b)[:2])
     same_view = (a_high == bob_sees_a) & (alice_sees_b == b_high)
     # Alice inverts (pre-agreed); both then hold Bob's bit value.
     agreed = same_view & (a_high != b_high)
     if config.variant in BINARY_VARIANTS:
         discarded, discard_status = same_view & (a_high == b_high), STATUS_SAME_BIT
-
-    outcomes = []
-    for j, i in enumerate(indices):
-        outcome = BitOutcome(index=i, alice_draw=alice[j], bob_draw=bob[j],
-                             observables=observables[j], status=STATUS_TIE)
-        outcomes.append(outcome)
-        if tie[j]:
-            continue
-        outcome.alice_bit = _BIT_NAME[bool(a_high[j])]
-        outcome.bob_bit = _BIT_NAME[bool(b_high[j])]
-        outcome.alice_view_of_bob = views_of_bob[j]
-        outcome.bob_view_of_alice = views_of_alice[j]
-        failed = alice_failed[j] or bob_failed[j]
-        if failed:
-            error_class, reason = RECOVERY_FAILURES[failed]
-            outcome.status = STATUS_ERROR
-            outcome.error = error_class(f"{'Alice' if alice_failed[j] else 'Bob'} "
-                                        f"cannot recover the partner: {reason}")
-        elif discarded[j]:
-            outcome.status = discard_status
-        elif not agreed[j]:
-            outcome.status = STATUS_ERROR
-            outcome.error = KeyDisagreement("the parties' measured views of the bit differ")
-        else:
-            outcome.status = STATUS_SECURE
-            outcome.shared_key_bit = int(b_high[j])
-    return outcomes
+    status = np.select([tie, (alice_failed > 0) | (bob_failed > 0), discarded, ~agreed],
+                       [STATUS_TIE, STATUS_ERROR, discard_status, STATUS_ERROR],
+                       STATUS_SECURE)
+    return SessionReport(
+        variant=config.variant, indices=indices,
+        draws=tuple([party[k] for k in level.tolist()] for party, level in zip(states, levels)),
+        observables=tuple(observables), status=status, high=(a_high, b_high),
+        views=(view_of_bob, view_of_alice), failures=(alice_failed, bob_failed))
 
 
 def run_bit(config: ProtocolConfig, bit_index: int,
@@ -421,18 +460,9 @@ def run_bit(config: ProtocolConfig, bit_index: int,
     """One full bit period: the session engine on the single index.
     `table` is the prebuilt singularity table for quasi-continuum
     variants, built on the fly when omitted (expensive for fine grids)."""
-    return _run_bits(config, [bit_index], table)[0]
+    return _run_bits(config, [bit_index], table).outcome(0)
 
 
 def run_session(config: ProtocolConfig) -> SessionReport:
-    """Run `bits` independent bit periods and aggregate the outcomes."""
-    outcomes = _run_bits(config, range(config.bits))
-    counts: dict[str, int] = {}
-    for outcome in outcomes:
-        counts[outcome.status] = counts.get(outcome.status, 0) + 1
-    efficiency = (counts.get(STATUS_SECURE, 0) / config.bits
-                  if config.bits > 0 else None)
-    return SessionReport(variant=config.variant, mode=config.mode,
-                         master_seed=config.master_seed,
-                         total_bits=config.bits, outcomes=outcomes,
-                         counts=counts, efficiency=efficiency)
+    """Run `bits` independent bit periods as one session."""
+    return _run_bits(config, range(config.bits))

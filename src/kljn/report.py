@@ -11,19 +11,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
-from .adversary import GuessRecord
 from .errors import ConfigError
-from .protocol import STATUS_SECURE, SessionReport
-
-SCHEMA_VERSION = "kljn-csv-1"
-
-SESSION_COLUMNS = [
-    "index", "variant", "alice_r", "alice_t", "bob_r", "bob_t",
-    "s_u", "s_i", "p_ab", "status", "alice_bit", "bob_bit",
-    "shared_key_bit", "eve_guess", "eve_correct",
-]
 
 
 @dataclass
@@ -41,53 +30,6 @@ def _format(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def session_to_report(report: SessionReport,
-                      guess_record: Optional[GuessRecord] = None) -> CsvReport:
-    guesses = {}
-    if guess_record is not None:
-        for idx, guess, truth in zip(guess_record.bit_indices,
-                                     guess_record.guesses, guess_record.truths):
-            guesses[idx] = (guess, int(guess == truth))
-    rows = []
-    for o in report.outcomes:
-        guess, correct = guesses.get(o.index, (None, None))
-        rows.append({
-            "index": o.index,
-            "variant": report.variant,
-            "alice_r": o.alice_draw.resistance,
-            "alice_t": o.alice_draw.temperature,
-            "bob_r": o.bob_draw.resistance,
-            "bob_t": o.bob_draw.temperature,
-            "s_u": o.observables.s_u if o.observables else None,
-            "s_i": o.observables.s_i if o.observables else None,
-            "p_ab": o.observables.p_ab if o.observables else None,
-            "status": o.status,
-            "alice_bit": o.alice_bit,
-            "bob_bit": o.bob_bit,
-            "shared_key_bit": o.shared_key_bit,
-            "eve_guess": guess,
-            "eve_correct": correct,
-        })
-    summary = {
-        "schema": SCHEMA_VERSION,
-        "variant": report.variant,
-        "mode": report.mode,
-        "master_seed": report.master_seed,
-        "total_bits": report.total_bits,
-        "secure_bits": report.counts.get(STATUS_SECURE, 0),
-        "efficiency": report.efficiency,
-    }
-    for status, count in sorted(report.counts.items()):
-        summary[f"count_{status}"] = count
-    if guess_record is not None:
-        summary["eve_strategy"] = guess_record.strategy
-        summary["eve_accuracy"] = guess_record.accuracy
-        interval = guess_record.wilson_interval()
-        if interval is not None:
-            summary["eve_wilson99_low"], summary["eve_wilson99_high"] = interval
-    return CsvReport(columns=list(SESSION_COLUMNS), rows=rows, summary=summary)
 
 
 def write_csv(columns, rows, summary: dict, path) -> None:

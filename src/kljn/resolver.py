@@ -124,17 +124,22 @@ def reduce_observable_arrays(s_u, s_i, p_ab, own_r, own_t, bandwidth_hz, k):
     return s_u / (scale * own_r), p_ab / (scale * bandwidth_hz), s_i * own_r / scale
 
 
-def _predicted_reduced(alpha: float, beta: float) -> tuple[float, float, float]:
+def _equation_errors(alpha, beta, gamma, phi, delta) -> list:
+    """Relative mismatch of each reduced equation at (alpha, beta), for
+    floats or arrays.  phi is the difference of alpha beta and alpha over
+    (1 + alpha)^2, so its mismatch is measured against the size of those
+    terms rather than against phi, which near beta = 1 is rounding noise."""
     denom = (1.0 + alpha) ** 2
-    return (alpha * (alpha + beta) / denom,
-            alpha * (beta - 1.0) / denom,
-            (1.0 + alpha * beta) / denom)
+    return relative_errors((alpha * (alpha + beta) / denom,
+                            alpha * (beta - 1.0) / denom,
+                            (1.0 + alpha * beta) / denom), (gamma, phi, delta),
+                           floors=(0.0, alpha * (beta + 1.0) / denom, 0.0))
 
 
 def equation_residual(reduced: ReducedObservables, alpha: float, beta: float) -> float:
     """Max relative mismatch of the three reduced equations at (alpha, beta)."""
-    return max(0.0, *relative_errors(_predicted_reduced(alpha, beta),
-                                     (reduced.gamma, reduced.phi, reduced.delta)))
+    return max(0.0, *_equation_errors(alpha, beta, reduced.gamma, reduced.phi,
+                                      reduced.delta))
 
 
 def solve_quadratic_stable(a: float, b: float, c: float) -> tuple[float, float]:
@@ -302,8 +307,7 @@ def recover_partner_arrays(gamma, phi, delta, tolerance: float):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha = (gamma - phi) / (delta - phi)
         beta = 1.0 + phi * (1.0 + alpha) ** 2 / alpha
-        residual = np.max(relative_errors(_predicted_reduced(alpha, beta),
-                                          (gamma, phi, delta)), axis=0)
+        residual = np.max(_equation_errors(alpha, beta, gamma, phi, delta), axis=0)
     failure = np.select([~(np.abs(gamma + delta - 2.0 * phi - 1.0) <= tolerance),
                          (delta - phi <= 0.0) | (gamma - phi <= 0.0) | ~(beta > 0.0),
                          ~(residual <= tolerance)], [1, 2, 3], 0)

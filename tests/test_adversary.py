@@ -215,7 +215,8 @@ class TestGuessSession:
         labels = [min(classes, key=lambda name: squared_relative_error(
             o.observables, classes[name])) for o in secure] if binary else None
         if binary:
-            assert _nearest_classes([o.observables for o in secure], classes) == labels
+            columns = list(zip(*(o.observables for o in secure)))
+            assert _nearest_classes(columns, classes) == labels
         for strategy in ("random", "nearest-class"):
             # the per-bit replay: a class bit, else one scalar coin per bit
             rng = np.random.default_rng(

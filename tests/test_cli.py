@@ -54,6 +54,31 @@ class TestSimulate:
         assert len(report.rows) == 40
         assert report.summary["variant"] == "classic-kljn"
 
+    @pytest.mark.parametrize("fields", [
+        dict(variant="classic-kljn", r_low=1000, r_high=2000, t_eff=300),
+        dict(variant="vmg-kljn", vmg_resistors=[1000, 2000, 1200, 2500], t_eff=300),
+        dict(variant="rr-kljn", r_range=[1000, 2000], r_levels=2, t_eff=300),
+    ], ids=["classic", "vmg", "rr"])
+    def test_draws_written_as_their_states_hold_them(self, tmp_path, fields):
+        # integer config values stay integers in the drawn states
+        # (classic: 2000,300, not 2000.0,300.0); the attack indexes the
+        # same secure bits
+        cfg = config_file(tmp_path, **fields)
+        session, attack = tmp_path / "session.csv", tmp_path / "attack.csv"
+        for command, out in (("simulate", session), ("attack", attack)):
+            assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        written = [[f"{s.resistance},{s.temperature}" for s in party]
+                   for party in protocol.party_states(load_config(cfg)[0])]
+        if fields["variant"] == "classic-kljn":
+            assert written == [["1000,300", "2000,300"]] * 2
+        lines = session.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+        assert len(rows) == 40
+        for row in rows:
+            assert ",".join(row[2:4]) in written[0] and ",".join(row[4:6]) in written[1]
+        assert [r["index"] for r in read_report(attack).rows] == [
+            int(row[0]) for row in rows if row[9] == "secure"]
+
     def test_quiet_suppresses_stdout(self, classic_cfg, capsys):
         assert main(["simulate", "--config", classic_cfg, "--quiet"]) == EXIT_OK
         assert capsys.readouterr().out == ""
@@ -213,13 +238,6 @@ class TestTable:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "1e-05" in err
 
-    def test_zero_width_warns(self, tmp_path, capsys):
-        cfg = config_file(tmp_path, variant="rr-kljn",
-                          r_range=[1000.0, 2000.0], r_levels=4, t_eff=300.0,
-                          degeneracy_tolerance=0.0)
-        assert main(["table", "--config", cfg, "--quiet"]) == EXIT_OK
-        assert "zero cell width" in capsys.readouterr().err
-
     def test_budget_exceeded_is_runtime_error(self, tmp_path, capsys):
         cfg = config_file(tmp_path, variant="rrrt-kljn",
                           r_range=[1000.0, 2000.0], r_levels=16,
@@ -265,6 +283,8 @@ class TestErrorPaths:
                      id="negative-recovery_tolerance"),
         pytest.param({"degeneracy_tolerance": float("nan")}, "degeneracy_tolerance",
                      id="nan-degeneracy_tolerance"),
+        pytest.param({"degeneracy_tolerance": 0}, "degeneracy_tolerance",
+                     id="zero-degeneracy_tolerance"),
         pytest.param({"estimator_segments": 0}, "estimator_segments",
                      id="zero-estimator_segments"),
         pytest.param({"mode": "sampled", "estimator_segments": 4096},

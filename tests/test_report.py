@@ -4,74 +4,81 @@ import json
 
 import pytest
 
-from kljn import BandConfig, ConfigError, NORMALIZED, ProtocolConfig, SI
+from kljn import ConfigError, NORMALIZED, SI
 from kljn import eve_guess_session, run_session
+from kljn.cli import main
 from kljn.config import load_config
-from kljn.report import (
-    SCHEMA_VERSION,
-    SESSION_COLUMNS,
-    read_report,
-    session_to_report,
-    write_report,
-)
+from kljn.report import read_report, write_report
 
-BAND = BandConfig(bandwidth_hz=1.0, sample_rate_hz=4.0, samples_per_bit=4096)
+SESSION_COLUMNS = [
+    "index", "variant", "alice_r", "alice_t", "bob_r", "bob_t",
+    "s_u", "s_i", "p_ab", "status", "alice_bit", "bob_bit",
+    "shared_key_bit", "eve_guess", "eve_correct",
+]
 
 
-def sample_session(bits=30, seed=31):
-    cfg = ProtocolConfig(variant="classic-kljn", band=BAND, bits=bits,
-                         master_seed=seed, r_low=1000.0, r_high=2000.0,
-                         t_eff=300.0, constants=NORMALIZED)
-    report = run_session(cfg)
-    guesses = eve_guess_session(cfg, "nearest-class", report)
-    return cfg, report, guesses
+def simulated(tmp_path, bits=30, seed=31):
+    """A classic session, Eve's record of it and the CSV `simulate`
+    writes for it."""
+    config_path = write_config(tmp_path, bits=bits, master_seed=seed)
+    out = tmp_path / "session.csv"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out),
+                 "--quiet"]) == 0
+    config, _ = load_config(config_path)
+    report = run_session(config)
+    return report, eve_guess_session(config, "nearest-class", report), out
 
 
 class TestSessionReport:
-    def test_columns_and_rows(self):
-        _, report, guesses = sample_session()
-        csv_report = session_to_report(report, guesses)
+    def test_columns_and_rows(self, tmp_path):
+        _, _, out = simulated(tmp_path)
+        csv_report = read_report(out)
         assert csv_report.columns == SESSION_COLUMNS
         assert len(csv_report.rows) == 30
-        assert csv_report.summary["schema"] == SCHEMA_VERSION
+        assert csv_report.summary["schema"] == "kljn-csv-1"
         assert csv_report.summary["total_bits"] == 30
         assert csv_report.summary["eve_strategy"] == "nearest-class"
 
-    def test_guess_columns_populated_only_for_secure_bits(self):
-        _, report, guesses = sample_session()
-        csv_report = session_to_report(report, guesses)
-        for row in csv_report.rows:
+    def test_guess_columns_populated_only_for_secure_bits(self, tmp_path):
+        _, guesses, out = simulated(tmp_path)
+        rows = read_report(out).rows
+        for row in rows:
             if row["status"] == "secure":
                 assert row["eve_guess"] in (0, 1)
                 assert row["eve_correct"] in (0, 1)
             else:
                 assert row["eve_guess"] is None
                 assert row["shared_key_bit"] is None
+        secure = [row for row in rows if row["status"] == "secure"]
+        assert [row["eve_guess"] for row in secure] == guesses.guesses
+        assert [row["eve_correct"] for row in secure] == [
+            int(g == t) for g, t in zip(guesses.guesses, guesses.truths)]
 
     def test_round_trip_lossless(self, tmp_path):
-        _, report, guesses = sample_session()
-        original = session_to_report(report, guesses)
-        path = tmp_path / "session.csv"
-        write_report(original, path)
-        recovered = read_report(path)
-        assert recovered == original
+        report, _, out = simulated(tmp_path)
+        recovered = read_report(out)
+        for row, o in zip(recovered.rows, report.outcomes, strict=True):
+            expected = {
+                "index": o.index, "variant": "classic-kljn",
+                "alice_r": o.alice_draw.resistance, "alice_t": o.alice_draw.temperature,
+                "bob_r": o.bob_draw.resistance, "bob_t": o.bob_draw.temperature,
+                "status": o.status, "alice_bit": o.alice_bit, "bob_bit": o.bob_bit,
+                "shared_key_bit": o.shared_key_bit}
+            assert {name: row[name] for name in expected} == expected
+        copy = tmp_path / "copy.csv"
+        write_report(recovered, copy)
+        assert copy.read_bytes() == out.read_bytes()
 
     def test_float_round_trip_exact(self, tmp_path):
         # repr serialization must preserve doubles bit-for-bit
-        _, report, _ = sample_session()
-        original = session_to_report(report)
-        path = tmp_path / "session.csv"
-        write_report(original, path)
-        recovered = read_report(path)
-        for orig, back in zip(original.rows, recovered.rows):
-            assert back["s_u"] == orig["s_u"]
-            assert back["p_ab"] == orig["p_ab"]
+        report, _, out = simulated(tmp_path)
+        rows = read_report(out).rows
+        for name, column in zip(("s_u", "s_i", "p_ab"), report.observables):
+            assert [row[name] for row in rows] == column.tolist()
 
     def test_summary_lines_are_csv_comments(self, tmp_path):
-        _, report, guesses = sample_session()
-        path = tmp_path / "session.csv"
-        write_report(session_to_report(report, guesses), path)
-        lines = path.read_text().splitlines()
+        _, _, out = simulated(tmp_path)
+        lines = out.read_text().splitlines()
         table = [ln for ln in lines if not ln.startswith("#")]
         assert table[0].split(",") == SESSION_COLUMNS
         assert any(ln.startswith("# efficiency,") for ln in lines)

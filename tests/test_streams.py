@@ -79,7 +79,7 @@ def test_shuffled_session_matches_ordered(cfg):
                          master_seed=2**32 + 9, constants=NORMALIZED, **cfg)
     indices = list(range(cfg.bits))
     random.Random(3).shuffle(indices)
-    shuffled = sorted(protocol._run_bits(cfg, indices), key=lambda o: o.index)
+    shuffled = sorted(protocol._run_bits(cfg, indices).outcomes, key=lambda o: o.index)
     assert [repr(o) for o in shuffled] == [repr(o) for o in run_session(cfg).outcomes]
 
 
