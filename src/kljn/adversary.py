@@ -33,6 +33,7 @@ from .physics import (
     WireObservables,
     analytic_observable_arrays,
     analytic_observables,
+    relative_errors,
     squared_relative_error,
 )
 from .protocol import (
@@ -190,46 +191,72 @@ def eve_rrrt_solution_family(view: EveView, assumed_r_a_grid,
     with positive solutions is an exactly consistent configuration:
     three equations cannot pin four unknowns.  Family points whose
     back-substitution residual exceeds `tolerance` or whose implied
-    parameters are unphysical are dropped.
+    parameters are unphysical are dropped.  This is the one-triple form
+    of :func:`eve_rrrt_solution_families`.
     """
     obs = view.observables
     if not (obs.s_u > 0 and obs.s_i > 0):
         raise InconsistentObservables("spectra must be positive for a family sweep")
-    k = constants.k
-    df = view.bandwidth_hz
-    p_per_hz = obs.p_ab / df
-    family: list[SolutionFamilyPoint] = []
-    for assumed_r_a in assumed_r_a_grid:
-        if assumed_r_a <= 0:
-            continue
-        denom = assumed_r_a * obs.s_i - p_per_hz
-        if denom <= 0.0:
-            continue
-        r_b = (obs.s_u - assumed_r_a * p_per_hz) / denom
-        if r_b <= 0.0:
-            continue
-        total = assumed_r_a + r_b
-        # s_i:  T_A R_A + T_B R_B          = s_i (R_A+R_B)^2 / 4k
-        # p:    R_A R_B (T_B - T_A)        = p (R_A+R_B)^2 / 4k df
-        m = obs.s_i * total ** 2 / (4.0 * k)
-        n = obs.p_ab * total ** 2 / (4.0 * k * df)
-        t_a = (m - n / assumed_r_a) / total
-        t_b = t_a + n / (assumed_r_a * r_b)
-        if t_a <= 0.0 or t_b <= 0.0:
-            continue
-        predicted = [float(v) for v in analytic_observable_arrays(
-            assumed_r_a, t_a, r_b, t_b, df, k)]
-        residual = math.sqrt(squared_relative_error(predicted, obs))
-        if residual <= tolerance:
-            family.append(SolutionFamilyPoint(
-                assumed_r_a=float(assumed_r_a), implied_t_a=float(t_a),
-                implied_alpha=float(r_b / assumed_r_a),
-                implied_beta=float(t_b / t_a), residual=float(residual)))
+    family, = eve_rrrt_solution_families([[value] for value in obs], view.bandwidth_hz,
+                                         assumed_r_a_grid, tolerance, constants)
     if not family:
         raise InconsistentObservables(
             "no consistent configuration exists for these observables; "
             "they cannot have come from a valid two-resistor loop")
     return family
+
+
+def eve_rrrt_solution_families(observables, bandwidth_hz: float, assumed_r_a_grid,
+                               tolerance: float, constants: PhysicalConstants = SI
+                               ) -> list[list[SolutionFamilyPoint]]:
+    """:func:`eve_rrrt_solution_family` of every triple of the (s_u,
+    s_i, p_ab) columns `observables`, in one array pass over triples x
+    assumed R_A; a triple with no family, or with a non-positive
+    spectrum, gets an empty list.
+
+    Results equal the one-triple sweep's scalar arithmetic bit for bit:
+    the two squares that it takes with libm's ``pow`` (the loop's total
+    resistance, and the residual's relative errors) are taken with
+    ``pow`` here too, on the points that reach them.
+    """
+    s_u, s_i, p_ab = (np.asarray(column, dtype=float)[:, np.newaxis]
+                      for column in observables)
+    n_triples = len(s_u)
+    grid = np.asarray(assumed_r_a_grid, dtype=float)
+    k = constants.k
+    df = bandwidth_hz
+    p_per_hz = p_ab / df
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = grid * s_i - p_per_hz
+        r_b = (s_u - grid * p_per_hz) / denom
+    # the sweep's skips, written so that NaN passes them as it does there
+    triple, point = np.nonzero((s_u > 0) & (s_i > 0) & ~(grid <= 0) & ~(denom <= 0.0)
+                               & ~(r_b <= 0.0))
+    r_a, r_b = grid[point], r_b[triple, point]
+    s_u, s_i, p_ab = s_u[triple, 0], s_i[triple, 0], p_ab[triple, 0]
+    total = r_a + r_b
+    total_sq = np.array([value ** 2 for value in total.tolist()])
+    # s_i:  T_A R_A + T_B R_B          = s_i (R_A+R_B)^2 / 4k
+    # p:    R_A R_B (T_B - T_A)        = p (R_A+R_B)^2 / 4k df
+    m = s_i * total_sq / (4.0 * k)
+    n = p_ab * total_sq / (4.0 * k * df)
+    t_a = (m - n / r_a) / total
+    t_b = t_a + n / (r_a * r_b)
+    physical = ~(t_a <= 0.0) & ~(t_b <= 0.0)
+    triple, r_a, r_b, t_a, t_b, total_sq, s_u, s_i, p_ab = (
+        column[physical]
+        for column in (triple, r_a, r_b, t_a, t_b, total_sq, s_u, s_i, p_ab))
+    errors = relative_errors(analytic_observable_arrays(r_a, t_a, r_b, t_b, df, k,
+                                                        denom=total_sq),
+                             (s_u, s_i, p_ab))
+    residual = np.sqrt([e_u ** 2 + e_i ** 2 + e_p ** 2
+                        for e_u, e_i, e_p in zip(*(e.tolist() for e in errors))])
+    kept = residual <= tolerance
+    fields = (r_a, t_a, r_b / r_a, t_b / t_a, residual)
+    points = [SolutionFamilyPoint(*values)
+              for values in zip(*(field[kept].tolist() for field in fields))]
+    bounds = np.searchsorted(triple[kept], np.arange(n_triples + 1)).tolist()
+    return [points[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def default_assumed_grid(config: ProtocolConfig, points: int = 10) -> np.ndarray:

@@ -34,7 +34,7 @@ from .adversary import (
     default_assumed_grid,
     eve_guess_session,
     eve_pair_extraction,
-    eve_rrrt_solution_family,
+    eve_rrrt_solution_families,
 )
 from .config import load_config
 from .errors import ConfigError, GridTooLarge, KljnError
@@ -137,36 +137,31 @@ def _attack_rows(config: ProtocolConfig, extras: dict, indices, observables):
     temperatures).  A bit the model cannot fit gets one row of its
     index with empty cells.
     """
-    if config.variant == "rrrt-kljn":
-        columns = _FAMILY_COLUMNS
-        grid = default_assumed_grid(config, extras.get("eve_grid_points", 10))
-        tolerance = extras.get("family_tolerance", 1e-9)
-
-        def analyse(view):
-            return [(p.assumed_r_a, p.implied_t_a, p.implied_alpha,
-                     p.implied_beta, p.implied_alice_bit(), p.residual)
-                    for p in eve_rrrt_solution_family(view, grid, tolerance,
-                                                      config.constants)]
-    elif config.variant == "vmg-kljn":  # every triple has a nearest class
+    if config.variant == "rrrt-kljn":  # all bits' sweeps in one array pass
+        families = eve_rrrt_solution_families(
+            observables, config.band.bandwidth_hz,
+            default_assumed_grid(config, extras.get("eve_grid_points", 10)),
+            extras.get("family_tolerance", 1e-9), config.constants)
+        rows = []
+        for index, family in zip(indices, families):
+            rows.extend([(index, p.assumed_r_a, p.implied_t_a, p.implied_alpha,
+                          p.implied_beta, p.implied_alice_bit(), p.residual)
+                         for p in family] or [(index,) + (None,) * 6])
+        return _FAMILY_COLUMNS, rows
+    if config.variant == "vmg-kljn":  # every triple has a nearest class
         return _CLASS_COLUMNS, list(zip(indices, _nearest_classes(
             observables, _binary_classes(config))))
-    else:
-        columns = _PAIR_COLUMNS
-        tolerance = config.effective_recovery_tolerance()
-
-        def analyse(view):
-            pair = eve_pair_extraction(view, config.t_eff, config.constants,
-                                       mismatch_tolerance=tolerance)
-            return [(pair.low, pair.high, int(pair.degenerate))]
-
+    tolerance = config.effective_recovery_tolerance()
     rows = []
     for index, triple in zip(indices, zip(*(column.tolist() for column in observables))):
         try:
-            cells = analyse(EveView(WireObservables(*triple), config.band.bandwidth_hz))
+            pair = eve_pair_extraction(
+                EveView(WireObservables(*triple), config.band.bandwidth_hz),
+                config.t_eff, config.constants, mismatch_tolerance=tolerance)
+            rows.append((index, pair.low, pair.high, int(pair.degenerate)))
         except KljnError:
-            cells = [(None,) * (len(columns) - 1)]
-        rows.extend((index, *row) for row in cells)
-    return columns, rows
+            rows.append((index, None, None, None))
+    return _PAIR_COLUMNS, rows
 
 
 def cmd_attack(args) -> int:

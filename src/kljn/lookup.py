@@ -13,16 +13,25 @@ every bit, so configs reject it.
 Tables for fine grids enumerate levels^4 settings, so the build
 streams them: it walks the Alice settings in blocks of about 2^20 joint
 settings, quantizes each block's observables into packed integer cell
-keys and reduces the block to (key, count, bit mask) triples before the
-next block is computed.  The table keeps only per-cell arrays, and the
-build's working memory is bounded by the block size and the number of
-cells rather than by levels^4.  Per-setting arrays (`combo_cells`,
-`combo_bits`) exist only on demand: the same block pass recomputes them
-when they are first asked for.
+keys in place (the same IEEE operations as with a fresh array per
+step) and folds the block into running (key, count, bit mask) cells.
+The build is a two-stage pipeline: one worker thread sorts block i into
+a run per bit value while the calling thread merges block i-1's runs
+into the cells and computes block i+1's keys.  Blocks are merged in
+order with at most one in flight, so working memory is bounded by the
+block size and the number of cells rather than by levels^4.  The worker
+runs only this module's private sort and numpy, which releases the GIL
+in its sorts; every public function, the too-narrow-width `ConfigError`
+included, stays on the calling thread, so a tracer that wraps public
+functions sees one call stack.  A failed sort is re-raised on the
+calling thread after the worker is joined.  Per-setting arrays
+(`combo_cells`, `combo_bits`) exist only on demand: the same block pass
+recomputes them when they are first asked for.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,34 +52,6 @@ _KEY_OFFSET = 1 << (_KEY_BITS - 1)
 _BLOCK_SETTINGS = 1 << 20
 
 
-def _quantize_positive(values: np.ndarray, rel_width: float) -> np.ndarray:
-    """Cell index for positive observables: log-spaced cells of relative
-    width `rel_width`."""
-    return np.floor(np.log(values) / np.log1p(rel_width)).astype(np.int64)
-
-
-def _quantize_signed(values: np.ndarray, rel_width: float, scale: float) -> np.ndarray:
-    """Cell index for the (sign-changing) power observable: linear cells
-    of width rel_width * max|p| over the grid."""
-    if scale <= 0.0:
-        return np.zeros(len(values), dtype=np.int64)
-    return np.floor(values / (rel_width * scale)).astype(np.int64)
-
-
-def _pack_keys(i_su: np.ndarray, i_si: np.ndarray, i_p: np.ndarray,
-               rel_width: float) -> np.ndarray:
-    cols = []
-    for idx in (i_su, i_si, i_p):
-        shifted = idx + _KEY_OFFSET
-        if shifted.min() < 0 or shifted.max() >= (1 << _KEY_BITS):
-            raise ConfigError(
-                f"cell width {rel_width!r} is too narrow: quantization "
-                f"indices leave the {_KEY_BITS}-bit key range; increase "
-                f"degeneracy_tolerance")
-        cols.append(shifted)
-    return (cols[0] << (2 * _KEY_BITS)) | (cols[1] << _KEY_BITS) | cols[2]
-
-
 def _blocks(r_grid: np.ndarray, t_grid: np.ndarray):
     """Yield (r_a, t_a, r_b, t_b) per block of Alice settings.  Alice's
     values are columns and Bob's are rows, so the four arrays broadcast
@@ -87,18 +68,54 @@ def _blocks(r_grid: np.ndarray, t_grid: np.ndarray):
 
 def _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz: float, k: float,
                 rel_width: float, p_scale: float) -> np.ndarray:
-    """Flat cell keys of broadcast settings."""
-    s_u, s_i, p = analytic_observable_arrays(r_a, t_a, r_b, t_b,
-                                             bandwidth_hz, k)
-    return _pack_keys(_quantize_positive(s_u.ravel(), rel_width),
-                      _quantize_positive(s_i.ravel(), rel_width),
-                      _quantize_signed(p.ravel(), rel_width, p_scale),
-                      rel_width)
+    """Flat cell keys of broadcast settings: log-spaced cells of relative
+    width `rel_width` for the PSDs, linear cells of width rel_width *
+    p_scale for the (sign-changing) power, their offset indices packed
+    high to low as (s_u, s_i, p).  The arithmetic runs in place on the
+    observable arrays, and the indices pass through one int64 buffer:
+    s_u's storage, once s_u is cast into the keys."""
+    s_u, s_i, p = (column.ravel() for column in analytic_observable_arrays(
+        r_a, t_a, r_b, t_b, bandwidth_hz, k))
+    log_width = np.log1p(rel_width)
+    for values in (s_u, s_i):
+        np.log(values, out=values)
+        np.divide(values, log_width, out=values)
+        np.floor(values, out=values)
+    if p_scale <= 0.0:
+        p.fill(0.0)
+    else:
+        np.divide(p, rel_width * p_scale, out=p)
+        np.floor(p, out=p)
+    keys = np.empty(len(s_u), dtype=np.int64)
+    index = s_u.view(np.int64)
+    for values, out in ((s_u, keys), (s_i, index), (p, index)):
+        np.copyto(out, values, casting="unsafe")
+        out += _KEY_OFFSET
+        if out.min() < 0 or out.max() >= (1 << _KEY_BITS):
+            raise ConfigError(
+                f"cell width {rel_width!r} is too narrow: quantization "
+                f"indices leave the {_KEY_BITS}-bit key range; increase "
+                f"degeneracy_tolerance")
+        if out is index:
+            keys <<= _KEY_BITS
+            keys |= index
+    return keys
 
 
 def _block_bits(r_a, r_b) -> np.ndarray:
     """sign(R_B - R_A) per broadcast setting: -1/0/+1."""
     return np.sign(r_b - r_a).astype(np.int8).ravel()
+
+
+def _bit_runs(keys: np.ndarray, bits: np.ndarray) -> list:
+    """A block's sorted (key, count, mask) runs, one per bit value
+    sign(R_B - R_A), with mask bit 1 + bit."""
+    runs = []
+    for bit in (-1, 0, 1):
+        run_keys, run_counts = np.unique(keys[bits == bit], return_counts=True)
+        runs.append((run_keys, run_counts,
+                     np.full(len(run_keys), 1 << (bit + 1), dtype=np.int8)))
+    return runs
 
 
 def _group(keys: np.ndarray, counts: np.ndarray, masks: np.ndarray):
@@ -211,22 +228,54 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
         r_grid[:, np.newaxis], t_grid.min(), r_grid, t_grid.max(),
         bandwidth_hz, constants.k)[2])))
 
-    # each block adds its sorted (key, count, mask) runs to the running
-    # cells, one run per bit value sign(R_B - R_A) with mask bit 1 + bit;
-    # a cell is singular when its OR-ed mask has a single bit set
-    cells = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-             np.empty(0, dtype=np.int8))
-    for r_a, t_a, r_b, t_b in _blocks(r_grid, t_grid):
-        keys = _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, constants.k,
-                           rel_cell_width, p_scale)
-        bits = _block_bits(r_a, r_b)
-        runs = [cells]
-        for bit in (-1, 0, 1):
-            run_keys, run_counts = np.unique(keys[bits == bit],
-                                             return_counts=True)
-            runs.append((run_keys, run_counts,
-                         np.full(len(run_keys), 1 << (bit + 1), dtype=np.int8)))
-        cells = _group(*map(np.concatenate, zip(*runs)))
+    # each block adds a sorted (key, count, mask) run per bit value to the
+    # running cells; a cell is singular when its OR-ed mask has a single
+    # bit set.  The worker sorts block i's runs while this thread merges
+    # block i-1's and computes block i+1's keys.  The merge and every
+    # release of a block stay on this thread: what the worker allocates
+    # lands in a malloc arena of its own (glibc), which keeps memory once
+    # freed, so the worker allocates only the runs
+    cells = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+             np.empty(0, dtype=np.int8)]
+    failures = []
+
+    def sort_runs(keys, bits, runs):
+        try:
+            runs.extend(_bit_runs(keys, bits))
+        except BaseException as exc:
+            failures.append(exc)
+
+    def merge(runs):
+        if runs:  # the old cells and the runs are released before the sort
+            columns = [np.concatenate(column) for column in zip(cells, *runs)]
+            cells.clear()
+            runs.clear()
+            cells.extend(_group(*columns))
+
+    worker, block, runs = None, None, []
+    try:
+        for r_a, t_a, r_b, t_b in _blocks(r_grid, t_grid):
+            keys = _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, constants.k,
+                               rel_cell_width, p_scale)
+            bits = _block_bits(r_a, r_b)
+            if worker is not None:
+                worker.join()
+            if failures:
+                break
+            sorted_runs, runs = runs, []
+            block = keys, bits  # releases the block just sorted
+            del keys, bits
+            thread = threading.Thread(target=sort_runs, args=(*block, runs))
+            thread.start()
+            worker = thread
+            merge(sorted_runs)
+    finally:
+        if worker is not None:
+            worker.join()
+    if failures:
+        raise failures[0]
+    del block
+    merge(runs)
     cell_keys, cell_sizes, cell_masks = cells
 
     return LookupTable(r_grid=r_grid, t_grid=t_grid,

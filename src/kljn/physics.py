@@ -7,8 +7,8 @@ net power flow), band-limited Gaussian noise synthesis of bit periods,
 and averaged-periodogram estimation of the observables from synthesized
 traces; the sampled functions work on one row per bit period, and their
 one-period forms are thin wrappers.  Both sampled stages touch only the
-in-band rFFT bins, which run contiguously from bin 1, and the divider
-mixes the two voltages in place.
+in-band rFFT bins, which run contiguously from bin 1 and are counted
+once per trace layout, and the divider mixes the two voltages in place.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -20,6 +20,7 @@ Sign conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,16 +147,21 @@ class NoiseTrace:
             raise ValueError("u_wire and i_wire must have equal length")
 
 
-def analytic_observable_arrays(r_a, t_a, r_b, t_b, bandwidth_hz, k):
+def analytic_observable_arrays(r_a, t_a, r_b, t_b, bandwidth_hz, k, denom=None):
     """Vectorized exact observables (superposition of the two generators).
 
     Accepts scalars or broadcastable arrays; returns (s_u, s_i, p_ab).
+    `denom` is (r_a + r_b)**2 when the caller holds it.  numpy squares
+    arrays but calls libm's ``pow`` on scalars, which differs in the
+    last bit for about one value in a thousand, so an array pass that
+    must reproduce scalar calls passes its ``pow`` squares.
     """
     r_a = np.asarray(r_a, dtype=float)
     t_a = np.asarray(t_a, dtype=float)
     r_b = np.asarray(r_b, dtype=float)
     t_b = np.asarray(t_b, dtype=float)
-    denom = (r_a + r_b) ** 2
+    if denom is None:
+        denom = (r_a + r_b) ** 2
     s_u = 4.0 * k * (t_a * r_a * r_b ** 2 + t_b * r_b * r_a ** 2) / denom
     s_i = 4.0 * k * (t_a * r_a + t_b * r_b) / denom
     p_ab = 4.0 * k * bandwidth_hz * r_a * r_b * (t_b - t_a) / denom
@@ -190,16 +196,13 @@ def synthesize_traces(r_a, t_a, r_b, t_b, band: BandConfig, generators,
     taken, so one generator may be re-seeded per row.
     """
     n = band.samples_per_bit
-    freqs = np.fft.rfftfreq(n, d=1.0 / band.sample_rate_hz)
-    # the in-band bins run contiguously from bin 1
-    bins = slice(1, 1 + int(np.count_nonzero(
-        (freqs > 0) & (freqs <= band.bandwidth_hz) & (freqs < band.sample_rate_hz / 2.0))))
+    bins = slice(1, 1 + _band_bins(n, band)[0])
     r_a, t_a, r_b, t_b = (np.asarray(v, dtype=float)[:, np.newaxis]
                           for v in (r_a, t_a, r_b, t_b))
     normals = np.empty((len(r_a), 4, bins.stop - 1))
     for row, rng in zip(normals, generators, strict=True):
         rng.standard_normal(out=row)
-    spectrum = np.zeros((len(normals), len(freqs)), dtype=complex)
+    spectrum = np.zeros((len(normals), n // 2 + 1), dtype=complex)
     voltages = []
     for psd, re, im in ((4.0 * constants.k * t_a * r_a, 0, 1),
                         (4.0 * constants.k * t_b * r_b, 2, 3)):
@@ -230,36 +233,43 @@ def synthesize_bit_period(alice: PartyState, bob: PartyState, band: BandConfig,
     return NoiseTrace(u_wire=u_wire[0], i_wire=i_wire[0], seed=seed)
 
 
-def periodogram_bins(seg_len: int, band: BandConfig) -> np.ndarray:
-    """Mask of the rFFT bins of a `seg_len`-sample segment that the
-    estimator averages; all False when the segment resolves none.
+@lru_cache(maxsize=64)
+def _band_bins(n: int, band: BandConfig) -> tuple[int, int]:
+    """(bins inside the band, bins at least one bin-width inside its
+    edge) of the rFFT of an `n`-sample trace; both run contiguously from
+    bin 1.  Cached: sampled sessions ask for the same layouts chunk after
+    chunk."""
+    freqs = np.fft.rfftfreq(n, d=1.0 / band.sample_rate_hz)
+    resolved = (freqs > 0) & (freqs < band.sample_rate_hz / 2.0)
+    bin_width = band.sample_rate_hz / n
+    return (int(np.count_nonzero(resolved & (freqs <= band.bandwidth_hz))),
+            int(np.count_nonzero(resolved & (freqs <= band.bandwidth_hz - bin_width))))
+
+
+def periodogram_bin_count(seg_len: int, band: BandConfig) -> int:
+    """Number of rFFT bins of a `seg_len`-sample segment that the
+    estimator averages, bins 1 to the count; 0 when the segment resolves
+    none.
 
     Bins within one bin-width of the band edge are excluded: rectangular
     windowing leaks roughly half of the edge bin's power past the sharp
     cutoff, which would bias the in-band mean low.  With too few bins
     for that edge guard, the full band is used.
     """
-    freqs = np.fft.rfftfreq(seg_len, d=1.0 / band.sample_rate_hz)
-    bin_width = band.sample_rate_hz / seg_len
-    in_band = (freqs > 0) & (freqs <= band.bandwidth_hz - bin_width) \
-        & (freqs < band.sample_rate_hz / 2.0)
-    if not np.any(in_band):
-        in_band = (freqs > 0) & (freqs <= band.bandwidth_hz) \
-            & (freqs < band.sample_rate_hz / 2.0)
-    return in_band
+    in_band, guarded = _band_bins(seg_len, band)
+    return guarded or in_band
 
 
 def _averaged_periodogram_psd(x: np.ndarray, band: BandConfig, segments: int) -> np.ndarray:
     """Mean in-band PSD per row from non-overlapping rectangular-window
-    periodograms, over the :func:`periodogram_bins`."""
+    periodograms, over the :func:`periodogram_bin_count` bins."""
     seg_len = x.shape[1] // segments
-    n_bins = int(np.count_nonzero(periodogram_bins(seg_len, band)))
+    n_bins = periodogram_bin_count(seg_len, band)
     if not n_bins:
         raise TraceTooShort(
             f"segment length {seg_len} resolves no bins inside the "
             f"{band.bandwidth_hz} Hz band at {band.sample_rate_hz} Hz sampling")
     blocks = x[:, : segments * seg_len].reshape(len(x), segments, seg_len)
-    # the estimator's bins run contiguously from bin 1
     spectra = np.fft.rfft(blocks, axis=2)[:, :, 1:1 + n_bins]
     psd = 2.0 * np.abs(spectra) ** 2 / (band.sample_rate_hz * seg_len)
     # contiguous bin-major rows: each sums in the order of a one-trace mean

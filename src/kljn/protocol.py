@@ -57,7 +57,7 @@ from .physics import (
     WireObservables,
     analytic_observable_arrays,
     estimate_observable_arrays,
-    periodogram_bins,
+    periodogram_bin_count,
     synthesize_traces,
 )
 from .resolver import (
@@ -119,7 +119,7 @@ class ProtocolConfig:
         segments = self.estimator_segments
         seg_len = self.band.samples_per_bit // max(segments, 1)
         if segments < 1 or (self.mode == "sampled" and (
-                seg_len < 2 or not periodogram_bins(seg_len, self.band).any())):
+                seg_len < 2 or not periodogram_bin_count(seg_len, self.band))):
             raise ConfigError(f"estimator_segments {segments} must be >= 1 and, in "
                               f"sampled mode, leave >= 2 samples and an in-band "
                               f"periodogram bin per segment")

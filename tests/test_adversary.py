@@ -23,8 +23,13 @@ from kljn import (
     run_session,
     wilson_interval,
 )
-from kljn.adversary import _binary_classes, _nearest_classes, default_assumed_grid
-from kljn.physics import squared_relative_error
+from kljn.adversary import (
+    _binary_classes,
+    _nearest_classes,
+    default_assumed_grid,
+    eve_rrrt_solution_families,
+)
+from kljn.physics import analytic_observable_arrays, squared_relative_error
 from kljn.protocol import BINARY_VARIANTS, STATUS_SECURE
 
 BAND = BandConfig(bandwidth_hz=1.0, sample_rate_hz=4.0, samples_per_bit=4096)
@@ -152,6 +157,70 @@ class TestSolutionFamily:
         view = view_for(PartyState(1500.0, 300.0), PartyState(1500.0, 400.0))
         family = eve_rrrt_solution_family(view, [1500.0], 1e-9, NORMALIZED)
         assert family[0].implied_alice_bit() is None
+
+
+def per_point_family(obs, grid, tolerance, k, df=1.0):
+    """The family sweep of the (s_u, s_i, p_ab) triple `obs`, one scalar
+    point at a time: the reference for the array pass."""
+    s_u, s_i, p_ab = obs
+    if not (s_u > 0 and s_i > 0):
+        return []
+    p_per_hz = p_ab / df
+    family = []
+    for assumed_r_a in grid:
+        if assumed_r_a <= 0:
+            continue
+        denom = assumed_r_a * s_i - p_per_hz
+        if denom <= 0.0:
+            continue
+        r_b = (s_u - assumed_r_a * p_per_hz) / denom
+        if r_b <= 0.0:
+            continue
+        total = assumed_r_a + r_b
+        m = s_i * total ** 2 / (4.0 * k)
+        n = p_ab * total ** 2 / (4.0 * k * df)
+        t_a = (m - n / assumed_r_a) / total
+        t_b = t_a + n / (assumed_r_a * r_b)
+        if t_a <= 0.0 or t_b <= 0.0:
+            continue
+        predicted = [float(v) for v in analytic_observable_arrays(
+            assumed_r_a, t_a, r_b, t_b, df, k)]
+        residual = math.sqrt(squared_relative_error(predicted, obs))
+        if residual <= tolerance:
+            family.append((float(assumed_r_a), float(t_a), float(r_b / assumed_r_a),
+                           float(t_b / t_a), float(residual)))
+    return family
+
+
+class TestSolutionFamilies:
+    """The array sweep over many triples against the per-point loop."""
+
+    @pytest.mark.parametrize("noise, tolerance", [(0.0, 1e-9), (0.01, 1.0)],
+                             ids=["exact", "noisy"])
+    def test_matches_the_per_point_loop(self, noise, tolerance):
+        # noisy triples keep points with residuals of every magnitude,
+        # whose libm squares differ from numpy's in the last bit
+        rng = np.random.default_rng(5)
+        n = 400
+        settings = [rng.uniform(1000.0, 2000.0, n), rng.uniform(200.0, 400.0, n),
+                    rng.uniform(1000.0, 2000.0, n), rng.uniform(200.0, 400.0, n)]
+        columns = [c * rng.normal(1.0, noise, n)
+                   for c in analytic_observable_arrays(*settings, 1.0, 1.0)]
+        # triples no loop produces (the loop identity broken by a huge
+        # power flow, or scrambled), and non-positive spectra
+        columns[2][:40] = 1e6 * columns[0][:40]
+        columns[1][40:80] = rng.permutation(columns[1][40:80]) * 7.0
+        columns[0][80], columns[1][81] = 0.0, -1.0
+        grid = np.append(np.geomspace(900.0, 2200.0, 25), [-5.0, 0.0])
+        families = eve_rrrt_solution_families(columns, 1.0, grid, tolerance, NORMALIZED)
+        assert len(families) == n
+        sizes = []
+        for triple, family in zip(zip(*(c.tolist() for c in columns)), families):
+            expected = per_point_family(triple, grid, tolerance, 1.0)
+            assert [(p.assumed_r_a, p.implied_t_a, p.implied_alpha, p.implied_beta,
+                     p.residual) for p in family] == expected
+            sizes.append(len(family))
+        assert sizes.count(0) >= 42 and sum(sizes) > 3000
 
 
 class TestGuessSession:

@@ -1,10 +1,12 @@
 """End-to-end command-line tests: exit codes, outputs, determinism."""
 
 import json
+import threading
+import time
 
 import pytest
 
-from kljn import protocol
+from kljn import lookup, protocol
 from kljn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from kljn.config import load_config
 from kljn.protocol import build_lookup_table
@@ -237,6 +239,35 @@ class TestTable:
         assert main(["table", "--config", cfg, "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "1e-05" in err
+
+    def test_too_narrow_cells_on_a_later_block_exit_2(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # one Alice setting per block: the first 12 of the 16 keep their
+        # indices in the key range, the 13th does not, so the error
+        # fires while the worker still sorts the 12th block (slowed)
+        monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 16)
+        sorted_blocks = []
+        bit_runs = lookup._bit_runs
+
+        def counted_bit_runs(keys, bits):
+            if len(sorted_blocks) == 11:
+                time.sleep(0.2)
+            runs = bit_runs(keys, bits)
+            sorted_blocks.append(len(keys))
+            return runs
+
+        monkeypatch.setattr(lookup, "_bit_runs", counted_bit_runs)
+        cfg = config_file(tmp_path, variant="rrrt-kljn",
+                          r_range=[1.0, 1e5], r_levels=8,
+                          t_range=[1.0, 2.0], t_levels=2,
+                          degeneracy_tolerance=1e-5)
+        threads = threading.active_count()
+        assert main(["table", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "1e-05" in err
+        assert "Traceback" not in err
+        assert len(sorted_blocks) == 12
+        assert threading.active_count() == threads
 
     def test_budget_exceeded_is_runtime_error(self, tmp_path, capsys):
         cfg = config_file(tmp_path, variant="rrrt-kljn",

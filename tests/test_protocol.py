@@ -1,6 +1,8 @@
 """Session mechanics for all four variants, plus the singularity
 look-up table."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,28 @@ class TestStreamedBuild:
         assert table.n_settings == len(expected["combo_cells"])
         assert table.singular_fraction() == float(
             np.mean(expected["cell_singular"][expected["combo_cells"]]))
+
+    @pytest.mark.parametrize("stage", ["_bit_runs", "_group"],
+                             ids=["worker-sort", "caller-merge"])
+    def test_failure_is_raised_after_the_join(self, stage, monkeypatch):
+        # 13 blocks; the second block's sort (on the worker) or merge (on
+        # the calling thread) fails
+        monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
+        calls = []
+        original = getattr(lookup, stage)
+
+        def failing(*args):
+            calls.append(len(args[0]))
+            if len(calls) == 2:
+                raise RuntimeError(f"{stage} 2 failed")
+            return original(*args)
+
+        monkeypatch.setattr(lookup, stage, failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{stage} 2 failed"):
+            build_lookup_table(rrrt_config(r_levels=8, t_levels=8))
+        assert len(calls) == 2
+        assert threading.active_count() == threads
 
 
 class TestRunBit:
