@@ -23,7 +23,7 @@ Documented schema (types; V = required for that variant):
     degeneracy_tolerance float  relative look-up cell width (> 0, default 0.01)
     recovery_tolerance   float  resolver residual bound (default per mode)
     estimator_segments   int    periodogram segments in sampled mode
-    max_combinations     int    look-up enumeration budget (>= 1)
+    max_combinations     int    `kljn table` enumeration budget (>= 1)
     normalized_units     bool   k = 1 instead of the SI Boltzmann constant
     eve_strategy         str    nearest-class (default) | random
     eve_grid_points      int    assumed-R_A sweep size for rrrt attacks (>= 1)

@@ -1,4 +1,4 @@
-"""Exhaustive setting enumeration and the singularity look-up table.
+"""The singularity look-up table and the per-bit cell census.
 
 For quasi-continuum variants every joint setting (R_A-level, T_A-level,
 R_B-level, T_B-level) maps to an analytic observable triple.  Triples
@@ -9,6 +9,28 @@ eavesdropper.  Secure operation requires the drawn setting's cell to be
 degenerate (at least two opposite bit situations within one cell).  A
 zero width would make every setting its own singular cell and discard
 every bit, so configs reject it.
+
+Sessions ask only about the cells of their drawn settings (a median
+of 26 settings at 64 levels), so `cell_census` finds each such cell's
+members without enumerating the grids.  A cell is a box in (s_u, s_i,
+q = p_ab / bandwidth).  Eliminating the temperatures gives the T-free
+relation s_u - R_A R_B s_i - q (R_A - R_B) = 0, so per R_A the box
+bounds R_B, and s_i bounds R_A + R_B; per surviving pair the box
+bounds T_A, and per T_A each observable, linear in T_B, bounds T_B.
+The box widened by `_MARGIN` of its scale holds every member despite
+rounding, and the box narrowed by as much holds members only: the
+T_B inside the narrowed box are counted from their index range, and
+the few candidates between the two boxes (and all of them at a single
+temperature) are keyed with the table's own arithmetic
+(`_block_keys`).  Members are counted per bit value, so the verdict and
+the cell size equal the table's.  The census runs once per distinct
+drawn cell, so its work grows with the (pair, T_A) rows of those
+cells (1.8 million for the 608 distinct cells, 10.7 million members,
+of 1000 bits at width 0.1 and 64 levels), not with the bit count.  It
+runs in pieces of about `_CENSUS_PIECE` values, so its memory is
+bounded whatever the bit count and cell size.  Only the drawn keys must lie in
+the 21-bit key range: a candidate outside it cannot share a drawn
+cell and is dropped.
 
 Tables for fine grids enumerate levels^4 settings, so the build
 streams them: it walks the Alice settings in blocks of about 2^20 joint
@@ -40,8 +62,9 @@ import numpy as np
 from .errors import ConfigError, GridTooLarge
 from .physics import PhysicalConstants, analytic_observable_arrays
 
-#: Default enumeration budget: settings pairs, not bytes.  64-level
-#: resistance and temperature grids need 64^4 ~ 1.7e7 pairs.
+#: Default enumeration budget of `build_table`: settings pairs, not
+#: bytes.  64-level resistance and temperature grids need 64^4 ~ 1.7e7
+#: pairs.
 DEFAULT_MAX_COMBINATIONS = 40_000_000
 
 _KEY_BITS = 21
@@ -50,6 +73,17 @@ _KEY_OFFSET = 1 << (_KEY_BITS - 1)
 #: Joint settings per block of the enumeration pass; the per-setting
 #: working arrays of the build never hold more than one block.
 _BLOCK_SETTINGS = 1 << 20
+
+#: Values per piece of the census: candidate settings, (pair, T_A) rows
+#: or (cell, R_A) bounds.  Its working arrays hold about one piece per
+#: stage, so the piece sets its memory: a width-0.1, 64-level, 1000-bit
+#: session peaked at 44 MB of process RSS with 2^14, 74 MB with 2^16
+#: and 422 MB with 2^20 (the table's session: 99 MB).  2^16 was about
+#: 20 % faster at width 0.01, a few ms per 1000 bits at 64 levels.
+_CENSUS_PIECE = 1 << 14
+
+#: Relative widening of a cell's box against rounding in the census.
+_MARGIN = 1e-9
 
 
 def _blocks(r_grid: np.ndarray, t_grid: np.ndarray):
@@ -67,13 +101,16 @@ def _blocks(r_grid: np.ndarray, t_grid: np.ndarray):
 
 
 def _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz: float, k: float,
-                rel_width: float, p_scale: float) -> np.ndarray:
+                rel_width: float, p_scale: float,
+                drop_outside: bool = False) -> np.ndarray:
     """Flat cell keys of broadcast settings: log-spaced cells of relative
     width `rel_width` for the PSDs, linear cells of width rel_width *
     p_scale for the (sign-changing) power, their offset indices packed
     high to low as (s_u, s_i, p).  The arithmetic runs in place on the
     observable arrays, and the indices pass through one int64 buffer:
-    s_u's storage, once s_u is cast into the keys."""
+    s_u's storage, once s_u is cast into the keys.  An index outside
+    the key range raises `ConfigError`, or with `drop_outside` makes the
+    key -1, which equals no packed key."""
     s_u, s_i, p = (column.ravel() for column in analytic_observable_arrays(
         r_a, t_a, r_b, t_b, bandwidth_hz, k))
     log_width = np.log1p(rel_width)
@@ -88,17 +125,22 @@ def _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz: float, k: float,
         np.floor(p, out=p)
     keys = np.empty(len(s_u), dtype=np.int64)
     index = s_u.view(np.int64)
+    outside = False
     for values, out in ((s_u, keys), (s_i, index), (p, index)):
         np.copyto(out, values, casting="unsafe")
         out += _KEY_OFFSET
         if out.min() < 0 or out.max() >= (1 << _KEY_BITS):
-            raise ConfigError(
-                f"cell width {rel_width!r} is too narrow: quantization "
-                f"indices leave the {_KEY_BITS}-bit key range; increase "
-                f"degeneracy_tolerance")
+            if not drop_outside:
+                raise ConfigError(
+                    f"cell width {rel_width!r} is too narrow: quantization "
+                    f"indices leave the {_KEY_BITS}-bit key range; increase "
+                    f"degeneracy_tolerance")
+            outside = outside | (out < 0) | (out >= (1 << _KEY_BITS))
         if out is index:
             keys <<= _KEY_BITS
             keys |= index
+    if outside is not False:
+        keys[outside] = -1
     return keys
 
 
@@ -127,6 +169,165 @@ def _group(keys: np.ndarray, counts: np.ndarray, masks: np.ndarray):
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     return (keys[starts], np.add.reduceat(counts[order], starts),
             np.bitwise_or.reduceat(masks[order], starts))
+
+
+def _power_scale(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
+                 k: float) -> float:
+    """max|p| over the grids, the scale of the power cells.  For each
+    resistance pair |p| grows with |T_B - T_A|, and IEEE rounding is
+    monotone, so the largest |p| lies at the extreme temperatures."""
+    return float(np.max(np.abs(analytic_observable_arrays(
+        r_grid[:, np.newaxis], t_grid.min(), r_grid, t_grid.max(),
+        bandwidth_hz, k)[2])))
+
+
+def _pieces(starts: np.ndarray, stops: np.ndarray):
+    """(row, value) of every value in [starts[row], stops[row]), row by
+    row, in pieces of consecutive rows that hold about _CENSUS_PIECE
+    values each (at most one row's count more)."""
+    counts = np.maximum(stops - starts, 0)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    bounds = np.append(np.searchsorted(
+        ends, np.arange(0, total, _CENSUS_PIECE), "right"), len(ends))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo < hi:
+            n = counts[lo:hi]
+            yield (np.repeat(np.arange(lo, hi), n),
+                   np.arange(ends[lo] - n[0], ends[hi - 1])
+                   + np.repeat(starts[lo:hi] - ends[lo:hi] + n, n))
+
+
+def _widen(lo, hi, margin=_MARGIN):
+    """[lo, hi] widened by `margin` of its scale on each side (narrowed
+    for a negative margin)."""
+    pad = margin * np.maximum(np.abs(lo), np.abs(hi))
+    return lo - pad, hi + pad
+
+
+def _extremes(low, high, step):
+    """(max, min) over the rows s_u, s_i and q of their T_B bounds
+    low + step and high + step."""
+    low, high = low + step, high + step
+    return (np.maximum(np.maximum(low[0], low[1]), low[2]),
+            np.minimum(np.minimum(high[0], high[1]), high[2]))
+
+
+def _member_counts(r_grid, t_grid, bandwidth_hz, k, rel_width, p_scale, keys):
+    """Members of the cells `keys` per bit value sign(R_B - R_A): an
+    array (cells, 3).  Settings inside a cell's box narrowed by _MARGIN
+    are counted from their T_B index ranges; the other candidates, those
+    within _MARGIN of a face, are keyed, in pieces of about
+    _CENSUS_PIECE."""
+    counts = np.zeros(3 * len(keys), dtype=np.int64)
+
+    def key(slot, cell, r_a, t_a, r_b, t_b):
+        found = _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_width,
+                            p_scale, drop_outside=True) == keys[cell]
+        np.add(counts, np.bincount(slot[found], minlength=len(counts)), out=counts)
+
+    index_mask = (1 << _KEY_BITS) - 1
+    i_u, i_i, i_p = (((keys >> shift) & index_mask) - _KEY_OFFSET
+                     for shift in (2 * _KEY_BITS, _KEY_BITS, 0))
+    # each cell's box in (s_u, s_i, q = p / df): rows of low and high
+    # faces, widened and narrowed
+    log_width = np.log1p(rel_width)
+    q_width = rel_width * p_scale / bandwidth_hz
+    outer, inner = (_widen(np.array([np.exp(i_u * log_width), np.exp(i_i * log_width),
+                                     i_p * q_width]),
+                           np.array([np.exp((i_u + 1) * log_width),
+                                     np.exp((i_i + 1) * log_width), (i_p + 1) * q_width]),
+                           margin)
+                    for margin in (_MARGIN, -_MARGIN))
+    (u_lo, i_lo, q_lo), (u_hi, i_hi, q_hi) = outer
+
+    # per R_A the T-free relation gives R_B = (s_u - q R_A) / (R_A s_i - q),
+    # which falls with s_i and rises with s_u while the denominator stays
+    # positive, and s_i bounds R_A + R_B to [4k t_min / s_i, 4k t_max / s_i]
+    k4 = 4.0 * k
+    r = r_grid[:, np.newaxis]
+    ri_lo, ri_hi, qr_lo, qr_hi = r * i_lo, r * i_hi, r * q_lo, r * q_hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_b_lo = np.minimum((u_lo - qr_lo) / (ri_hi - q_lo), (u_lo - qr_hi) / (ri_hi - q_hi))
+        r_b_hi = np.maximum((u_hi - qr_lo) / (ri_lo - q_lo), (u_hi - qr_hi) / (ri_lo - q_hi))
+    unbounded = ri_lo <= q_hi
+    r_b_lo[unbounded], r_b_hi[unbounded] = 0.0, np.inf
+    np.maximum(r_b_lo, k4 * t_grid[0] / i_hi - r, out=r_b_lo)
+    np.minimum(r_b_hi, k4 * t_grid[-1] / i_lo - r, out=r_b_hi)
+    # cell by cell, R_A rising
+    r_b_lo, r_b_hi = r_b_lo.T.ravel(), r_b_hi.T.ravel()
+    live = np.flatnonzero((r_b_lo <= r_b_hi) & (r_b_lo <= r_grid[-1])
+                          & (r_b_hi >= r_grid[0]))
+    for pair, j_b in _pieces(np.searchsorted(r_grid, r_b_lo[live], "left"),
+                             np.searchsorted(r_grid, r_b_hi[live], "right")):
+        cell, j_a = np.divmod(live[pair], len(r_grid))
+        ra, rb = r_grid[j_a], r_grid[j_b]
+        slot = 3 * cell + _block_bits(ra, rb) + 1
+        if len(t_grid) == 1:
+            t = np.full(len(pair), t_grid[0])
+            key(slot, cell, ra, t, rb, t)
+            continue
+        # per pair the box bounds T_A through (s_i, q) and (s_u, q) with
+        # T_B eliminated
+        (u_l, i_l, q_l), (u_h, i_h, q_h) = (side[:, cell] for side in outer)
+        ta_lo, ta_hi = _widen(
+            np.maximum(ra * i_l - q_h, (u_l - ra * q_h) / rb) * (ra + rb) / (k4 * ra),
+            np.minimum(ra * i_h - q_l, (u_h - ra * q_l) / rb) * (ra + rb) / (k4 * ra))
+        # s_u, s_i and q are each linear in T_B, so per T_A each face
+        # bounds T_B to face * scale + gradient * T_A
+        d = (ra + rb) ** 2 / k4
+        slope = d / (ra * rb)
+        scale = np.array([slope / ra, d / rb, slope])
+        gradient = np.array([-rb / ra, -ra / rb, np.ones(len(ra))])
+        out_low, out_high, in_low, in_high = (side[:, cell] * scale
+                                              for side in (*outer, *inner))
+        for row, j_ta in _pieces(np.searchsorted(t_grid, ta_lo, "left"),
+                                 np.searchsorted(t_grid, ta_hi, "right")):
+            ta = t_grid[j_ta]
+            step = gradient[:, row] * ta
+            tb_lo, tb_hi = _widen(*_extremes(out_low[:, row], out_high[:, row], step))
+            start = np.searchsorted(t_grid, tb_lo, "left")
+            stop = np.searchsorted(t_grid, tb_hi, "right")
+            tb_lo, tb_hi = _widen(*_extremes(in_low[:, row], in_high[:, row], step),
+                                  -_MARGIN)
+            sure_start = np.clip(np.searchsorted(t_grid, tb_lo, "left"), start, stop)
+            sure_stop = np.clip(np.searchsorted(t_grid, tb_hi, "right"), sure_start, stop)
+            counts += np.bincount(slot[row], sure_stop - sure_start,
+                                  len(counts)).astype(np.int64)
+            # the T_B on either side of the sure range
+            for edge, j_tb in _pieces(np.concatenate([start, sure_stop]),
+                                      np.concatenate([sure_start, stop])):
+                edge %= len(row)
+                setting = row[edge]
+                key(slot[setting], cell[setting], ra[setting], ta[edge],
+                    rb[setting], t_grid[j_tb])
+    return counts.reshape(-1, 3)
+
+
+def cell_census(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
+                constants: PhysicalConstants, rel_cell_width: float,
+                r_a, t_a, r_b, t_b) -> tuple[np.ndarray, np.ndarray]:
+    """(singular flag, cell size) of each drawn grid setting's cell, as
+    `build_table` over the same grids gives them, without enumerating
+    the (ascending) grids.  Settings are equal-length arrays of grid
+    values."""
+    r_grid = np.asarray(r_grid, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float)
+    drawn = [np.asarray(v, dtype=float) for v in (r_a, t_a, r_b, t_b)]
+    if not len(drawn[0]):
+        return np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
+    k = constants.k
+    p_scale = _power_scale(r_grid, t_grid, bandwidth_hz, k)
+    cells, drawn_cell = np.unique(
+        _block_keys(*drawn, bandwidth_hz, k, rel_cell_width, p_scale),
+        return_inverse=True)
+    chunk = max(1, _CENSUS_PIECE // len(r_grid))
+    counts = np.concatenate([
+        _member_counts(r_grid, t_grid, bandwidth_hz, k, rel_cell_width, p_scale,
+                       cells[start:start + chunk])
+        for start in range(0, len(cells), chunk)])
+    singular = (counts > 0).sum(axis=1) == 1
+    return singular[drawn_cell], counts.sum(axis=1)[drawn_cell]
 
 
 @dataclass
@@ -221,12 +422,7 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
             f"budget of {max_combinations}", required=n_combos,
             budget=max_combinations)
 
-    # the power cells scale with max|p| over the grid.  For each
-    # resistance pair |p| grows with |T_B - T_A|, and IEEE rounding is
-    # monotone, so the largest |p| lies at the extreme temperatures
-    p_scale = float(np.max(np.abs(analytic_observable_arrays(
-        r_grid[:, np.newaxis], t_grid.min(), r_grid, t_grid.max(),
-        bandwidth_hz, constants.k)[2])))
+    p_scale = _power_scale(r_grid, t_grid, bandwidth_hz, constants.k)
 
     # each block adds a sorted (key, count, mask) run per bit value to the
     # running cells; a cell is singular when its OR-ed mask has a single

@@ -30,10 +30,12 @@ are one array pass that is bit-identical to those per-bit streams
 generator), then observables (sampled mode: chunks of bit periods; the
 noise generators' seeded states are one more ``_streams`` pass, set in
 turn on one reused generator that draws each bit's normals), both
-recoveries, bits, the singularity lookup and the statuses are array
-operations.  The pass returns its arrays as a columnar
-:class:`SessionReport`, which builds a bit's :class:`BitOutcome` only
-when asked; :func:`run_bit` is that pass on one index.
+recoveries, bits, the singularity verdict and the statuses are array
+operations; the verdict comes from the cell census
+(``lookup.cell_census``), so sessions build no look-up table.  The pass
+returns its arrays as a columnar :class:`SessionReport`, which builds a
+bit's :class:`BitOutcome` only when asked; :func:`run_bit` is that pass
+on one index.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 
 from ._streams import bounded_integers, pcg64_states
 from .errors import ConfigError, KeyDisagreement, KljnError
-from .lookup import DEFAULT_MAX_COMBINATIONS, LookupTable, build_table
+from .lookup import DEFAULT_MAX_COMBINATIONS, LookupTable, build_table, cell_census
 from .physics import (
     SI,
     BandConfig,
@@ -348,7 +350,8 @@ def _high_bits(config: ProtocolConfig, r_a: np.ndarray, r_b: np.ndarray):
 
 
 def build_lookup_table(config: ProtocolConfig) -> LookupTable:
-    """Singularity look-up table over the variant's finite setting grids."""
+    """Singularity look-up table over the variant's finite setting grids,
+    within the `max_combinations` budget (``kljn table``)."""
     if config.variant not in QUASI_CONTINUUM_VARIANTS:
         raise ConfigError(
             f"look-up tables apply to quasi-continuum variants, not {config.variant!r}")
@@ -414,8 +417,7 @@ def _partner_views(config: ProtocolConfig, grids, own_r, own_t, s_u, s_i, p_ab):
         yield seen, failure
 
 
-def _run_bits(config: ProtocolConfig, indices,
-              table: Optional[LookupTable] = None) -> SessionReport:
+def _run_bits(config: ProtocolConfig, indices) -> SessionReport:
     """The session engine: the bit periods in `indices` in one pass."""
     indices = list(indices)
     states = party_states(config)
@@ -429,10 +431,11 @@ def _run_bits(config: ProtocolConfig, indices,
         observables = _sampled_observables(config, indices, r_a, t_a, r_b, t_b)
     tie = _high_bits(config, r_a, r_b)[2]
     discarded, discard_status = np.zeros(len(indices), dtype=bool), STATUS_SINGULAR
-    if config.variant in QUASI_CONTINUUM_VARIANTS and not tie.all():
-        table = table or build_lookup_table(config)
-        discarded[~tie] = table.cell_singular[table.cell_indices(
-            r_a[~tie], t_a[~tie], r_b[~tie], t_b[~tie])]
+    if config.variant in QUASI_CONTINUUM_VARIANTS:
+        discarded[~tie] = cell_census(
+            config.resistance_grid(), config.temperature_grid(),
+            config.band.bandwidth_hz, config.constants, config.degeneracy_tolerance,
+            r_a[~tie], t_a[~tie], r_b[~tie], t_b[~tie])[0]
     (view_of_bob, alice_failed), (view_of_alice, bob_failed) = \
         _partner_views(config, grids, (r_a, r_b), (t_a, t_b), *observables)
 
@@ -458,9 +461,10 @@ def _run_bits(config: ProtocolConfig, indices,
 def run_bit(config: ProtocolConfig, bit_index: int,
             table: Optional[LookupTable] = None) -> BitOutcome:
     """One full bit period: the session engine on the single index.
-    `table` is the prebuilt singularity table for quasi-continuum
-    variants, built on the fly when omitted (expensive for fine grids)."""
-    return _run_bits(config, [bit_index], table).outcome(0)
+    `table` is ignored: the engine takes the singularity verdict from the
+    cell census.  It stays for callers that still pass a prebuilt table,
+    the benchmark's run_bit checks, and goes when they stop."""
+    return _run_bits(config, [bit_index]).outcome(0)
 
 
 def run_session(config: ProtocolConfig) -> SessionReport:
