@@ -7,7 +7,6 @@ from .adversary import (
     GuessRecord,
     SolutionFamilyPoint,
     eve_guess_session,
-    eve_nearest_class,
     eve_pair_extraction,
     eve_rrrt_solution_family,
     wilson_interval,

@@ -143,17 +143,6 @@ def _nearest_classes(observables, classes: dict[str, WireObservables]) -> list[s
     return [names[k] for k in np.argmin(distances, axis=0).tolist()]
 
 
-def eve_nearest_class(view: EveView, config: ProtocolConfig) -> str:
-    """Classify a binary-variant draw as LL, HH or LH-or-HL.
-
-    Works for the classic and the four-resistor scheme alike.  The
-    LH/HL pair is irreducibly ambiguous: both produce the same wire
-    triple, which is exactly what makes those bits secure.
-    """
-    return _nearest_classes([[value] for value in view.observables],
-                            _binary_classes(config))[0]
-
-
 def eve_pair_extraction(view: EveView, t_eff: float,
                         constants: PhysicalConstants = SI,
                         mismatch_tolerance: float = 1e-6) -> ResistorPair:

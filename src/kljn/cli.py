@@ -213,25 +213,29 @@ _MEMBER_DUMP_LIMIT = 100_000  # settings; above this, membership lists are omitt
 def cmd_table(args) -> int:
     config, _ = _load(args)
     table = build_lookup_table(config)
+    fraction = table.singular_fraction()
     if args.out:
         with_members = table.n_settings <= _MEMBER_DUMP_LIMIT
         columns = ["cell", "size", "singular"] + (["members"] if with_members else [])
-        values = [range(table.n_cells), table.cell_sizes.tolist(),
-                  table.cell_singular.astype(int).tolist()]
+        # every count fits the type that holds n_settings
+        rows = np.empty((table.n_cells, 3), dtype=np.min_scalar_type(table.n_settings))
+        rows[:, 0] = np.arange(table.n_cells, dtype=rows.dtype)
+        rows[:, 1] = table.cell_sizes
+        rows[:, 2] = table.cell_singular
         if with_members:
-            values.append([";".join(map(str, members.tolist()))
-                           for members in table.all_cell_members()])
+            rows = [cells + [";".join(map(str, members.tolist()))]
+                    for cells, members in zip(rows.tolist(), table.all_cell_members())]
         summary = {
             "schema": "kljn-table-csv-1",
             "variant": config.variant,
             "settings": table.n_settings,
             "cells": table.n_cells,
             "cell_width": config.degeneracy_tolerance,
-            "singular_fraction": table.singular_fraction(),
+            "singular_fraction": fraction,
         }
-        write_csv(columns, zip(*values), summary, args.out)
+        write_csv(columns, rows, summary, args.out)
     _say(args, f"settings={table.n_settings} cells={table.n_cells} "
-               f"singular_fraction={table.singular_fraction():.6f}")
+               f"singular_fraction={fraction:.6f}")
     return EXIT_OK
 
 

@@ -46,9 +46,9 @@ runs only this module's private sort and numpy, which releases the GIL
 in its sorts; every public function, the too-narrow-width `ConfigError`
 included, stays on the calling thread, so a tracer that wraps public
 functions sees one call stack.  A failed sort is re-raised on the
-calling thread after the worker is joined.  Per-setting arrays
-(`combo_cells`, `combo_bits`) exist only on demand: the same block pass
-recomputes them when they are first asked for.
+calling thread after the worker is joined.  The per-setting cell
+array `combo_cells` exists only on demand: the same block pass
+recomputes it when it is first asked for.
 """
 
 from __future__ import annotations
@@ -367,14 +367,6 @@ class LookupTable:
                 self.rel_cell_width, self.p_scale))
             for r_a, t_a, r_b, t_b in _blocks(self.r_grid, self.t_grid)])
 
-    @cached_property
-    def combo_bits(self) -> np.ndarray:
-        """sign(R_B - R_A) per enumerated setting: -1/0/+1, computed on
-        first use."""
-        return np.concatenate([
-            _block_bits(r_a, r_b)
-            for r_a, _, r_b, _ in _blocks(self.r_grid, self.t_grid)])
-
     def cell_indices(self, r_a, t_a, r_b, t_b) -> np.ndarray:
         """Cell index per drawn setting (equal-length arrays on the grids)."""
         r_a, t_a, r_b, t_b = (np.asarray(v, dtype=float) for v in (r_a, t_a, r_b, t_b))
@@ -388,23 +380,11 @@ class LookupTable:
                            f"enumerated cell; is it on the configured grids?")
         return pos
 
-    def cell_members(self, cell_index: int) -> np.ndarray:
-        """Indices of enumerated settings in a cell (row-major over
-        (r_a, t_a, r_b, t_b) grid levels)."""
-        return np.flatnonzero(self.combo_cells == cell_index)
-
     def all_cell_members(self) -> list[np.ndarray]:
-        """`cell_members` of every cell, in cell order, from one sort."""
+        """Indices of the enumerated settings in each cell (row-major over
+        (r_a, t_a, r_b, t_b) grid levels), in cell order, from one sort."""
         order = np.argsort(self.combo_cells, kind="stable")
         return np.split(order, np.cumsum(self.cell_sizes)[:-1])
-
-    def setting_values(self, member_index: int) -> tuple[float, float, float, float]:
-        """(r_a, t_a, r_b, t_b) for an enumerated setting index."""
-        n_t = len(self.t_grid)
-        n_per_party = len(self.r_grid) * n_t
-        a, b = divmod(member_index, n_per_party)
-        return (float(self.r_grid[a // n_t]), float(self.t_grid[a % n_t]),
-                float(self.r_grid[b // n_t]), float(self.t_grid[b % n_t]))
 
 
 def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,

@@ -4,6 +4,12 @@ One file holds a per-bit table followed by a summary block.  Summary
 lines are prefixed with ``#`` so the table parses with any CSV reader;
 the toolkit's own reader returns both parts and round-trips exactly
 (floats are serialized with repr, which is lossless for doubles).
+
+Rows given as one 2-D integer numpy array (the singularity table's
+cell, size and singular columns) are formatted in pieces of
+`_DUMP_PIECE` rows as ASCII digit matrices, byte for byte as
+``csv.writer`` writes their ``str(int)`` cells.  Any other rows (those
+holding strings, None or floats) go through ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -12,7 +18,11 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
+
+_DUMP_PIECE = 1 << 16  # rows per piece of the integer array path
 
 
 @dataclass
@@ -32,18 +42,55 @@ def _format(value) -> str:
     return str(value)
 
 
+def _int_piece(block: np.ndarray) -> str:
+    """The rows of the 2-D integer array `block` as ``csv.writer`` writes
+    them: ``str(int)`` cells joined by ',', each row ended by '\\n'.
+
+    Each column gets a sign slot (when it holds a negative value) and
+    right-aligned digit slots as wide as its largest magnitude; a keep
+    mask drops the unused sign slots and the leading zeros.
+    """
+    comma, everywhere = np.full(len(block), ord(","), np.uint8), np.ones(len(block), bool)
+    text, keep = [], []  # one slot per character column, left to right
+    for values in block.T:
+        minus = values < 0
+        magnitude = values.astype(np.uint64)  # two's complement: exact for int64's minimum
+        np.negative(magnitude, out=magnitude, where=minus)
+        if minus.any():
+            text.append(np.full(len(block), ord("-"), np.uint8))
+            keep.append(minus)
+        digits = []  # units first
+        for place in range(len(str(magnitude.max(initial=0)))):
+            digits.append(magnitude != 0 if place else everywhere)
+            magnitude, digit = np.divmod(magnitude, 10)
+            digits.append(digit.astype(np.uint8) + np.uint8(ord("0")))
+        text.extend(digits[-1::-2])
+        keep.extend(digits[-2::-2])
+        text.append(comma)
+        keep.append(everywhere)
+    text = np.stack(text, axis=1)
+    text[:, -1] = ord("\n")
+    return text[np.stack(keep, axis=1)].tobytes().decode("ascii")
+
+
 def write_csv(columns, rows, summary: dict, path) -> None:
     """Stream one output file: the header, `rows` (value sequences in
     `columns` order) and the summary block.
 
     The one CSV writer of the toolkit.  The csv module writes None as
     an empty cell and floats with repr, as :func:`_format` does for the
-    summary values.
+    summary values.  `rows` given as a 2-D integer numpy array with at
+    least one column are written in pieces by :func:`_int_piece`.
     """
     with open(path, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(rows)
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] \
+                and rows.dtype.kind in "iu":
+            for start in range(0, len(rows), _DUMP_PIECE):
+                handle.write(_int_piece(rows[start:start + _DUMP_PIECE]))
+        else:
+            writer.writerows(rows)
         handle.writelines(f"# {key},{_format(value)}\n"
                           for key, value in summary.items())
 

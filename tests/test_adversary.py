@@ -17,7 +17,6 @@ from kljn import (
     WireObservables,
     analytic_observables,
     eve_guess_session,
-    eve_nearest_class,
     eve_pair_extraction,
     eve_rrrt_solution_family,
     run_session,
@@ -34,6 +33,11 @@ from kljn.protocol import BINARY_VARIANTS, STATUS_SECURE
 
 BAND = BandConfig(bandwidth_hz=1.0, sample_rate_hz=4.0, samples_per_bit=4096)
 R_LOW, R_HIGH, T_EFF = 1000.0, 2000.0, 300.0
+
+
+def nearest_class(view: EveView, config: ProtocolConfig) -> str:
+    return _nearest_classes([[value] for value in view.observables],
+                            _binary_classes(config))[0]
 
 
 def view_for(alice: PartyState, bob: PartyState) -> EveView:
@@ -70,8 +74,8 @@ class TestClassicDistinguish:
     def test_same_bit_draws_classified_exactly(self):
         low = PartyState(R_LOW, T_EFF)
         high = PartyState(R_HIGH, T_EFF)
-        assert eve_nearest_class(view_for(low, low), self.CONFIG) == "LL"
-        assert eve_nearest_class(view_for(high, high), self.CONFIG) == "HH"
+        assert nearest_class(view_for(low, low), self.CONFIG) == "LL"
+        assert nearest_class(view_for(high, high), self.CONFIG) == "HH"
 
     def test_secure_draws_collapse_to_one_class(self):
         low = PartyState(R_LOW, T_EFF)
@@ -80,8 +84,8 @@ class TestClassicDistinguish:
         hl = view_for(high, low)
         # LH and HL are the same point on the wire: identical triples
         assert lh.observables == hl.observables
-        assert eve_nearest_class(lh, self.CONFIG) == "LH-or-HL"
-        assert eve_nearest_class(hl, self.CONFIG) == "LH-or-HL"
+        assert nearest_class(lh, self.CONFIG) == "LH-or-HL"
+        assert nearest_class(hl, self.CONFIG) == "LH-or-HL"
 
 
 class TestPairExtraction:

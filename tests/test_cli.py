@@ -1,12 +1,15 @@
 """End-to-end command-line tests: exit codes, outputs, determinism."""
 
+import csv
+import io
 import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from kljn import lookup, protocol
+from kljn import cli, lookup, protocol
 from kljn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from kljn.config import load_config
 from kljn.protocol import build_lookup_table
@@ -229,7 +232,28 @@ class TestTable:
         assert len(rows) == table.n_cells
         for row in rows:
             members = [int(m) for m in str(row["members"]).split(";")]
-            assert members == table.cell_members(row["cell"]).tolist()
+            assert members == np.flatnonzero(table.combo_cells == row["cell"]).tolist()
+
+    def test_large_dump_matches_csv_writer(self, tmp_path):
+        # 32 levels: over _MEMBER_DUMP_LIMIT, so no members column and the
+        # integer rows take write_csv's array path
+        cfg = config_file(tmp_path, variant="rrrt-kljn",
+                          r_range=[1000.0, 2000.0], r_levels=32,
+                          t_range=[200.0, 400.0], t_levels=32)
+        out = tmp_path / "table.csv"
+        assert main(["table", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        table = build_lookup_table(load_config(cfg)[0])
+        assert table.n_settings > cli._MEMBER_DUMP_LIMIT
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["cell", "size", "singular"])
+        writer.writerows(zip(range(table.n_cells), table.cell_sizes.tolist(),
+                             table.cell_singular.astype(int).tolist()))
+        lines = out.read_text().splitlines(keepends=True)
+        # line lists, so that a failure reports the first differing row
+        assert [line for line in lines if not line.startswith("#")] == \
+            expected.getvalue().splitlines(keepends=True)
 
     def test_too_narrow_cells_exit_2(self, tmp_path, capsys):
         cfg = config_file(tmp_path, variant="rrrt-kljn",

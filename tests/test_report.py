@@ -2,13 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from kljn import ConfigError, NORMALIZED, SI
+from kljn import ConfigError, NORMALIZED, SI, report
 from kljn import eve_guess_session, run_session
 from kljn.cli import main
 from kljn.config import load_config
-from kljn.report import read_report, write_report
+from kljn.report import read_report, write_csv, write_report
 
 SESSION_COLUMNS = [
     "index", "variant", "alice_r", "alice_t", "bob_r", "bob_t",
@@ -88,6 +91,49 @@ class TestSessionReport:
         path.write_text("")
         with pytest.raises(ConfigError):
             read_report(path)
+
+
+def integer_matrices(dtype):
+    """Integer matrices of `dtype` with 0 to 30 rows and 1 to 4 columns:
+    small values (leading zeros of every length), the type's extremes
+    and anything between."""
+    info = np.iinfo(dtype)
+    lo, hi = int(info.min), int(info.max)
+    elements = (st.integers(max(lo, -999), min(hi, 999)) | st.integers(lo, hi)
+                | st.sampled_from([0, lo, hi]))
+    return arrays(dtype, st.tuples(st.integers(0, 30), st.integers(1, 4)),
+                  elements=elements)
+
+
+def written(tmp_dir, name, rows, n_columns):
+    path = tmp_dir / name
+    write_csv(["a", "b", "c", "d"][:n_columns], rows,
+              {"schema": "test", "rows": len(rows)}, path)
+    return path.read_bytes()
+
+
+class TestIntegerRows:
+    """The array path of write_csv writes what csv.writer writes."""
+
+    @settings(max_examples=80)
+    @given(matrix=st.sampled_from([np.int64, np.uint64, np.int32, np.uint16, np.int8])
+           .flatmap(integer_matrices))
+    def test_matches_csv_writer(self, matrix, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("rows")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report, "_DUMP_PIECE", 7)  # pieces cut the rows
+            actual = written(tmp_dir, "array.csv", matrix, matrix.shape[1])
+        assert actual == written(tmp_dir, "lists.csv", matrix.tolist(), matrix.shape[1])
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[0, -1, 1], [-(2 ** 63), 2 ** 63 - 1, 10 ** 18]], dtype=np.int64),
+        np.array([[2 ** 64 - 1], [0], [10 ** 19]], dtype=np.uint64),
+        np.array([[-5], [40], [-300]], dtype=np.int16),
+        np.zeros((0, 3), dtype=np.int64),
+    ], ids=["int64-extremes", "uint64-one-column", "int16-negative", "no-rows"])
+    def test_edge_cases(self, matrix, tmp_path):
+        assert written(tmp_path, "array.csv", matrix, matrix.shape[1]) == written(
+            tmp_path, "lists.csv", matrix.tolist(), matrix.shape[1])
 
 
 def write_config(tmp_path, **overrides):
