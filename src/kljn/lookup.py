@@ -33,22 +33,40 @@ the 21-bit key range: a candidate outside it cannot share a drawn
 cell and is dropped.
 
 Tables for fine grids enumerate levels^4 settings, so the build
-streams them: it walks the Alice settings in blocks of about 2^20 joint
-settings, quantizes each block's observables into packed integer cell
-keys in place (the same IEEE operations as with a fresh array per
-step) and folds the block into running (key, count, bit mask) cells.
-The build is a two-stage pipeline: one worker thread sorts block i into
-a run per bit value while the calling thread merges block i-1's runs
-into the cells and computes block i+1's keys.  Blocks are merged in
-order with at most one in flight, so working memory is bounded by the
-block size and the number of cells rather than by levels^4.  The worker
-runs only this module's private sort and numpy, which releases the GIL
-in its sorts; every public function, the too-narrow-width `ConfigError`
-included, stays on the calling thread, so a tracer that wraps public
-functions sees one call stack.  A failed sort is re-raised on the
-calling thread after the worker is joined.  The per-setting cell
-array `combo_cells` exists only on demand: the same block pass
-recomputes it when it is first asked for.
+streams them in blocks of about 2^20 joint settings, each a run of
+resistance pairs with all their (T_A, T_B), and halves the work by the
+A<->B swap.  It leaves s_u, s_i and (R_A + R_B)^2 unchanged bit for
+bit (sums and products of the same terms), and negates p_ab = pre
+(T_B - T_A) / (R_A + R_B)^2 exactly where pre = 4k df R_A R_B
+(`physics.power_prefactor`) rounds alike in both orders, as it always
+does when 4k df is a power of two.  As floor(-x) = -floor(x) - e with
+the parity e = (x != floor(x)) of x = p / (width p_scale), the swap of
+a setting keyed (u, i, n) with parity e lies in cell (u, i, -n - e),
+its bit sign(R_B - R_A) negated.  So the pairs R_A < R_B with a
+symmetric prefactor are enumerated once, under uint64 keys
+(key << 1) | e, and the diagonal and both orientations of the other
+pairs follow in the same list of pairs.  The mirror keeps (u, i): the
+refined cells are folded at the end in slabs of whole (u, i) groups,
+adding the mirror images, dropping the parity bit and regrouping, so
+the fold's memory is bounded by the slab.  The too-narrow-width
+`ConfigError` checks the mirrors' indices too, so it fires for exactly
+the grids where some setting's index leaves the key range.
+
+Each block's keys are quantized in place (the same IEEE operations as
+with a fresh array per step) and folded into running (key, count, bit
+mask) cells.  The build is a two-stage pipeline: one worker thread
+sorts block i into a run per bit value while the calling thread merges
+block i-1's runs into the cells of its kind and computes block i+1's
+keys.  Blocks are merged in order with at most one in flight, so
+working memory is bounded by the block size and the number of cells
+rather than by levels^4.  The worker runs only this module's private
+sort and numpy, which releases the GIL in its sorts; every public
+function, the too-narrow-width `ConfigError` included, stays on the
+calling thread, so a tracer that wraps public functions sees one call
+stack.  A failed sort is re-raised on the calling thread after the
+worker is joined.  The per-setting cell array `combo_cells` exists
+only on demand: a row-major pass over the Alice settings recomputes it
+when it is first asked for.
 """
 
 from __future__ import annotations
@@ -60,7 +78,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, GridTooLarge
-from .physics import PhysicalConstants, analytic_observable_arrays
+from .physics import PhysicalConstants, analytic_observable_arrays, power_prefactor
 
 #: Default enumeration budget of `build_table`: settings pairs, not
 #: bytes.  64-level resistance and temperature grids need 64^4 ~ 1.7e7
@@ -74,6 +92,14 @@ _KEY_OFFSET = 1 << (_KEY_BITS - 1)
 #: working arrays of the build never hold more than one block.
 _BLOCK_SETTINGS = 1 << 20
 
+#: Bits of a refined key below its (s_u, s_i) group: power index and
+#: parity.
+_LOW_BITS = _KEY_BITS + 1
+
+#: Refined cells per slab of the build's mirror fold: 2^15 to 2^17 ran
+#: equally fast (64 levels), 2^18 and up raised the fold's peak.
+_FOLD_CELLS = 1 << 16
+
 #: Values per piece of the census: candidate settings, (pair, T_A) rows
 #: or (cell, R_A) bounds.  Its working arrays hold about one piece per
 #: stage, so the piece sets its memory: a width-0.1, 64-level, 1000-bit
@@ -86,31 +112,22 @@ _CENSUS_PIECE = 1 << 14
 _MARGIN = 1e-9
 
 
-def _blocks(r_grid: np.ndarray, t_grid: np.ndarray):
-    """Yield (r_a, t_a, r_b, t_b) per block of Alice settings.  Alice's
-    values are columns and Bob's are rows, so the four arrays broadcast
-    to the block's settings in row-major (r_a, t_a, r_b, t_b) order."""
-    r_party = np.repeat(r_grid, len(t_grid))
-    t_party = np.tile(t_grid, len(r_grid))
-    n_party = len(r_party)
-    r_b, t_b = r_party[np.newaxis, :], t_party[np.newaxis, :]
-    rows = max(1, _BLOCK_SETTINGS // n_party)
-    for start in range(0, n_party, rows):
-        alice = slice(start, start + rows)
-        yield r_party[alice, np.newaxis], t_party[alice, np.newaxis], r_b, t_b
-
-
 def _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz: float, k: float,
                 rel_width: float, p_scale: float,
-                drop_outside: bool = False) -> np.ndarray:
+                drop_outside: bool = False, refine: bool = False,
+                mirrored: bool = False) -> np.ndarray:
     """Flat cell keys of broadcast settings: log-spaced cells of relative
     width `rel_width` for the PSDs, linear cells of width rel_width *
     p_scale for the (sign-changing) power, their offset indices packed
     high to low as (s_u, s_i, p).  The arithmetic runs in place on the
-    observable arrays, and the indices pass through one int64 buffer:
-    s_u's storage, once s_u is cast into the keys.  An index outside
-    the key range raises `ConfigError`, or with `drop_outside` makes the
-    key -1, which equals no packed key."""
+    observable arrays, and the indices pass through the int64 keys and
+    p's storage.  An index outside the key range raises `ConfigError`,
+    or with `drop_outside` makes the key -1, which equals no packed key.
+
+    With `refine` the keys are uint64 (key << 1) | e, with the parity
+    e = (x != floor(x)) of x = p / (rel_width * p_scale); with
+    `mirrored` too, the mirror image's power index -n - e must be in the
+    key range as well."""
     s_u, s_i, p = (column.ravel() for column in analytic_observable_arrays(
         r_a, t_a, r_b, t_b, bandwidth_hz, k))
     log_width = np.log1p(rel_width)
@@ -122,25 +139,39 @@ def _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz: float, k: float,
         p.fill(0.0)
     else:
         np.divide(p, rel_width * p_scale, out=p)
-        np.floor(p, out=p)
     keys = np.empty(len(s_u), dtype=np.int64)
-    index = s_u.view(np.int64)
     outside = False
-    for values, out in ((s_u, keys), (s_i, index), (p, index)):
+
+    def pack(values, out, parity=None):
+        nonlocal outside
         np.copyto(out, values, casting="unsafe")
         out += _KEY_OFFSET
-        if out.min() < 0 or out.max() >= (1 << _KEY_BITS):
+        low, high = out.min(), out.max()
+        if parity is not None and low == 0 and not parity[out == 0].all():
+            low = -1  # n = -2^20 with e = 0 mirrors to 2^20
+        if low < 0 or high >= (1 << _KEY_BITS):
             if not drop_outside:
                 raise ConfigError(
                     f"cell width {rel_width!r} is too narrow: quantization "
                     f"indices leave the {_KEY_BITS}-bit key range; increase "
                     f"degeneracy_tolerance")
             outside = outside | (out < 0) | (out >= (1 << _KEY_BITS))
-        if out is index:
-            keys <<= _KEY_BITS
-            keys |= index
+
+    pack(s_u, keys)
+    # floor(x) in s_u's storage, then the indices in p's
+    np.floor(p, out=s_u)
+    parity = np.not_equal(p, s_u) if refine else None
+    index = p.view(np.int64)
+    for values, mirror in ((s_i, None), (s_u, parity if mirrored else None)):
+        pack(values, index, mirror)
+        keys <<= _KEY_BITS
+        keys |= index
     if outside is not False:
         keys[outside] = -1
+    if refine:
+        keys = keys.view(np.uint64)
+        keys <<= 1
+        keys |= parity
     return keys
 
 
@@ -360,12 +391,17 @@ class LookupTable:
     @cached_property
     def combo_cells(self) -> np.ndarray:
         """Cell index per enumerated setting (row-major over
-        (r_a, t_a, r_b, t_b) grid levels), computed on first use."""
+        (r_a, t_a, r_b, t_b) grid levels), computed on first use in
+        blocks of Alice settings, a column against Bob's row."""
+        r_party = np.repeat(self.r_grid, len(self.t_grid))
+        t_party = np.tile(self.t_grid, len(self.r_grid))
+        rows = max(1, _BLOCK_SETTINGS // len(r_party))
         return np.concatenate([
             np.searchsorted(self.cell_keys, _block_keys(
-                r_a, t_a, r_b, t_b, self.bandwidth_hz, self.k,
-                self.rel_cell_width, self.p_scale))
-            for r_a, t_a, r_b, t_b in _blocks(self.r_grid, self.t_grid)])
+                r_party[start:start + rows, np.newaxis],
+                t_party[start:start + rows, np.newaxis], r_party, t_party,
+                self.bandwidth_hz, self.k, self.rel_cell_width, self.p_scale))
+            for start in range(0, len(r_party), rows)])
 
     def cell_indices(self, r_a, t_a, r_b, t_b) -> np.ndarray:
         """Cell index per drawn setting (equal-length arrays on the grids)."""
@@ -387,6 +423,65 @@ class LookupTable:
         return np.split(order, np.cumsum(self.cell_sizes)[:-1])
 
 
+def _pair_blocks(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
+                 k: float):
+    """Yield (r_a, t_a, r_b, t_b, mirrored) per block of resistance
+    pairs, each pair with all its (T_A, T_B), broadcasting to the block's
+    settings in row-major (pair, t_a, t_b) order.  Pairs R_A < R_B whose
+    power prefactor is symmetric come once, in `mirrored` blocks; the
+    diagonal, and both orientations of the other pairs, follow."""
+    j_a, j_b = np.triu_indices(len(r_grid), 1)
+    r_a, r_b = r_grid[j_a], r_grid[j_b]
+    symmetric = (power_prefactor(r_a, r_b, bandwidth_hz, k)
+                 == power_prefactor(r_b, r_a, bandwidth_hz, k))
+    diagonal = np.arange(len(r_grid))
+    rest_a, rest_b = j_a[~symmetric], j_b[~symmetric]
+    pairs = ((j_a[symmetric], j_b[symmetric], True),
+             (np.concatenate((diagonal, rest_a, rest_b)),
+              np.concatenate((diagonal, rest_b, rest_a)), False))
+    rows = max(1, _BLOCK_SETTINGS // len(t_grid) ** 2)
+    for a, b, mirrored in pairs:
+        for start in range(0, len(a), rows):
+            yield (r_grid[a[start:start + rows], np.newaxis, np.newaxis],
+                   t_grid[:, np.newaxis],
+                   r_grid[b[start:start + rows], np.newaxis, np.newaxis],
+                   t_grid, mirrored)
+
+
+def _fold(mirrored: list, plain: list):
+    """Coarse cells (keys, sizes, masks) of the refined cells `plain`
+    and `mirrored`, the latter with their mirror images added, in slabs
+    of whole (s_u, s_i) groups of about _FOLD_CELLS cells each."""
+    cuts = np.unique(np.concatenate(
+        [cells[0][_FOLD_CELLS::_FOLD_CELLS] for cells in (mirrored, plain)])
+        >> _LOW_BITS << _LOW_BITS)
+    bounds = [np.concatenate(([0], np.searchsorted(cells[0], cuts), [len(cells[0])]))
+              for cells in (mirrored, plain)]
+    pieces = []
+    for m_lo, m_hi, p_lo, p_hi in zip(bounds[0][:-1], bounds[0][1:],
+                                      bounds[1][:-1], bounds[1][1:]):
+        if m_lo == m_hi and p_lo == p_hi:
+            continue
+        keys, counts, masks = (column[m_lo:m_hi] for column in mirrored)
+        # the mirror (-n - e, e) of the low bits r = 2 (n + 2^20) + e is
+        # 2^22 - r, falling with r, so each group is taken in reverse
+        group = keys >> _LOW_BITS
+        ends = np.append(np.flatnonzero(group[1:] != group[:-1]) + 1, len(keys))
+        sizes = np.diff(ends, prepend=0)
+        order = np.repeat(2 * ends - sizes - 1, sizes) - np.arange(len(keys))
+        image = keys[order]
+        low = image & ((1 << _LOW_BITS) - 1)
+        image -= low
+        image += (1 << _LOW_BITS) - low
+        image_masks = masks[order]
+        image_masks = (image_masks & 2) | ((image_masks & 1) << 2) | (image_masks >> 2)
+        plain_keys, plain_counts, plain_masks = (column[p_lo:p_hi] for column in plain)
+        pieces.append(_group(np.concatenate((keys, plain_keys, image)) >> 1,
+                             np.concatenate((counts, plain_counts, counts[order])),
+                             np.concatenate((masks, plain_masks, image_masks))))
+    return [np.concatenate(column) for column in zip(*pieces)]
+
+
 def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
                 constants: PhysicalConstants, rel_cell_width: float,
                 max_combinations: int = DEFAULT_MAX_COMBINATIONS) -> LookupTable:
@@ -402,17 +497,18 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
             f"budget of {max_combinations}", required=n_combos,
             budget=max_combinations)
 
-    p_scale = _power_scale(r_grid, t_grid, bandwidth_hz, constants.k)
+    k = constants.k
+    p_scale = _power_scale(r_grid, t_grid, bandwidth_hz, k)
 
-    # each block adds a sorted (key, count, mask) run per bit value to the
-    # running cells; a cell is singular when its OR-ed mask has a single
-    # bit set.  The worker sorts block i's runs while this thread merges
-    # block i-1's and computes block i+1's keys.  The merge and every
-    # release of a block stay on this thread: what the worker allocates
-    # lands in a malloc arena of its own (glibc), which keeps memory once
-    # freed, so the worker allocates only the runs
-    cells = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-             np.empty(0, dtype=np.int8)]
+    # each block adds a sorted (refined key, count, mask) run per bit
+    # value to the running cells of its kind, mirrored or plain.  The
+    # worker sorts block i's runs while this thread merges block i-1's
+    # and computes block i+1's keys.  The merge and every release of a
+    # block stay on this thread: what the worker allocates lands in a
+    # malloc arena of its own (glibc), which keeps memory once freed, so
+    # the worker allocates only the runs
+    cells = {kind: [np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64),
+                    np.empty(0, dtype=np.int8)] for kind in (True, False)}
     failures = []
 
     def sort_runs(keys, bits, runs):
@@ -421,42 +517,44 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
         except BaseException as exc:
             failures.append(exc)
 
-    def merge(runs):
+    def merge(runs, mirrored):
         if runs:  # the old cells and the runs are released before the sort
-            columns = [np.concatenate(column) for column in zip(cells, *runs)]
-            cells.clear()
+            old = cells[mirrored]
+            columns = [np.concatenate(column) for column in zip(old, *runs)]
+            old.clear()
             runs.clear()
-            cells.extend(_group(*columns))
+            old.extend(_group(*columns))
 
-    worker, block, runs = None, None, []
+    worker, block, runs, mirrored = None, None, [], True
     try:
-        for r_a, t_a, r_b, t_b in _blocks(r_grid, t_grid):
-            keys = _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, constants.k,
-                               rel_cell_width, p_scale)
-            bits = _block_bits(r_a, r_b)
+        for r_a, t_a, r_b, t_b, kind in _pair_blocks(r_grid, t_grid, bandwidth_hz, k):
+            keys = _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_cell_width,
+                               p_scale, refine=True, mirrored=kind)
+            bits = np.repeat(_block_bits(r_a, r_b), len(t_grid) ** 2)
             if worker is not None:
                 worker.join()
             if failures:
                 break
             sorted_runs, runs = runs, []
+            sorted_kind, mirrored = mirrored, kind
             block = keys, bits  # releases the block just sorted
             del keys, bits
             thread = threading.Thread(target=sort_runs, args=(*block, runs))
             thread.start()
             worker = thread
-            merge(sorted_runs)
+            merge(sorted_runs, sorted_kind)
     finally:
         if worker is not None:
             worker.join()
     if failures:
         raise failures[0]
     del block
-    merge(runs)
-    cell_keys, cell_sizes, cell_masks = cells
+    merge(runs, mirrored)
+    cell_keys, cell_sizes, cell_masks = _fold(cells[True], cells[False])
 
     return LookupTable(r_grid=r_grid, t_grid=t_grid,
                        rel_cell_width=rel_cell_width,
-                       bandwidth_hz=bandwidth_hz, k=constants.k,
-                       p_scale=p_scale, cell_keys=cell_keys,
+                       bandwidth_hz=bandwidth_hz, k=k,
+                       p_scale=p_scale, cell_keys=cell_keys.view(np.int64),
                        cell_singular=(cell_masks & (cell_masks - 1)) == 0,
                        cell_sizes=cell_sizes)

@@ -147,6 +147,13 @@ class NoiseTrace:
             raise ValueError("u_wire and i_wire must have equal length")
 
 
+def power_prefactor(r_a, r_b, bandwidth_hz, k):
+    """4k df R_A R_B multiplied left to right, the factor of the power
+    flow p_ab.  Swapping the parties can change its last bit, since the
+    products then round in another order."""
+    return 4.0 * k * bandwidth_hz * r_a * r_b
+
+
 def analytic_observable_arrays(r_a, t_a, r_b, t_b, bandwidth_hz, k, denom=None):
     """Vectorized exact observables (superposition of the two generators).
 
@@ -164,7 +171,7 @@ def analytic_observable_arrays(r_a, t_a, r_b, t_b, bandwidth_hz, k, denom=None):
         denom = (r_a + r_b) ** 2
     s_u = 4.0 * k * (t_a * r_a * r_b ** 2 + t_b * r_b * r_a ** 2) / denom
     s_i = 4.0 * k * (t_a * r_a + t_b * r_b) / denom
-    p_ab = 4.0 * k * bandwidth_hz * r_a * r_b * (t_b - t_a) / denom
+    p_ab = power_prefactor(r_a, r_b, bandwidth_hz, k) * (t_b - t_a) / denom
     return s_u, s_i, p_ab
 
 

@@ -266,15 +266,16 @@ class TestTable:
 
     def test_too_narrow_cells_on_a_later_block_exit_2(self, tmp_path, capsys,
                                                       monkeypatch):
-        # one Alice setting per block: the first 12 of the 16 keep their
-        # indices in the key range, the 13th does not, so the error
-        # fires while the worker still sorts the 12th block (slowed)
+        # four resistance pairs per block: the first 6 of the 7 mirrored
+        # blocks keep their indices in the key range, the 7th does not,
+        # so the error fires while the worker still sorts the 6th block
+        # (slowed)
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 16)
         sorted_blocks = []
         bit_runs = lookup._bit_runs
 
         def counted_bit_runs(keys, bits):
-            if len(sorted_blocks) == 11:
+            if len(sorted_blocks) == 5:
                 time.sleep(0.2)
             runs = bit_runs(keys, bits)
             sorted_blocks.append(len(keys))
@@ -290,7 +291,7 @@ class TestTable:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "1e-05" in err
         assert "Traceback" not in err
-        assert len(sorted_blocks) == 12
+        assert len(sorted_blocks) == 6
         assert threading.active_count() == threads
 
     def test_budget_exceeded_is_runtime_error(self, tmp_path, capsys):

@@ -14,8 +14,10 @@ from kljn import (
     WireObservables,
     analytic_observables,
     estimate_observables,
+    lookup,
     synthesize_bit_period,
 )
+from kljn.physics import analytic_observable_arrays, power_prefactor
 
 BAND = BandConfig(bandwidth_hz=1.0, sample_rate_hz=4.0, samples_per_bit=4096)
 
@@ -65,6 +67,35 @@ class TestAnalyticObservables:
         assert ab.s_u == ba.s_u
         assert ab.s_i == ba.s_i
         assert ab.p_ab == -ba.p_ab
+
+    @pytest.mark.parametrize("constants, bandwidth_hz", [
+        (SI, 1.0), (NORMALIZED, 1.0), (NORMALIZED, 1000.0)],
+        ids=["si", "normalized", "normalized-df1000"])
+    def test_swap_is_exact_where_the_prefactor_is_symmetric(self, constants,
+                                                            bandwidth_hz):
+        # the build's mirrored pairs: s_u and s_i equal and p_ab negated,
+        # bit for bit (equal non-zero floats are equal bits; the zeros at
+        # T_A = T_B are +0 in both orientations)
+        r_grid, t_grid = np.geomspace(1000.0, 2000.0, 24), np.linspace(200.0, 400.0, 6)
+        pairs = {True: 0, False: 0}
+        for r_a, t_a, r_b, t_b, mirrored in lookup._pair_blocks(
+                r_grid, t_grid, bandwidth_hz, constants.k):
+            pairs[mirrored] += len(r_a)
+            if not mirrored:
+                continue
+            s_u, s_i, p_ab = analytic_observable_arrays(r_a, t_a, r_b, t_b,
+                                                        bandwidth_hz, constants.k)
+            swapped = analytic_observable_arrays(r_b, t_b, r_a, t_a,
+                                                 bandwidth_hz, constants.k)
+            np.testing.assert_array_equal(s_u, swapped[0])
+            np.testing.assert_array_equal(s_i, swapped[1])
+            np.testing.assert_array_equal(p_ab, -swapped[2])
+            np.testing.assert_array_equal(
+                p_ab, power_prefactor(r_a, r_b, bandwidth_hz, constants.k)
+                * (t_b - t_a) / (r_a + r_b) ** 2)
+        assert pairs[True] > 0
+        if constants == SI:
+            assert pairs[False] > len(r_grid)
 
     def test_psd_ratio_is_resistance_product_at_equal_temperature(self):
         rng = np.random.default_rng(2)

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kljn import (
     BandConfig,
@@ -277,7 +278,8 @@ class TestLookupTable:
 
 def one_shot_table(r_grid, t_grid, bandwidth_hz, k, rel_width):
     """Reference build: every setting enumerated at once, grouped by
-    np.unique, singularity from ufunc.at bit extremes."""
+    np.unique, singularity from ufunc.at bit extremes.  `in_range` says
+    whether every quantization index fits the key range."""
     n_party = len(r_grid) * len(t_grid)
     r_party = np.repeat(r_grid, len(t_grid))
     t_party = np.tile(t_grid, len(r_grid))
@@ -293,6 +295,7 @@ def one_shot_table(r_grid, t_grid, bandwidth_hz, k, rel_width):
             (np.floor(p / (rel_width * p_scale)).astype(np.int64)
              if p_scale > 0.0 else np.zeros(len(p), dtype=np.int64))]
     cols = [c + (1 << 20) for c in cols]
+    in_range = all(c.min() >= 0 and c.max() < (1 << 21) for c in cols)
     keys = (cols[0] << 42) | (cols[1] << 21) | cols[2]
     cell_keys, combo_cells, cell_sizes = np.unique(
         keys, return_inverse=True, return_counts=True)
@@ -302,45 +305,141 @@ def one_shot_table(r_grid, t_grid, bandwidth_hz, k, rel_width):
     np.maximum.at(bit_max, combo_cells, bits)
     return dict(p_scale=p_scale, cell_keys=cell_keys, cell_sizes=cell_sizes,
                 cell_singular=bit_min == bit_max, combo_cells=combo_cells,
-                combo_bits=bits)
+                combo_bits=bits, in_range=in_range)
+
+
+def assert_table_is_one_shot(cfg, table):
+    expected = one_shot_table(cfg.resistance_grid(), cfg.temperature_grid(),
+                              cfg.band.bandwidth_hz, cfg.constants.k,
+                              cfg.degeneracy_tolerance)
+    assert table.p_scale == expected["p_scale"]
+    r_a, _, r_b, _ = setting_values(table, np.arange(table.n_settings))
+    for name in ("cell_keys", "cell_sizes", "cell_singular",
+                 "combo_cells", "combo_bits"):
+        actual = (np.sign(r_b - r_a).astype(np.int8) if name == "combo_bits"
+                  else getattr(table, name))
+        assert actual.dtype == expected[name].dtype, name
+        np.testing.assert_array_equal(actual, expected[name], err_msg=name)
+    assert table.n_settings == len(expected["combo_cells"])
+    assert table.singular_fraction() == float(
+        np.mean(expected["cell_singular"][expected["combo_cells"]]))
+
+
+def pair_kinds(cfg):
+    """Mirrored and plain resistance pairs of the build's blocks."""
+    counts = {True: 0, False: 0}
+    for r_a, _, _, _, mirrored in lookup._pair_blocks(
+            cfg.resistance_grid(), cfg.temperature_grid(),
+            cfg.band.bandwidth_hz, cfg.constants.k):
+        counts[mirrored] += len(r_a)
+    return counts
+
+
+#: 4k df is no power of two, so some resistance pairs round their power
+#: prefactor differently in the two orientations
+BAND_1K = BandConfig(bandwidth_hz=1000.0, sample_rate_hz=4000.0, samples_per_bit=4096)
 
 
 class TestStreamedBuild:
-    """The block-streamed build against the one-shot reference."""
+    """The pair-streamed, mirrored build against the one-shot reference."""
 
-    @pytest.mark.parametrize("cfg, block_settings", [
+    @pytest.mark.parametrize("cfg, blocks", [
         (rr_config(r_levels=16), None),
         (rrrt_config(r_levels=6, t_levels=5, degeneracy_tolerance=0.02), None),
-        # 64 Alice settings in blocks of 5: 13 blocks, the last one of 4
-        (rrrt_config(r_levels=8, t_levels=8), 5 * 64),
-    ], ids=["rr-16", "rrrt-6x5-w0.02", "rrrt-8x8-blocks"])
-    def test_matches_one_shot_build(self, cfg, block_settings, monkeypatch):
-        if block_settings is not None:
-            monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", block_settings)
-            blocks = list(lookup._blocks(cfg.resistance_grid(),
-                                         cfg.temperature_grid()))
-            assert len(blocks) == 13 and blocks[-1][0].shape == (4, 1)
+        # five pairs per block: the 28 mirrored pairs in 6 blocks, the
+        # last one of 3, then the 8 diagonal pairs in 2; the fold runs in
+        # slabs of about 50 refined cells
+        (rrrt_config(r_levels=8, t_levels=8),
+         [(5, True)] * 5 + [(3, True), (5, False), (3, False)]),
+        (rrrt_config(r_levels=12, t_levels=6, constants=SI), None),
+        (rrrt_config(r_levels=10, t_levels=7, band=BAND_1K), None),
+        (rr_config(r_levels=64, t_eff=300.0), None),
+        # width 2^-4: x = p / (w p_scale) is exactly -16 or 16 at the
+        # extreme settings, so their parity bit is 0.  In SI units x is
+        # 12 in exact arithmetic for the pair (1000, 3000) at the extreme
+        # temperatures, and its asymmetric prefactor rounds one
+        # orientation to 12 and the other to just below: a mirror of the
+        # latter would land in the cell below
+        (rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.0625), None),
+        (rrrt_config(r_range=(1000.0, 3000.0), r_levels=6, t_levels=4, constants=SI,
+                     degeneracy_tolerance=0.0625), None),
+    ], ids=["rr-16", "rrrt-6x5-w0.02", "rrrt-8x8-blocks", "rrrt-12x6-si",
+            "rrrt-10x7-df1000", "rr-64", "rrrt-8x8-w2^-4", "rrrt-6x4-si-w2^-4"])
+    def test_matches_one_shot_build(self, cfg, blocks, monkeypatch):
+        if blocks is not None:
+            monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
+            monkeypatch.setattr(lookup, "_FOLD_CELLS", 50)
+            assert [(len(r_a), mirrored) for r_a, _, _, _, mirrored in lookup._pair_blocks(
+                cfg.resistance_grid(), cfg.temperature_grid(), cfg.band.bandwidth_hz,
+                cfg.constants.k)] == blocks
+        # each pair R_A < R_B once if mirrored, in both orientations if
+        # plain, and the diagonal plain
+        kinds, levels = pair_kinds(cfg), cfg.r_levels
+        assert kinds[True] + (kinds[False] - levels) // 2 == levels * (levels - 1) // 2
+        if cfg.constants == SI or cfg.band == BAND_1K:
+            assert kinds[True] > 0 and kinds[False] > levels
+        assert_table_is_one_shot(cfg, build_lookup_table(cfg))
+
+    def test_exact_integer_power_indices(self):
+        # the premise of the width-2^-4 cases above
+        cfg = rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.0625)
         table = build_lookup_table(cfg)
+        power = (table.cell_keys & ((1 << 21) - 1)) - (1 << 20)
+        assert power.min() == -16 and power.max() == 16
+
+    @settings(max_examples=40)
+    @given(variant=st.sampled_from(["rr-kljn", "rrrt-kljn"]),
+           r_low=st.floats(1.0, 1e4), r_span=st.floats(1e-3, 2.0),
+           t_low=st.floats(1.0, 1e3), t_span=st.floats(1e-3, 1.0),
+           r_levels=st.integers(2, 10), t_levels=st.integers(2, 8),
+           width_exponent=st.floats(-6.5, 0.5),
+           bandwidth_hz=st.sampled_from([1.0, 3.7, 1000.0]),
+           si_units=st.booleans())
+    def test_matches_one_shot_build_on_random_grids(
+            self, variant, r_low, r_span, t_low, t_span, r_levels, t_levels,
+            width_exponent, bandwidth_hz, si_units):
+        # spans are decades above the low end; the narrowest widths leave
+        # the key range, where both builds must fail alike
+        fields = dict(variant=variant, bits=0, master_seed=0,
+                      band=BandConfig(bandwidth_hz, 4.0 * bandwidth_hz, 4096),
+                      r_range=(r_low, r_low * 10 ** r_span), r_levels=r_levels,
+                      degeneracy_tolerance=10 ** width_exponent,
+                      constants=SI if si_units else NORMALIZED)
+        if variant == "rr-kljn":
+            fields["t_eff"] = t_low
+        else:
+            fields.update(t_range=(t_low, t_low * 10 ** t_span), t_levels=t_levels)
+        cfg = ProtocolConfig(**fields)
         expected = one_shot_table(cfg.resistance_grid(), cfg.temperature_grid(),
-                                  cfg.band.bandwidth_hz, cfg.constants.k,
+                                  bandwidth_hz, cfg.constants.k,
                                   cfg.degeneracy_tolerance)
-        assert table.p_scale == expected["p_scale"]
-        r_a, _, r_b, _ = setting_values(table, np.arange(table.n_settings))
-        for name in ("cell_keys", "cell_sizes", "cell_singular",
-                     "combo_cells", "combo_bits"):
-            actual = (np.sign(r_b - r_a).astype(np.int8) if name == "combo_bits"
-                      else getattr(table, name))
-            assert actual.dtype == expected[name].dtype, name
-            np.testing.assert_array_equal(actual, expected[name], err_msg=name)
-        assert table.n_settings == len(expected["combo_cells"])
-        assert table.singular_fraction() == float(
-            np.mean(expected["cell_singular"][expected["combo_cells"]]))
+        if not expected["in_range"]:
+            with pytest.raises(ConfigError, match="too narrow"):
+                build_lookup_table(cfg)
+        else:
+            assert_table_is_one_shot(cfg, build_lookup_table(cfg))
+
+    def test_mirror_of_the_lowest_power_index_leaves_the_key_range(self):
+        # k = 1, R_A = R_B = 1: s_u = s_i = T_A + T_B = 1.5 and p = T_B - T_A
+        # = -0.5, so at width 2^-20 and p_scale 0.5, x = -2^20 exactly: the
+        # setting has index 0 and parity 0, and its mirror -n - e = 2^20
+        # is one past the range.  A p_scale a little larger gives parity 1
+        # and the mirror 2^20 - 1
+        r, t_a, t_b = np.ones(1), np.ones(1), np.full(1, 0.5)
+        args = (r, t_a, r, t_b, 1.0, 1.0, 2.0 ** -20)
+        keys = lookup._block_keys(*args, 0.5, refine=True)
+        assert int(keys[0]) & ((1 << 22) - 1) == 0
+        with pytest.raises(ConfigError, match="too narrow"):
+            lookup._block_keys(*args, 0.5, refine=True, mirrored=True)
+        keys = lookup._block_keys(*args, 0.5 * (1 + 2.0 ** -40), refine=True,
+                                  mirrored=True)
+        assert int(keys[0]) & ((1 << 22) - 1) == 1
 
     @pytest.mark.parametrize("stage", ["_bit_runs", "_group"],
                              ids=["worker-sort", "caller-merge"])
     def test_failure_is_raised_after_the_join(self, stage, monkeypatch):
-        # 13 blocks; the second block's sort (on the worker) or merge (on
-        # the calling thread) fails
+        # five pairs per block, 8 blocks; the second block's sort (on the
+        # worker) or merge (on the calling thread) fails
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
         calls = []
         original = getattr(lookup, stage)
