@@ -30,13 +30,10 @@ from .physics import (
     NORMALIZED,
     SI,
     BandConfig,
-    NoiseTrace,
     PartyState,
     PhysicalConstants,
     WireObservables,
     analytic_observables,
-    estimate_observables,
-    synthesize_bit_period,
 )
 from .protocol import (
     BitOutcome,

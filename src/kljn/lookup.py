@@ -45,33 +45,28 @@ a setting keyed (u, i, n) with parity e lies in cell (u, i, -n - e),
 its bit sign(R_B - R_A) negated.  So the pairs R_A < R_B with a
 symmetric prefactor are enumerated once, under uint64 keys
 (key << 1) | e, and the diagonal and both orientations of the other
-pairs follow in the same list of pairs.  The mirror keeps (u, i): the
-refined cells are folded at the end in slabs of whole (u, i) groups,
-adding the mirror images, dropping the parity bit and regrouping, so
-the fold's memory is bounded by the slab.  The too-narrow-width
-`ConfigError` checks the mirrors' indices too, so it fires for exactly
-the grids where some setting's index leaves the key range.
+pairs follow in the same list of pairs.  The mirror keeps (u, i), so
+the images are added within slabs of whole (u, i) groups.  The
+too-narrow-width `ConfigError` checks the mirrors' indices too, so it
+fires for exactly the grids where some setting's index leaves the key
+range.
 
-Each block's keys are quantized in place (the same IEEE operations as
-with a fresh array per step) and folded into running (key, count, bit
-mask) cells.  The build is a two-stage pipeline: one worker thread
-sorts block i into a run per bit value while the calling thread merges
-block i-1's runs into the cells of its kind and computes block i+1's
-keys.  Blocks are merged in order with at most one in flight, so
-working memory is bounded by the block size and the number of cells
-rather than by levels^4.  The worker runs only this module's private
-sort and numpy, which releases the GIL in its sorts; every public
-function, the too-narrow-width `ConfigError` included, stays on the
-calling thread, so a tracer that wraps public functions sees one call
-stack.  A failed sort is re-raised on the calling thread after the
-worker is joined.  The per-setting cell array `combo_cells` exists
-only on demand: a row-major pass over the Alice settings recomputes it
-when it is first asked for.
+The build is one loop over the blocks, then one fold.  Each block's
+keys are quantized in place (the same IEEE operations as with a fresh
+array per step) and sorted into a (refined key, count, bit mask) run
+per bit value, which is kept with the runs of its kind, mirrored or
+plain.  The fold cuts every run at the same (u, i) group starts, into
+slabs of about `_FOLD_CELLS` keys in all; per slab it groups the
+mirrored slices, adds their mirror images, drops the parity bit and
+groups them with the plain slices.  So working memory is the sum of the
+kept runs (each block's distinct refined cells, at most its settings)
+plus one block and one slab, rather than levels^4 settings.  The
+per-setting cell array `combo_cells` exists only on demand: a row-major
+pass over the Alice settings recomputes it when it is first asked for.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,8 +91,8 @@ _BLOCK_SETTINGS = 1 << 20
 #: parity.
 _LOW_BITS = _KEY_BITS + 1
 
-#: Refined cells per slab of the build's mirror fold: 2^15 to 2^17 ran
-#: equally fast (64 levels), 2^18 and up raised the fold's peak.
+#: Refined keys per slab of the build's fold, over all its runs: 2^14
+#: to 2^17 ran equally fast (64 levels), 2^18 and up raised the peak.
 _FOLD_CELLS = 1 << 16
 
 #: Values per piece of the census: candidate settings, (pair, T_A) rows
@@ -197,7 +192,9 @@ def _group(keys: np.ndarray, counts: np.ndarray, masks: np.ndarray):
     stable sort merges run by run instead of sorting afresh."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
     return (keys[starts], np.add.reduceat(counts[order], starts),
             np.bitwise_or.reduceat(masks[order], starts))
 
@@ -449,20 +446,19 @@ def _pair_blocks(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
 
 
 def _fold(mirrored: list, plain: list):
-    """Coarse cells (keys, sizes, masks) of the refined cells `plain`
-    and `mirrored`, the latter with their mirror images added, in slabs
-    of whole (s_u, s_i) groups of about _FOLD_CELLS cells each."""
-    cuts = np.unique(np.concatenate(
-        [cells[0][_FOLD_CELLS::_FOLD_CELLS] for cells in (mirrored, plain)])
-        >> _LOW_BITS << _LOW_BITS)
-    bounds = [np.concatenate(([0], np.searchsorted(cells[0], cuts), [len(cells[0])]))
-              for cells in (mirrored, plain)]
+    """Coarse cells (keys, sizes, masks) of the sorted refined (key,
+    count, mask) runs `plain` and `mirrored`, the latter with their
+    mirror images added.  Every run is cut at the same starts of
+    (s_u, s_i) groups, into slabs of about _FOLD_CELLS keys in all."""
+    runs = mirrored + plain
+    cuts = np.unique(np.concatenate([keys[_FOLD_CELLS::_FOLD_CELLS] for keys, _, _ in runs])
+                     >> _LOW_BITS << _LOW_BITS)
+    edges = np.array([np.concatenate(([0], np.searchsorted(keys, cuts), [len(keys)]))
+                      for keys, _, _ in runs])
     pieces = []
-    for m_lo, m_hi, p_lo, p_hi in zip(bounds[0][:-1], bounds[0][1:],
-                                      bounds[1][:-1], bounds[1][1:]):
-        if m_lo == m_hi and p_lo == p_hi:
-            continue
-        keys, counts, masks = (column[m_lo:m_hi] for column in mirrored)
+    for lo, hi in zip(edges.T[:-1], edges.T[1:]):
+        slices = [[column[a:b] for column in run] for run, a, b in zip(runs, lo, hi)]
+        keys, counts, masks = _group(*map(np.concatenate, zip(*slices[:len(mirrored)])))
         # the mirror (-n - e, e) of the low bits r = 2 (n + 2^20) + e is
         # 2^22 - r, falling with r, so each group is taken in reverse
         group = keys >> _LOW_BITS
@@ -475,10 +471,9 @@ def _fold(mirrored: list, plain: list):
         image += (1 << _LOW_BITS) - low
         image_masks = masks[order]
         image_masks = (image_masks & 2) | ((image_masks & 1) << 2) | (image_masks >> 2)
-        plain_keys, plain_counts, plain_masks = (column[p_lo:p_hi] for column in plain)
-        pieces.append(_group(np.concatenate((keys, plain_keys, image)) >> 1,
-                             np.concatenate((counts, plain_counts, counts[order])),
-                             np.concatenate((masks, plain_masks, image_masks))))
+        slices[:len(mirrored)] = [(keys, counts, masks), (image, counts[order], image_masks)]
+        keys, counts, masks = map(np.concatenate, zip(*slices))
+        pieces.append(_group(keys >> 1, counts, masks))
     return [np.concatenate(column) for column in zip(*pieces)]
 
 
@@ -500,57 +495,16 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
     k = constants.k
     p_scale = _power_scale(r_grid, t_grid, bandwidth_hz, k)
 
-    # each block adds a sorted (refined key, count, mask) run per bit
-    # value to the running cells of its kind, mirrored or plain.  The
-    # worker sorts block i's runs while this thread merges block i-1's
-    # and computes block i+1's keys.  The merge and every release of a
-    # block stay on this thread: what the worker allocates lands in a
-    # malloc arena of its own (glibc), which keeps memory once freed, so
-    # the worker allocates only the runs
-    cells = {kind: [np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int8)] for kind in (True, False)}
-    failures = []
-
-    def sort_runs(keys, bits, runs):
-        try:
-            runs.extend(_bit_runs(keys, bits))
-        except BaseException as exc:
-            failures.append(exc)
-
-    def merge(runs, mirrored):
-        if runs:  # the old cells and the runs are released before the sort
-            old = cells[mirrored]
-            columns = [np.concatenate(column) for column in zip(old, *runs)]
-            old.clear()
-            runs.clear()
-            old.extend(_group(*columns))
-
-    worker, block, runs, mirrored = None, None, [], True
-    try:
-        for r_a, t_a, r_b, t_b, kind in _pair_blocks(r_grid, t_grid, bandwidth_hz, k):
-            keys = _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_cell_width,
-                               p_scale, refine=True, mirrored=kind)
-            bits = np.repeat(_block_bits(r_a, r_b), len(t_grid) ** 2)
-            if worker is not None:
-                worker.join()
-            if failures:
-                break
-            sorted_runs, runs = runs, []
-            sorted_kind, mirrored = mirrored, kind
-            block = keys, bits  # releases the block just sorted
-            del keys, bits
-            thread = threading.Thread(target=sort_runs, args=(*block, runs))
-            thread.start()
-            worker = thread
-            merge(sorted_runs, sorted_kind)
-    finally:
-        if worker is not None:
-            worker.join()
-    if failures:
-        raise failures[0]
-    del block
-    merge(runs, mirrored)
-    cell_keys, cell_sizes, cell_masks = _fold(cells[True], cells[False])
+    # a sorted (refined key, count, mask) run per block and bit value,
+    # by kind; the empty mirrored run stands in when no pair is mirrored
+    runs = {True: [(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64),
+                    np.empty(0, dtype=np.int8))], False: []}
+    for r_a, t_a, r_b, t_b, mirrored in _pair_blocks(r_grid, t_grid, bandwidth_hz, k):
+        runs[mirrored] += _bit_runs(
+            _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_cell_width, p_scale,
+                        refine=True, mirrored=mirrored),
+            np.repeat(_block_bits(r_a, r_b), len(t_grid) ** 2))
+    cell_keys, cell_sizes, cell_masks = _fold(runs[True], runs[False])
 
     return LookupTable(r_grid=r_grid, t_grid=t_grid,
                        rel_cell_width=rel_cell_width,

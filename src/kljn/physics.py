@@ -5,8 +5,8 @@ Two Johnson-noise voltage generators, one at each end of an ideal
 provides the exact analytic wire observables (voltage PSD, current PSD,
 net power flow), band-limited Gaussian noise synthesis of bit periods,
 and averaged-periodogram estimation of the observables from synthesized
-traces; the sampled functions work on one row per bit period, and their
-one-period forms are thin wrappers.  Both sampled stages touch only the
+traces; the sampled functions take one row per bit period, so a single
+period is a one-row call.  Both sampled stages touch only the
 in-band rFFT bins, which run contiguously from bin 1 and are counted
 once per trace layout, and the divider mixes the two voltages in place.
 
@@ -134,19 +134,6 @@ def squared_relative_error(predicted, measured) -> float:
     return e_u ** 2 + e_i ** 2 + e_p ** 2
 
 
-@dataclass(frozen=True)
-class NoiseTrace:
-    """Sampled wire voltage/current for one bit period, reproducible from seed."""
-
-    u_wire: np.ndarray
-    i_wire: np.ndarray
-    seed: object
-
-    def __post_init__(self):
-        if len(self.u_wire) != len(self.i_wire):
-            raise ValueError("u_wire and i_wire must have equal length")
-
-
 def power_prefactor(r_a, r_b, bandwidth_hz, k):
     """4k df R_A R_B multiplied left to right, the factor of the power
     flow p_ab.  Swapping the parties can change its last bit, since the
@@ -231,15 +218,6 @@ def synthesize_traces(r_a, t_a, r_b, t_b, band: BandConfig, generators,
     return u_wire, u_a
 
 
-def synthesize_bit_period(alice: PartyState, bob: PartyState, band: BandConfig,
-                          seed, constants: PhysicalConstants = SI) -> NoiseTrace:
-    """:func:`synthesize_traces` for one bit period."""
-    u_wire, i_wire = synthesize_traces(
-        [alice.resistance], [alice.temperature], [bob.resistance],
-        [bob.temperature], band, [np.random.default_rng(seed)], constants)
-    return NoiseTrace(u_wire=u_wire[0], i_wire=i_wire[0], seed=seed)
-
-
 @lru_cache(maxsize=64)
 def _band_bins(n: int, band: BandConfig) -> tuple[int, int]:
     """(bins inside the band, bins at least one bin-width inside its
@@ -301,10 +279,3 @@ def estimate_observable_arrays(u_wire: np.ndarray, i_wire: np.ndarray,
     return (_averaged_periodogram_psd(u_wire, band, segments),
             _averaged_periodogram_psd(i_wire, band, segments),
             -np.mean(u_wire * i_wire, axis=1))
-
-
-def estimate_observables(trace: NoiseTrace, band: BandConfig,
-                         segments: int) -> WireObservables:
-    """:func:`estimate_observable_arrays` for one trace."""
-    return WireObservables(*(float(column[0]) for column in estimate_observable_arrays(
-        trace.u_wire[np.newaxis], trace.i_wire[np.newaxis], band, segments)))

@@ -22,16 +22,18 @@ from kljn import (
     ReducedObservables,
     SI,
     analytic_observables,
-    estimate_observables,
     eve_guess_session,
     eve_resistor_pair_equal_temp,
     eve_rrrt_solution_family,
     recover_partner,
     run_session,
     solve_vmg_temperatures,
-    synthesize_bit_period,
 )
-from kljn.physics import analytic_observable_arrays
+from kljn.physics import (
+    analytic_observable_arrays,
+    estimate_observable_arrays,
+    synthesize_traces,
+)
 from kljn.resolver import vmg_matching_residual
 from kljn.protocol import STATUS_SECURE
 
@@ -39,6 +41,13 @@ from kljn.protocol import STATUS_SECURE
 def _verdict(number, name, ok, detail):
     print(f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, f"criterion {number} ({name}) failed: {detail}"
+
+
+def one_period(alice, bob, band, seed):
+    """Wire (voltage, current) samples of one bit period: one-row arrays."""
+    return synthesize_traces([alice.resistance], [alice.temperature], [bob.resistance],
+                             [bob.temperature], band, [np.random.default_rng(seed)],
+                             NORMALIZED)
 
 
 def exact_reduced(alpha, beta):
@@ -60,12 +69,11 @@ def test_criterion_1_spectral_fidelity():
         alice = PartyState(1000.0, 300.0)
         bob = PartyState(alpha * 1000.0, beta * 300.0)
         exact = analytic_observables(alice, bob, band, NORMALIZED)
-        trace = synthesize_bit_period(alice, bob, band, seed=200 + i,
-                                      constants=NORMALIZED)
-        est = estimate_observables(trace, band, segments)
+        s_u, s_i, _ = estimate_observable_arrays(*one_period(alice, bob, band, 200 + i),
+                                                 band, segments)
         worst = max(worst,
-                    abs(est.s_u - exact.s_u) / exact.s_u,
-                    abs(est.s_i - exact.s_i) / exact.s_i)
+                    abs(s_u[0] - exact.s_u) / exact.s_u,
+                    abs(s_i[0] - exact.s_i) / exact.s_i)
     _verdict(1, "spectral fidelity", worst < 0.02,
              f"max relative PSD error {worst:.4f} over {points} random "
              f"(alpha, beta) points at {segments} segments (threshold 0.02)")
@@ -80,19 +88,17 @@ def test_criterion_2_power_flow_fidelity():
     for seed, beta in ((301, 2.0), (302, 3.0), (303, 5.0)):
         bob = PartyState(2000.0, beta * 300.0)
         exact = analytic_observables(alice, bob, band, NORMALIZED)
-        trace = synthesize_bit_period(alice, bob, band, seed=seed,
-                                      constants=NORMALIZED)
-        est = estimate_observables(trace, band, segments=1024)
-        worst = max(worst, abs(est.p_ab - exact.p_ab) / abs(exact.p_ab))
+        _, _, p_ab = estimate_observable_arrays(*one_period(alice, bob, band, seed),
+                                                band, segments=1024)
+        worst = max(worst, abs(p_ab[0] - exact.p_ab) / abs(exact.p_ab))
     ok_nonzero = worst < 0.05
 
     # beta = 1: zero net flow within a 3-sigma segment-based noise floor
     bob_eq = PartyState(2000.0, 300.0)
-    trace = synthesize_bit_period(alice, bob_eq, band, seed=304,
-                                  constants=NORMALIZED)
+    u_wire, i_wire = one_period(alice, bob_eq, band, seed=304)
     segments, seg_len = 512, n // 512
-    blocks = (trace.u_wire[: segments * seg_len].reshape(segments, seg_len)
-              * trace.i_wire[: segments * seg_len].reshape(segments, seg_len))
+    blocks = (u_wire[0, : segments * seg_len].reshape(segments, seg_len)
+              * i_wire[0, : segments * seg_len].reshape(segments, seg_len))
     per_segment = -blocks.mean(axis=1)
     floor = 3 * per_segment.std(ddof=1) / np.sqrt(segments)
     p_hat = per_segment.mean()
@@ -129,12 +135,11 @@ def test_criterion_3_consistency_identity():
         band = BandConfig(1.0, 4.0, seg_len * segments)
         residuals = []
         for seed in range(5):
-            trace = synthesize_bit_period(alice, bob, band, seed=400 + seed,
-                                          constants=NORMALIZED)
-            est = estimate_observables(trace, band, segments)
-            g = est.s_u / (scale * r_a)
-            f = est.p_ab / scale
-            d = est.s_i * r_a / scale
+            s_u, s_i, p_ab = estimate_observable_arrays(
+                *one_period(alice, bob, band, 400 + seed), band, segments)
+            g = s_u[0] / (scale * r_a)
+            f = p_ab[0] / scale
+            d = s_i[0] * r_a / scale
             residuals.append(abs(g + d - 2.0 * f - 1.0))
         means.append(np.mean(residuals))
     ok_sampled = means[1] < means[0]

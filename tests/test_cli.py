@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -268,15 +267,12 @@ class TestTable:
                                                       monkeypatch):
         # four resistance pairs per block: the first 6 of the 7 mirrored
         # blocks keep their indices in the key range, the 7th does not,
-        # so the error fires while the worker still sorts the 6th block
-        # (slowed)
+        # so the error fires after the 6th block is sorted
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 16)
         sorted_blocks = []
         bit_runs = lookup._bit_runs
 
         def counted_bit_runs(keys, bits):
-            if len(sorted_blocks) == 5:
-                time.sleep(0.2)
             runs = bit_runs(keys, bits)
             sorted_blocks.append(len(keys))
             return runs

@@ -13,13 +13,23 @@ from kljn import (
     TraceTooShort,
     WireObservables,
     analytic_observables,
-    estimate_observables,
     lookup,
-    synthesize_bit_period,
 )
-from kljn.physics import analytic_observable_arrays, power_prefactor
+from kljn.physics import (
+    analytic_observable_arrays,
+    estimate_observable_arrays,
+    power_prefactor,
+    synthesize_traces,
+)
 
 BAND = BandConfig(bandwidth_hz=1.0, sample_rate_hz=4.0, samples_per_bit=4096)
+
+
+def one_period(a, b, band, seed):
+    """Wire (voltage, current) samples of one bit period: one-row arrays."""
+    return synthesize_traces([a.resistance], [a.temperature], [b.resistance],
+                             [b.temperature], band, [np.random.default_rng(seed)],
+                             NORMALIZED)
 
 
 def alpha_beta_form(r_a, t_a, alpha, beta, df, k):
@@ -139,19 +149,19 @@ class TestSynthesis:
     def test_zero_temperature_gives_zero_trace(self):
         a = PartyState(1000.0, 0.0)
         b = PartyState(2000.0, 0.0)
-        trace = synthesize_bit_period(a, b, BAND, seed=3, constants=NORMALIZED)
-        assert np.all(trace.u_wire == 0.0)
-        assert np.all(trace.i_wire == 0.0)
+        u_wire, i_wire = one_period(a, b, BAND, seed=3)
+        assert np.all(u_wire == 0.0)
+        assert np.all(i_wire == 0.0)
 
     def test_deterministic_given_seed(self):
         a = PartyState(1000.0, 300.0)
         b = PartyState(2000.0, 450.0)
-        t1 = synthesize_bit_period(a, b, BAND, seed=17, constants=NORMALIZED)
-        t2 = synthesize_bit_period(a, b, BAND, seed=17, constants=NORMALIZED)
-        assert np.array_equal(t1.u_wire, t2.u_wire)
-        assert np.array_equal(t1.i_wire, t2.i_wire)
-        t3 = synthesize_bit_period(a, b, BAND, seed=18, constants=NORMALIZED)
-        assert not np.array_equal(t1.u_wire, t3.u_wire)
+        u1, i1 = one_period(a, b, BAND, seed=17)
+        u2, i2 = one_period(a, b, BAND, seed=17)
+        assert np.array_equal(u1, u2)
+        assert np.array_equal(i1, i2)
+        u3, _ = one_period(a, b, BAND, seed=18)
+        assert not np.array_equal(u1, u3)
 
     def test_wire_variance_matches_parseval(self):
         # alpha = beta = 1: var(u) should be s_u * bandwidth = 2kTR * df.
@@ -160,41 +170,41 @@ class TestSynthesis:
         n = 1 << 18
         band = BandConfig(1.0, 4.0, n)
         a = PartyState(1000.0, 300.0)
-        trace = synthesize_bit_period(a, a, band, seed=5, constants=NORMALIZED)
+        u_wire, _ = one_period(a, a, band, seed=5)
         target = 2 * 300.0 * 1000.0 * band.bandwidth_hz
         sigma = target * np.sqrt(4.0 / n)
-        assert abs(np.var(trace.u_wire) - target) < 3 * sigma
+        assert abs(np.var(u_wire[0]) - target) < 3 * sigma
 
 
 class TestEstimation:
     def test_zero_trace_gives_zero_observables(self):
         a = PartyState(1000.0, 0.0)
-        trace = synthesize_bit_period(a, a, BAND, seed=1, constants=NORMALIZED)
-        obs = estimate_observables(trace, BAND, segments=8)
-        assert (obs.s_u, obs.s_i, obs.p_ab) == (0.0, 0.0, 0.0)
+        s_u, s_i, p_ab = estimate_observable_arrays(*one_period(a, a, BAND, seed=1),
+                                                    BAND, segments=8)
+        assert (s_u[0], s_i[0], p_ab[0]) == (0.0, 0.0, 0.0)
 
     def test_too_short_trace_rejected(self):
         a = PartyState(1000.0, 300.0)
-        trace = synthesize_bit_period(a, a, BAND, seed=1, constants=NORMALIZED)
+        trace = one_period(a, a, BAND, seed=1)
         with pytest.raises(TraceTooShort):
-            estimate_observables(trace, BAND, segments=4096)
+            estimate_observable_arrays(*trace, BAND, segments=4096)
         with pytest.raises(TraceTooShort):
-            estimate_observables(trace, BAND, segments=0)
+            estimate_observable_arrays(*trace, BAND, segments=0)
 
     def test_equal_temperature_power_within_noise_floor(self):
         n = 1 << 18
         band = BandConfig(1.0, 4.0, n)
         a = PartyState(1000.0, 300.0)
         b = PartyState(3000.0, 300.0)
-        trace = synthesize_bit_period(a, b, band, seed=9, constants=NORMALIZED)
+        u_wire, i_wire = one_period(a, b, band, seed=9)
         segments = 512
         seg_len = n // segments
-        blocks = (trace.u_wire[: segments * seg_len].reshape(segments, seg_len)
-                  * trace.i_wire[: segments * seg_len].reshape(segments, seg_len))
+        blocks = (u_wire[0, : segments * seg_len].reshape(segments, seg_len)
+                  * i_wire[0, : segments * seg_len].reshape(segments, seg_len))
         per_segment = -blocks.mean(axis=1)
         floor = 3 * per_segment.std(ddof=1) / np.sqrt(segments)
-        obs = estimate_observables(trace, band, segments)
-        assert abs(obs.p_ab) < floor
+        _, _, p_ab = estimate_observable_arrays(u_wire, i_wire, band, segments)
+        assert abs(p_ab[0]) < floor
 
     def test_estimates_converge_to_analytic(self):
         n = 1 << 17
@@ -202,11 +212,11 @@ class TestEstimation:
         a = PartyState(1000.0, 300.0)
         b = PartyState(2000.0, 900.0)  # alpha=2, beta=3
         exact = analytic_observables(a, b, band, NORMALIZED)
-        trace = synthesize_bit_period(a, b, band, seed=11, constants=NORMALIZED)
-        est = estimate_observables(trace, band, segments=1024)
-        assert est.s_u == pytest.approx(exact.s_u, rel=0.05)
-        assert est.s_i == pytest.approx(exact.s_i, rel=0.05)
-        assert est.p_ab == pytest.approx(exact.p_ab, rel=0.05)
+        s_u, s_i, p_ab = estimate_observable_arrays(*one_period(a, b, band, seed=11),
+                                                    band, segments=1024)
+        assert s_u[0] == pytest.approx(exact.s_u, rel=0.05)
+        assert s_i[0] == pytest.approx(exact.s_i, rel=0.05)
+        assert p_ab[0] == pytest.approx(exact.p_ab, rel=0.05)
 
     def test_psd_error_shrinks_with_segments(self):
         # at fixed segment length, averaged-periodogram error should
@@ -218,10 +228,9 @@ class TestEstimation:
             for segments, bucket in ((8, coarse), (512, fine)):
                 band = BandConfig(1.0, 4.0, seg_len * segments)
                 exact = analytic_observables(a, a, band, NORMALIZED)
-                trace = synthesize_bit_period(a, a, band, seed=seed,
-                                              constants=NORMALIZED)
-                est = estimate_observables(trace, band, segments)
-                bucket.append(abs(est.s_u - exact.s_u) / exact.s_u)
+                s_u, _, _ = estimate_observable_arrays(*one_period(a, a, band, seed),
+                                                       band, segments)
+                bucket.append(abs(s_u[0] - exact.s_u) / exact.s_u)
         # expected improvement factor is 8; require at least 2.5 to keep
         # the test robust against one lucky coarse draw
         assert np.mean(coarse) > 2.5 * np.mean(fine)

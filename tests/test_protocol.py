@@ -363,8 +363,17 @@ class TestStreamedBuild:
         (rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.0625), None),
         (rrrt_config(r_range=(1000.0, 3000.0), r_levels=6, t_levels=4, constants=SI,
                      degeneracy_tolerance=0.0625), None),
+        # the fold sums each cell over the runs of all blocks: at width
+        # 0.3 coarse cells take entries from up to 7 of the 8 blocks
+        (rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.3),
+         [(5, True)] * 5 + [(3, True), (5, False), (3, False)]),
+        # eight pairs per block, mirrored pairs and both orientations of
+        # the others: some slabs hold plain runs only
+        (rrrt_config(r_levels=12, t_levels=6, band=BAND_1K),
+         [(8, True)] * 5 + [(1, True)] + [(8, False)] * 7 + [(6, False)]),
     ], ids=["rr-16", "rrrt-6x5-w0.02", "rrrt-8x8-blocks", "rrrt-12x6-si",
-            "rrrt-10x7-df1000", "rr-64", "rrrt-8x8-w2^-4", "rrrt-6x4-si-w2^-4"])
+            "rrrt-10x7-df1000", "rr-64", "rrrt-8x8-w2^-4", "rrrt-6x4-si-w2^-4",
+            "rrrt-8x8-w0.3-blocks", "rrrt-12x6-df1000-blocks"])
     def test_matches_one_shot_build(self, cfg, blocks, monkeypatch):
         if blocks is not None:
             monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
@@ -419,6 +428,30 @@ class TestStreamedBuild:
         else:
             assert_table_is_one_shot(cfg, build_lookup_table(cfg))
 
+    def test_fold_premises(self, monkeypatch):
+        # the premises of the patched width-0.3 and 1 kHz cases above
+        monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
+        monkeypatch.setattr(lookup, "_FOLD_CELLS", 50)
+        block_cells, grouped = [], []
+        bit_runs, group = lookup._bit_runs, lookup._group
+
+        def spied_bit_runs(keys, bits):
+            block_cells.append(np.unique(keys >> 1))
+            return bit_runs(keys, bits)
+
+        def spied_group(keys, counts, masks):
+            grouped.append(len(keys))
+            return group(keys, counts, masks)
+
+        monkeypatch.setattr(lookup, "_bit_runs", spied_bit_runs)
+        build_lookup_table(rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.3))
+        _, blocks_per_cell = np.unique(np.concatenate(block_cells), return_counts=True)
+        assert len(block_cells) == 8 and blocks_per_cell.max() == 7
+        # each slab groups its mirrored cells, then everything
+        monkeypatch.setattr(lookup, "_group", spied_group)
+        build_lookup_table(rrrt_config(r_levels=12, t_levels=6, band=BAND_1K))
+        assert len(grouped) > 2 and 0 in grouped[::2]
+
     def test_mirror_of_the_lowest_power_index_leaves_the_key_range(self):
         # k = 1, R_A = R_B = 1: s_u = s_i = T_A + T_B = 1.5 and p = T_B - T_A
         # = -0.5, so at width 2^-20 and p_scale 0.5, x = -2^20 exactly: the
@@ -435,11 +468,11 @@ class TestStreamedBuild:
                                   mirrored=True)
         assert int(keys[0]) & ((1 << 22) - 1) == 1
 
-    @pytest.mark.parametrize("stage", ["_bit_runs", "_group"],
-                             ids=["worker-sort", "caller-merge"])
-    def test_failure_is_raised_after_the_join(self, stage, monkeypatch):
-        # five pairs per block, 8 blocks; the second block's sort (on the
-        # worker) or merge (on the calling thread) fails
+    @pytest.mark.parametrize("stage", ["_bit_runs", "_group"], ids=["sort", "fold"])
+    def test_stage_failure_propagates(self, stage, monkeypatch):
+        # five pairs per block, 8 blocks; the second block's sort fails,
+        # or the fold's second `_group`, which merges the first slab's
+        # mirrored and plain cells
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
         calls = []
         original = getattr(lookup, stage)
