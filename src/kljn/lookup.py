@@ -45,21 +45,27 @@ a setting keyed (u, i, n) with parity e lies in cell (u, i, -n - e),
 its bit sign(R_B - R_A) negated.  So the pairs R_A < R_B with a
 symmetric prefactor are enumerated once, under uint64 keys
 (key << 1) | e, and the diagonal and both orientations of the other
-pairs follow in the same list of pairs.  The mirror keeps (u, i), so
-the images are added within slabs of whole (u, i) groups.  The
+pairs are enumerated as they are.  The mirror keeps (u, i), so the
+images are added within slabs of whole (u, i) groups.  The
 too-narrow-width `ConfigError` checks the mirrors' indices too, so it
 fires for exactly the grids where some setting's index leaves the key
 range.
 
-The build is one loop over the blocks, then one fold.  Each block's
-keys are quantized in place (the same IEEE operations as with a fresh
-array per step) and sorted into a (refined key, count, bit mask) run
-per bit value, which is kept with the runs of its kind, mirrored or
-plain.  The fold cuts every run at the same (u, i) group starts, into
-slabs of about `_FOLD_CELLS` keys in all; per slab it groups the
-mirrored slices, adds their mirror images, drops the parity bit and
-groups them with the plain slices.  So working memory is the sum of the
-kept runs (each block's distinct refined cells, at most its settings)
+The build is one loop over the blocks, then one fold.  On strictly
+ascending grids every block holds one bit value: the mirrored pairs
+(+1), then the diagonal (0), the other pairs R_A < R_B (+1) and those
+pairs reversed (-1).  Each block's keys are quantized in place (the
+same IEEE operations as with a fresh array per step), and one
+`np.unique` makes them a sorted (refined key, count, bit) run, kept
+with the runs of its kind, mirrored or plain.  The fold cuts every run
+at the same (u, i) group starts, into slabs of about `_FOLD_CELLS` keys
+in all; per slab it adds the image of each mirrored slice (`_image`),
+gives every entry the mask bit 1 + bit, drops the parity bit and
+groups everything once.  Within each kind of pair the blocks take the
+pairs in order of R_A + R_B, which sets s_i, so a block's cells recur
+little in other blocks: at 64 levels and width 0.01 the kept runs hold
+1.40 million entries for 1.09 million distinct refined keys, against
+2.48 million entries in pair order.  Working memory is the kept runs
 plus one block and one slab, rather than levels^4 settings.  The
 per-setting cell array `combo_cells` exists only on demand: a row-major
 pass over the Alice settings recomputes it when it is first asked for.
@@ -173,17 +179,6 @@ def _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz: float, k: float,
 def _block_bits(r_a, r_b) -> np.ndarray:
     """sign(R_B - R_A) per broadcast setting: -1/0/+1."""
     return np.sign(r_b - r_a).astype(np.int8).ravel()
-
-
-def _bit_runs(keys: np.ndarray, bits: np.ndarray) -> list:
-    """A block's sorted (key, count, mask) runs, one per bit value
-    sign(R_B - R_A), with mask bit 1 + bit."""
-    runs = []
-    for bit in (-1, 0, 1):
-        run_keys, run_counts = np.unique(keys[bits == bit], return_counts=True)
-        runs.append((run_keys, run_counts,
-                     np.full(len(run_keys), 1 << (bit + 1), dtype=np.int8)))
-    return runs
 
 
 def _group(keys: np.ndarray, counts: np.ndarray, masks: np.ndarray):
@@ -337,8 +332,8 @@ def cell_census(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
                 r_a, t_a, r_b, t_b) -> tuple[np.ndarray, np.ndarray]:
     """(singular flag, cell size) of each drawn grid setting's cell, as
     `build_table` over the same grids gives them, without enumerating
-    the (ascending) grids.  Settings are equal-length arrays of grid
-    values."""
+    the grids, which must be strictly ascending.  Settings are
+    equal-length arrays of grid values."""
     r_grid = np.asarray(r_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     drawn = [np.asarray(v, dtype=float) for v in (r_a, t_a, r_b, t_b)]
@@ -422,33 +417,55 @@ class LookupTable:
 
 def _pair_blocks(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
                  k: float):
-    """Yield (r_a, t_a, r_b, t_b, mirrored) per block of resistance
+    """Yield (r_a, t_a, r_b, t_b, mirrored, bit) per block of resistance
     pairs, each pair with all its (T_A, T_B), broadcasting to the block's
-    settings in row-major (pair, t_a, t_b) order.  Pairs R_A < R_B whose
-    power prefactor is symmetric come once, in `mirrored` blocks; the
-    diagonal, and both orientations of the other pairs, follow."""
+    settings in row-major (pair, t_a, t_b) order.  On the strictly
+    ascending grid every block holds one bit value sign(R_B - R_A): pairs
+    R_A < R_B whose power prefactor is symmetric come once, in `mirrored`
+    blocks (+1); then the diagonal (0), the other pairs R_A < R_B (+1)
+    and those pairs reversed (-1).  Each group's pairs come in stable order
+    of R_A + R_B, which sets s_i, so a block's cells recur little in
+    other blocks."""
     j_a, j_b = np.triu_indices(len(r_grid), 1)
     r_a, r_b = r_grid[j_a], r_grid[j_b]
     symmetric = (power_prefactor(r_a, r_b, bandwidth_hz, k)
                  == power_prefactor(r_b, r_a, bandwidth_hz, k))
     diagonal = np.arange(len(r_grid))
     rest_a, rest_b = j_a[~symmetric], j_b[~symmetric]
-    pairs = ((j_a[symmetric], j_b[symmetric], True),
-             (np.concatenate((diagonal, rest_a, rest_b)),
-              np.concatenate((diagonal, rest_b, rest_a)), False))
+    groups = ((j_a[symmetric], j_b[symmetric], True, 1), (diagonal, diagonal, False, 0),
+              (rest_a, rest_b, False, 1), (rest_b, rest_a, False, -1))
     rows = max(1, _BLOCK_SETTINGS // len(t_grid) ** 2)
-    for a, b, mirrored in pairs:
+    for a, b, mirrored, bit in groups:
+        order = np.argsort(r_grid[a] + r_grid[b], kind="stable")
+        a, b = a[order], b[order]
         for start in range(0, len(a), rows):
             yield (r_grid[a[start:start + rows], np.newaxis, np.newaxis],
                    t_grid[:, np.newaxis],
                    r_grid[b[start:start + rows], np.newaxis, np.newaxis],
-                   t_grid, mirrored)
+                   t_grid, mirrored, bit)
+
+
+def _image(keys: np.ndarray, counts: np.ndarray, bit: int):
+    """The A<->B mirror image (keys, counts, bit) of a sorted refined
+    run: the mirror (-n - e, e) of the low bits r = 2 (n + 2^20) + e is
+    2^22 - r, falling with r, so each (s_u, s_i) group is taken in
+    reverse and the image is sorted too; the bit is negated."""
+    group = keys >> _LOW_BITS
+    ends = np.append(np.flatnonzero(group[1:] != group[:-1]) + 1, len(keys))
+    sizes = np.diff(ends, prepend=0)
+    order = np.repeat(2 * ends - sizes - 1, sizes) - np.arange(len(keys))
+    image = keys[order]
+    low = image & ((1 << _LOW_BITS) - 1)
+    image -= low
+    image += (1 << _LOW_BITS) - low
+    return image, counts[order], -bit
 
 
 def _fold(mirrored: list, plain: list):
     """Coarse cells (keys, sizes, masks) of the sorted refined (key,
-    count, mask) runs `plain` and `mirrored`, the latter with their
-    mirror images added.  Every run is cut at the same starts of
+    count, bit) runs `plain` and `mirrored`, the latter with their
+    mirror images added; a cell's mask has bit 1 + b set for each bit
+    value b among its settings.  Every run is cut at the same starts of
     (s_u, s_i) groups, into slabs of about _FOLD_CELLS keys in all."""
     runs = mirrored + plain
     cuts = np.unique(np.concatenate([keys[_FOLD_CELLS::_FOLD_CELLS] for keys, _, _ in runs])
@@ -457,31 +474,22 @@ def _fold(mirrored: list, plain: list):
                       for keys, _, _ in runs])
     pieces = []
     for lo, hi in zip(edges.T[:-1], edges.T[1:]):
-        slices = [[column[a:b] for column in run] for run, a, b in zip(runs, lo, hi)]
-        keys, counts, masks = _group(*map(np.concatenate, zip(*slices[:len(mirrored)])))
-        # the mirror (-n - e, e) of the low bits r = 2 (n + 2^20) + e is
-        # 2^22 - r, falling with r, so each group is taken in reverse
-        group = keys >> _LOW_BITS
-        ends = np.append(np.flatnonzero(group[1:] != group[:-1]) + 1, len(keys))
-        sizes = np.diff(ends, prepend=0)
-        order = np.repeat(2 * ends - sizes - 1, sizes) - np.arange(len(keys))
-        image = keys[order]
-        low = image & ((1 << _LOW_BITS) - 1)
-        image -= low
-        image += (1 << _LOW_BITS) - low
-        image_masks = masks[order]
-        image_masks = (image_masks & 2) | ((image_masks & 1) << 2) | (image_masks >> 2)
-        slices[:len(mirrored)] = [(keys, counts, masks), (image, counts[order], image_masks)]
-        keys, counts, masks = map(np.concatenate, zip(*slices))
-        pieces.append(_group(keys >> 1, counts, masks))
+        slices = [(keys[a:b], counts[a:b], bit)
+                  for (keys, counts, bit), a, b in zip(runs, lo, hi)]
+        slices += [_image(*piece) for piece in slices[:len(mirrored)]]
+        keys, counts, bits = zip(*slices)
+        masks = np.repeat(np.array([1 << (1 + bit) for bit in bits], dtype=np.int8),
+                          [len(piece) for piece in keys])
+        pieces.append(_group(np.concatenate(keys) >> 1, np.concatenate(counts), masks))
     return [np.concatenate(column) for column in zip(*pieces)]
 
 
 def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
                 constants: PhysicalConstants, rel_cell_width: float,
                 max_combinations: int = DEFAULT_MAX_COMBINATIONS) -> LookupTable:
-    """Enumerate all joint settings and group them into quantized cells
-    of relative width `rel_cell_width` (> 0)."""
+    """Enumerate all joint settings of the strictly ascending grids and
+    group them into quantized cells of relative width `rel_cell_width`
+    (> 0)."""
     r_grid = np.asarray(r_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     n_party = len(r_grid) * len(t_grid)
@@ -495,15 +503,12 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
     k = constants.k
     p_scale = _power_scale(r_grid, t_grid, bandwidth_hz, k)
 
-    # a sorted (refined key, count, mask) run per block and bit value,
-    # by kind; the empty mirrored run stands in when no pair is mirrored
-    runs = {True: [(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int8))], False: []}
-    for r_a, t_a, r_b, t_b, mirrored in _pair_blocks(r_grid, t_grid, bandwidth_hz, k):
-        runs[mirrored] += _bit_runs(
+    # a sorted (refined key, count, bit) run per block, by kind
+    runs = {True: [], False: []}
+    for r_a, t_a, r_b, t_b, mirrored, bit in _pair_blocks(r_grid, t_grid, bandwidth_hz, k):
+        runs[mirrored].append((*np.unique(
             _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_cell_width, p_scale,
-                        refine=True, mirrored=mirrored),
-            np.repeat(_block_bits(r_a, r_b), len(t_grid) ** 2))
+                        refine=True, mirrored=mirrored), return_counts=True), bit))
     cell_keys, cell_sizes, cell_masks = _fold(runs[True], runs[False])
 
     return LookupTable(r_grid=r_grid, t_grid=t_grid,

@@ -166,17 +166,29 @@ class ProtocolConfig:
         if levels < 2:
             raise ConfigError(f"{levels_name} must be >= 2, got {levels}")
 
+    @staticmethod
+    def _ascending(grid, range_name, rng, levels_name):
+        """`grid`, whose levels must strictly increase.  Checked where a
+        grid is built rather than in `validate`, which would otherwise
+        build the grid of every config, however many levels it has."""
+        if not np.all(np.diff(grid) > 0):
+            raise ConfigError(f"{range_name} {rng} is too narrow for {len(grid)} "
+                              f"strictly increasing {levels_name}")
+        return grid
+
     def resistance_grid(self) -> np.ndarray:
         """Log-spaced resistance levels (keeps ratios well-conditioned
         across decades)."""
         lo, hi = self.r_range
-        return np.geomspace(lo, hi, self.r_levels)
+        return self._ascending(np.geomspace(lo, hi, self.r_levels),
+                               "r_range", self.r_range, "r_levels")
 
     def temperature_grid(self) -> np.ndarray:
         if self.variant == "rr-kljn":
             return np.array([self.t_eff], dtype=float)
         lo, hi = self.t_range
-        return np.linspace(lo, hi, self.t_levels)
+        return self._ascending(np.linspace(lo, hi, self.t_levels),
+                               "t_range", self.t_range, "t_levels")
 
     def effective_recovery_tolerance(self) -> float:
         if self.recovery_tolerance is not None:

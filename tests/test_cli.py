@@ -267,17 +267,17 @@ class TestTable:
                                                       monkeypatch):
         # four resistance pairs per block: the first 6 of the 7 mirrored
         # blocks keep their indices in the key range, the 7th does not,
-        # so the error fires after the 6th block is sorted
+        # so the error fires after the 6th block is keyed
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 16)
-        sorted_blocks = []
-        bit_runs = lookup._bit_runs
+        keyed_blocks = []
+        block_keys = lookup._block_keys
 
-        def counted_bit_runs(keys, bits):
-            runs = bit_runs(keys, bits)
-            sorted_blocks.append(len(keys))
-            return runs
+        def counted_block_keys(*args, **kwargs):
+            keys = block_keys(*args, **kwargs)
+            keyed_blocks.append(len(keys))
+            return keys
 
-        monkeypatch.setattr(lookup, "_bit_runs", counted_bit_runs)
+        monkeypatch.setattr(lookup, "_block_keys", counted_block_keys)
         cfg = config_file(tmp_path, variant="rrrt-kljn",
                           r_range=[1.0, 1e5], r_levels=8,
                           t_range=[1.0, 2.0], t_levels=2,
@@ -287,7 +287,7 @@ class TestTable:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "1e-05" in err
         assert "Traceback" not in err
-        assert len(sorted_blocks) == 6
+        assert len(keyed_blocks) == 6
         assert threading.active_count() == threads
 
     def test_budget_exceeded_is_runtime_error(self, tmp_path, capsys):
@@ -357,6 +357,16 @@ class TestErrorPaths:
         pytest.param({"family_tolerance": float("nan")}, "family_tolerance",
                      id="nan-family_tolerance"),
         pytest.param({"master_seed": -5}, "master_seed", id="negative-master_seed"),
+        # one ulp apart, the 4 levels repeat values: [1, 1, 1 + 2^-52, 1 + 2^-52]
+        pytest.param({"variant": "rrrt-kljn", "bits": 200, "r_range": [1.0, 1.0000000000000002],
+                      "r_levels": 4, "t_range": [200.0, 400.0], "t_levels": 8},
+                     "r_range", id="one-ulp-r_range"),
+        # log-spaced levels this close even fall back: no strict order
+        pytest.param({"variant": "rr-kljn", "r_range": [1000.0, 1000.0 * (1 + 2.0 ** -50)],
+                      "r_levels": 6}, "r_range", id="non-monotone-r_range"),
+        pytest.param({"variant": "rrrt-kljn", "r_range": [1000.0, 2000.0], "r_levels": 4,
+                      "t_range": [200.0, 200.00000000000003], "t_levels": 4},
+                     "t_range", id="one-ulp-t_range"),
         *(pytest.param({"variant": "rrrt-kljn", "r_range": [1000.0, 2000.0],
                         "r_levels": 4, "t_range": [200.0, 400.0], "t_levels": 4,
                         "max_combinations": budget}, "max_combinations",

@@ -88,7 +88,7 @@ class TestAnalyticObservables:
         # T_A = T_B are +0 in both orientations)
         r_grid, t_grid = np.geomspace(1000.0, 2000.0, 24), np.linspace(200.0, 400.0, 6)
         pairs = {True: 0, False: 0}
-        for r_a, t_a, r_b, t_b, mirrored in lookup._pair_blocks(
+        for r_a, t_a, r_b, t_b, mirrored, _ in lookup._pair_blocks(
                 r_grid, t_grid, bandwidth_hz, constants.k):
             pairs[mirrored] += len(r_a)
             if not mirrored:

@@ -328,7 +328,7 @@ def assert_table_is_one_shot(cfg, table):
 def pair_kinds(cfg):
     """Mirrored and plain resistance pairs of the build's blocks."""
     counts = {True: 0, False: 0}
-    for r_a, _, _, _, mirrored in lookup._pair_blocks(
+    for r_a, _, _, _, mirrored, _ in lookup._pair_blocks(
             cfg.resistance_grid(), cfg.temperature_grid(),
             cfg.band.bandwidth_hz, cfg.constants.k):
         counts[mirrored] += len(r_a)
@@ -350,7 +350,7 @@ class TestStreamedBuild:
         # last one of 3, then the 8 diagonal pairs in 2; the fold runs in
         # slabs of about 50 refined cells
         (rrrt_config(r_levels=8, t_levels=8),
-         [(5, True)] * 5 + [(3, True), (5, False), (3, False)]),
+         [(5, True, 1)] * 5 + [(3, True, 1), (5, False, 0), (3, False, 0)]),
         (rrrt_config(r_levels=12, t_levels=6, constants=SI), None),
         (rrrt_config(r_levels=10, t_levels=7, band=BAND_1K), None),
         (rr_config(r_levels=64, t_eff=300.0), None),
@@ -364,29 +364,43 @@ class TestStreamedBuild:
         (rrrt_config(r_range=(1000.0, 3000.0), r_levels=6, t_levels=4, constants=SI,
                      degeneracy_tolerance=0.0625), None),
         # the fold sums each cell over the runs of all blocks: at width
-        # 0.3 coarse cells take entries from up to 7 of the 8 blocks
+        # 0.3 coarse cells take entries from up to 6 of the 8 blocks
         (rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.3),
-         [(5, True)] * 5 + [(3, True), (5, False), (3, False)]),
-        # eight pairs per block, mirrored pairs and both orientations of
-        # the others: some slabs hold plain runs only
+         [(5, True, 1)] * 5 + [(3, True, 1), (5, False, 0), (3, False, 0)]),
+        # eight pairs per block, a block per bit value: the mirrored
+        # pairs, the diagonal, and both orientations of the others
         (rrrt_config(r_levels=12, t_levels=6, band=BAND_1K),
-         [(8, True)] * 5 + [(1, True)] + [(8, False)] * 7 + [(6, False)]),
+         [(8, True, 1)] * 5 + [(1, True, 1), (8, False, 0), (4, False, 0)]
+         + [(8, False, 1)] * 3 + [(1, False, 1)] + [(8, False, -1)] * 3 + [(1, False, -1)]),
+        # six pairs per block: some slabs hold plain runs only, so each
+        # mirrored slice there, and its image, is empty
+        (rrrt_config(r_levels=10, t_levels=7, band=BAND_1K),
+         [(6, True, 1)] * 6 + [(2, True, 1), (6, False, 0), (4, False, 0), (6, False, 1),
+                               (1, False, 1), (6, False, -1), (1, False, -1)]),
+        # no mirrored pair: the one pair's prefactor is asymmetric in SI
+        # units, so the fold has plain runs only
+        (rrrt_config(r_range=(1000.0, 3000.0), r_levels=2, t_levels=4, constants=SI,
+                     degeneracy_tolerance=0.0625),
+         [(2, False, 0), (1, False, 1), (1, False, -1)]),
     ], ids=["rr-16", "rrrt-6x5-w0.02", "rrrt-8x8-blocks", "rrrt-12x6-si",
             "rrrt-10x7-df1000", "rr-64", "rrrt-8x8-w2^-4", "rrrt-6x4-si-w2^-4",
-            "rrrt-8x8-w0.3-blocks", "rrrt-12x6-df1000-blocks"])
+            "rrrt-8x8-w0.3-blocks", "rrrt-12x6-df1000-blocks", "rrrt-10x7-df1000-blocks",
+            "rrrt-2x4-si-no-mirror"])
     def test_matches_one_shot_build(self, cfg, blocks, monkeypatch):
         if blocks is not None:
             monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
             monkeypatch.setattr(lookup, "_FOLD_CELLS", 50)
-            assert [(len(r_a), mirrored) for r_a, _, _, _, mirrored in lookup._pair_blocks(
-                cfg.resistance_grid(), cfg.temperature_grid(), cfg.band.bandwidth_hz,
-                cfg.constants.k)] == blocks
+            assert [(len(r_a), mirrored, bit)
+                    for r_a, _, _, _, mirrored, bit in lookup._pair_blocks(
+                        cfg.resistance_grid(), cfg.temperature_grid(),
+                        cfg.band.bandwidth_hz, cfg.constants.k)] == blocks
         # each pair R_A < R_B once if mirrored, in both orientations if
         # plain, and the diagonal plain
         kinds, levels = pair_kinds(cfg), cfg.r_levels
         assert kinds[True] + (kinds[False] - levels) // 2 == levels * (levels - 1) // 2
         if cfg.constants == SI or cfg.band == BAND_1K:
-            assert kinds[True] > 0 and kinds[False] > levels
+            assert kinds[True] > 0 or levels == 2
+            assert kinds[False] > levels
         assert_table_is_one_shot(cfg, build_lookup_table(cfg))
 
     def test_exact_integer_power_indices(self):
@@ -429,28 +443,36 @@ class TestStreamedBuild:
             assert_table_is_one_shot(cfg, build_lookup_table(cfg))
 
     def test_fold_premises(self, monkeypatch):
-        # the premises of the patched width-0.3 and 1 kHz cases above
+        # the premises of the patched width-0.3 and 10x7 1 kHz cases above
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
         monkeypatch.setattr(lookup, "_FOLD_CELLS", 50)
-        block_cells, grouped = [], []
-        bit_runs, group = lookup._bit_runs, lookup._group
+        block_cells, slabs = [], [[]]
+        block_keys, image, group = lookup._block_keys, lookup._image, lookup._group
 
-        def spied_bit_runs(keys, bits):
+        def spied_block_keys(*args, **kwargs):
+            keys = block_keys(*args, **kwargs)
             block_cells.append(np.unique(keys >> 1))
-            return bit_runs(keys, bits)
+            return keys
+
+        def spied_image(keys, counts, bit):
+            slabs[-1].append(len(keys))
+            return image(keys, counts, bit)
 
         def spied_group(keys, counts, masks):
-            grouped.append(len(keys))
+            slabs.append([])
             return group(keys, counts, masks)
 
-        monkeypatch.setattr(lookup, "_bit_runs", spied_bit_runs)
+        monkeypatch.setattr(lookup, "_block_keys", spied_block_keys)
         build_lookup_table(rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.3))
         _, blocks_per_cell = np.unique(np.concatenate(block_cells), return_counts=True)
-        assert len(block_cells) == 8 and blocks_per_cell.max() == 7
-        # each slab groups its mirrored cells, then everything
+        assert len(block_cells) == 8 and blocks_per_cell.max() == 6
+        # each slab images its 7 mirrored slices, then groups everything
+        monkeypatch.setattr(lookup, "_image", spied_image)
         monkeypatch.setattr(lookup, "_group", spied_group)
-        build_lookup_table(rrrt_config(r_levels=12, t_levels=6, band=BAND_1K))
-        assert len(grouped) > 2 and 0 in grouped[::2]
+        build_lookup_table(rrrt_config(r_levels=10, t_levels=7, band=BAND_1K))
+        slabs = slabs[:-1]
+        assert len(slabs) > 1 and all(len(slab) == 7 for slab in slabs)
+        assert [0] * 7 in slabs
 
     def test_mirror_of_the_lowest_power_index_leaves_the_key_range(self):
         # k = 1, R_A = R_B = 1: s_u = s_i = T_A + T_B = 1.5 and p = T_B - T_A
@@ -468,20 +490,20 @@ class TestStreamedBuild:
                                   mirrored=True)
         assert int(keys[0]) & ((1 << 22) - 1) == 1
 
-    @pytest.mark.parametrize("stage", ["_bit_runs", "_group"], ids=["sort", "fold"])
+    @pytest.mark.parametrize("stage", ["_block_keys", "_group"], ids=["sort", "fold"])
     def test_stage_failure_propagates(self, stage, monkeypatch):
-        # five pairs per block, 8 blocks; the second block's sort fails,
-        # or the fold's second `_group`, which merges the first slab's
-        # mirrored and plain cells
+        # five pairs per block, 8 blocks; the second block's keys fail,
+        # or the fold's second `_group`, which merges the second slab
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
+        monkeypatch.setattr(lookup, "_FOLD_CELLS", 50)
         calls = []
         original = getattr(lookup, stage)
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             calls.append(len(args[0]))
             if len(calls) == 2:
                 raise RuntimeError(f"{stage} 2 failed")
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(lookup, stage, failing)
         threads = threading.active_count()
