@@ -33,7 +33,7 @@ the 21-bit key range: a candidate outside it cannot share a drawn
 cell and is dropped.
 
 Tables for fine grids enumerate levels^4 settings, so the build
-streams them in blocks of about 2^20 joint settings, each a run of
+streams them in blocks of 2^19 to 2^20 joint settings, each a run of
 resistance pairs with all their (T_A, T_B), and halves the work by the
 A<->B swap.  It leaves s_u, s_i and (R_A + R_B)^2 unchanged bit for
 bit (sums and products of the same terms), and negates p_ab = pre
@@ -51,28 +51,47 @@ too-narrow-width `ConfigError` checks the mirrors' indices too, so it
 fires for exactly the grids where some setting's index leaves the key
 range.
 
-The build is one loop over the blocks, then one fold.  On strictly
-ascending grids every block holds one bit value: the mirrored pairs
-(+1), then the diagonal (0), the other pairs R_A < R_B (+1) and those
-pairs reversed (-1).  Each block's keys are quantized in place (the
-same IEEE operations as with a fresh array per step), and one
-`np.unique` makes them a sorted (refined key, count, bit) run, kept
-with the runs of its kind, mirrored or plain.  The fold cuts every run
-at the same (u, i) group starts, into slabs of about `_FOLD_CELLS` keys
-in all; per slab it adds the image of each mirrored slice (`_image`),
-gives every entry the mask bit 1 + bit, drops the parity bit and
-groups everything once.  Within each kind of pair the blocks take the
-pairs in order of R_A + R_B, which sets s_i, so a block's cells recur
-little in other blocks: at 64 levels and width 0.01 the kept runs hold
-1.40 million entries for 1.09 million distinct refined keys, against
-2.48 million entries in pair order.  Working memory is the kept runs
-plus one block and one slab, rather than levels^4 settings.  The
-per-setting cell array `combo_cells` exists only on demand: a row-major
-pass over the Alice settings recomputes it when it is first asked for.
+The build keys its blocks on a thread pool and folds them on the
+calling thread.  On strictly ascending grids every block holds one bit
+value: the mirrored pairs (+1), then the diagonal (0), the other pairs
+R_A < R_B (+1) and those pairs reversed (-1).  `_pool_width` threads,
+one per CPU the process may run on but no more than leave each block
+`_MIN_BLOCK_SETTINGS`, share the `_BLOCK_SETTINGS` settings in flight.
+The calling thread allocates one buffer set per thread once per build
+(s_u, s_i and p as float64, and the parity mask), and block i is keyed
+in the set of slot i mod width: the observables are written in place,
+quantized and packed into keys in s_u's storage (the same IEEE
+operations as with a fresh array per step) and sorted in place, which
+numpy does without the GIL.  So the pool threads allocate no per-block
+arrays, and no large allocation lands in their malloc arenas.  The
+calling thread takes the blocks in block order, cuts each into its
+sorted (refined key, int32 count) run, kept with its bit among the runs
+of its kind, mirrored or plain, and hands the buffers back, or frees
+them after their slot's last block, before the fold.  A failed
+block's error is raised there in block order, no block is submitted
+once a failure is seen, and the pool is joined.  The fold stays on the
+calling thread, as a merge on a pool thread left 62-64 MB in that
+thread's arena.  It cuts every run at the same (u, i) group starts,
+into slabs of about `_FOLD_CELLS` keys in all; per slab it adds the
+image of each mirrored slice (`_image`), gives every entry the mask bit
+1 + bit, drops the parity bit and groups everything once, and it frees
+the runs before it concatenates the slabs' cells.  Within each kind of
+pair the blocks take the pairs in order of R_A + R_B, which sets s_i,
+so a block's cells recur little in other blocks: at 64 levels and width
+0.01 the kept runs hold 1.40 million entries for 1.09 million distinct
+refined keys with one thread, 1.71 million with two, against 2.48
+million entries in pair order.  Working memory is the kept runs, 25
+bytes per setting in flight and one slab, rather than levels^4
+settings.  The per-setting cell array `combo_cells` exists only on
+demand: a row-major pass over the Alice settings recomputes it when it
+is first asked for.
 """
 
 from __future__ import annotations
 
+import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,17 +108,27 @@ DEFAULT_MAX_COMBINATIONS = 40_000_000
 _KEY_BITS = 21
 _KEY_OFFSET = 1 << (_KEY_BITS - 1)
 
-#: Joint settings per block of the enumeration pass; the per-setting
-#: working arrays of the build never hold more than one block.
+#: Joint settings in flight in the enumeration pass, over all the
+#: blocks its threads key at once; the per-setting working arrays of the
+#: build never hold more.
 _BLOCK_SETTINGS = 1 << 20
+
+#: Fewest joint settings per block when the build keys blocks on more
+#: than one thread: at 64 levels and width 0.01, blocks of 2^18 (two
+#: threads with 2^19 in flight, or four with 2^20) built in 0.50-0.53 s
+#: with a 55 MB traced peak, blocks of 2^19 in 0.40-0.42 s with 45 MB.
+_MIN_BLOCK_SETTINGS = 1 << 19
 
 #: Bits of a refined key below its (s_u, s_i) group: power index and
 #: parity.
 _LOW_BITS = _KEY_BITS + 1
 
-#: Refined keys per slab of the build's fold, over all its runs: 2^14
-#: to 2^17 ran equally fast (64 levels), 2^18 and up raised the peak.
-_FOLD_CELLS = 1 << 16
+#: Refined keys per slab of the build's fold, over all its runs.  At 64
+#: levels, width 0.01 and two threads, 2^15 lowered the fold's traced
+#: peak from 50 to 40 MB against 2^16, and the `rrrt-table` benchmark's
+#: peak RSS from 114.9 to 110.9 MB (the one-thread build with 2^16:
+#: 114.8 MB), at the same speed; 2^14 and 2^17 were slower.
+_FOLD_CELLS = 1 << 15
 
 #: Values per piece of the census: candidate settings, (pair, T_A) rows
 #: or (cell, R_A) bounds.  Its working arrays hold about one piece per
@@ -116,21 +145,24 @@ _MARGIN = 1e-9
 def _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz: float, k: float,
                 rel_width: float, p_scale: float,
                 drop_outside: bool = False, refine: bool = False,
-                mirrored: bool = False) -> np.ndarray:
+                mirrored: bool = False, out=None) -> np.ndarray:
     """Flat cell keys of broadcast settings: log-spaced cells of relative
     width `rel_width` for the PSDs, linear cells of width rel_width *
     p_scale for the (sign-changing) power, their offset indices packed
     high to low as (s_u, s_i, p).  The arithmetic runs in place on the
-    observable arrays, and the indices pass through the int64 keys and
-    p's storage.  An index outside the key range raises `ConfigError`,
-    or with `drop_outside` makes the key -1, which equals no packed key.
+    observable arrays, and the indices pass through their storage: the
+    keys are packed in s_u's.  `out` gives the storage: float arrays of
+    the broadcast shape for (s_u, s_i, p) and a bool array of it for the
+    parity; without it they are allocated.  An index outside the key
+    range raises `ConfigError`, or with `drop_outside` makes the key -1,
+    which equals no packed key.
 
     With `refine` the keys are uint64 (key << 1) | e, with the parity
     e = (x != floor(x)) of x = p / (rel_width * p_scale); with
     `mirrored` too, the mirror image's power index -n - e must be in the
     key range as well."""
     s_u, s_i, p = (column.ravel() for column in analytic_observable_arrays(
-        r_a, t_a, r_b, t_b, bandwidth_hz, k))
+        r_a, t_a, r_b, t_b, bandwidth_hz, k, out=out and out[:3]))
     log_width = np.log1p(rel_width)
     for values in (s_u, s_i):
         np.log(values, out=values)
@@ -140,15 +172,16 @@ def _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz: float, k: float,
         p.fill(0.0)
     else:
         np.divide(p, rel_width * p_scale, out=p)
-    keys = np.empty(len(s_u), dtype=np.int64)
     outside = False
 
-    def pack(values, out, parity=None):
+    def pack(values, parity=None):
+        """values' offset indices, converted in their own storage"""
         nonlocal outside
-        np.copyto(out, values, casting="unsafe")
-        out += _KEY_OFFSET
-        low, high = out.min(), out.max()
-        if parity is not None and low == 0 and not parity[out == 0].all():
+        index = values.view(np.int64)
+        np.copyto(index, values, casting="unsafe")
+        index += _KEY_OFFSET
+        low, high = index.min(), index.max()
+        if parity is not None and low == 0 and not parity[index == 0].all():
             low = -1  # n = -2^20 with e = 0 mirrors to 2^20
         if low < 0 or high >= (1 << _KEY_BITS):
             if not drop_outside:
@@ -156,17 +189,17 @@ def _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz: float, k: float,
                     f"cell width {rel_width!r} is too narrow: quantization "
                     f"indices leave the {_KEY_BITS}-bit key range; increase "
                     f"degeneracy_tolerance")
-            outside = outside | (out < 0) | (out >= (1 << _KEY_BITS))
+            outside = outside | (index < 0) | (index >= (1 << _KEY_BITS))
+        return index
 
-    pack(s_u, keys)
-    # floor(x) in s_u's storage, then the indices in p's
-    np.floor(p, out=s_u)
-    parity = np.not_equal(p, s_u) if refine else None
-    index = p.view(np.int64)
-    for values, mirror in ((s_i, None), (s_u, parity if mirrored else None)):
-        pack(values, index, mirror)
-        keys <<= _KEY_BITS
-        keys |= index
+    keys = pack(s_u)
+    keys <<= _KEY_BITS
+    keys |= pack(s_i)
+    # floor(x) in s_i's storage, then its index
+    np.floor(p, out=s_i)
+    parity = np.not_equal(p, s_i, out=out and out[3].ravel()) if refine else None
+    keys <<= _KEY_BITS
+    keys |= pack(s_i, parity if mirrored else None)
     if outside is not False:
         keys[outside] = -1
     if refine:
@@ -181,16 +214,23 @@ def _block_bits(r_a, r_b) -> np.ndarray:
     return np.sign(r_b - r_a).astype(np.int8).ravel()
 
 
+def _starts(keys: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Where each run of equal sorted `keys` starts; `first`, a bool array
+    at least as long, is the scratch."""
+    first = first[:len(keys)]
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 def _group(keys: np.ndarray, counts: np.ndarray, masks: np.ndarray):
     """Sorted unique keys with the summed counts and OR-ed bit masks of
     their entries.  The inputs are concatenated sorted runs, which the
     stable sort merges run by run instead of sorting afresh."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return (keys[starts], np.add.reduceat(counts[order], starts),
+    starts = _starts(keys, np.empty(len(keys), dtype=bool))
+    return (keys[starts], np.add.reduceat(counts[order], starts, dtype=np.int64),
             np.bitwise_or.reduceat(masks[order], starts))
 
 
@@ -416,10 +456,11 @@ class LookupTable:
 
 
 def _pair_blocks(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
-                 k: float):
+                 k: float, width: int = 1):
     """Yield (r_a, t_a, r_b, t_b, mirrored, bit) per block of resistance
     pairs, each pair with all its (T_A, T_B), broadcasting to the block's
-    settings in row-major (pair, t_a, t_b) order.  On the strictly
+    settings in row-major (pair, t_a, t_b) order; `width` blocks in
+    flight hold about _BLOCK_SETTINGS settings in all.  On the strictly
     ascending grid every block holds one bit value sign(R_B - R_A): pairs
     R_A < R_B whose power prefactor is symmetric come once, in `mirrored`
     blocks (+1); then the diagonal (0), the other pairs R_A < R_B (+1)
@@ -434,7 +475,7 @@ def _pair_blocks(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
     rest_a, rest_b = j_a[~symmetric], j_b[~symmetric]
     groups = ((j_a[symmetric], j_b[symmetric], True, 1), (diagonal, diagonal, False, 0),
               (rest_a, rest_b, False, 1), (rest_b, rest_a, False, -1))
-    rows = max(1, _BLOCK_SETTINGS // len(t_grid) ** 2)
+    rows = max(1, _BLOCK_SETTINGS // width // len(t_grid) ** 2)
     for a, b, mirrored, bit in groups:
         order = np.argsort(r_grid[a] + r_grid[b], kind="stable")
         a, b = a[order], b[order]
@@ -466,8 +507,12 @@ def _fold(mirrored: list, plain: list):
     count, bit) runs `plain` and `mirrored`, the latter with their
     mirror images added; a cell's mask has bit 1 + b set for each bit
     value b among its settings.  Every run is cut at the same starts of
-    (s_u, s_i) groups, into slabs of about _FOLD_CELLS keys in all."""
-    runs = mirrored + plain
+    (s_u, s_i) groups, into slabs of about _FOLD_CELLS keys in all.  The
+    fold empties both lists, so the runs are freed before the slabs'
+    cells are concatenated."""
+    n_mirrored, runs = len(mirrored), mirrored + plain
+    mirrored.clear()
+    plain.clear()
     cuts = np.unique(np.concatenate([keys[_FOLD_CELLS::_FOLD_CELLS] for keys, _, _ in runs])
                      >> _LOW_BITS << _LOW_BITS)
     edges = np.array([np.concatenate(([0], np.searchsorted(keys, cuts), [len(keys)]))
@@ -476,12 +521,45 @@ def _fold(mirrored: list, plain: list):
     for lo, hi in zip(edges.T[:-1], edges.T[1:]):
         slices = [(keys[a:b], counts[a:b], bit)
                   for (keys, counts, bit), a, b in zip(runs, lo, hi)]
-        slices += [_image(*piece) for piece in slices[:len(mirrored)]]
+        slices += [_image(*piece) for piece in slices[:n_mirrored]]
         keys, counts, bits = zip(*slices)
         masks = np.repeat(np.array([1 << (1 + bit) for bit in bits], dtype=np.int8),
                           [len(piece) for piece in keys])
         pieces.append(_group(np.concatenate(keys) >> 1, np.concatenate(counts), masks))
+    del runs, slices, keys, counts
     return [np.concatenate(column) for column in zip(*pieces)]
+
+
+def _pool_width() -> int:
+    """Threads that key the build's blocks: the CPUs this process may run
+    on, at most _BLOCK_SETTINGS // _MIN_BLOCK_SETTINGS."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(cpus, _BLOCK_SETTINGS // _MIN_BLOCK_SETTINGS))
+
+
+def _sorted_keys(block, buffers, bandwidth_hz, k, rel_width, p_scale) -> np.ndarray:
+    """A block's refined keys (`_block_keys`), computed in `buffers` and
+    sorted in place in s_u's storage.  It runs on a pool thread, which
+    allocates no per-block array, and numpy's sort releases the GIL."""
+    r_a, t_a, r_b, t_b, mirrored, _ = block
+    shape = np.broadcast_shapes(r_a.shape, t_a.shape, r_b.shape, t_b.shape)
+    keys = _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_width, p_scale,
+                       refine=True, mirrored=mirrored,
+                       out=[column[:math.prod(shape)].reshape(shape) for column in buffers])
+    keys.sort()
+    return keys
+
+
+def _run(keys: np.ndarray, first: np.ndarray):
+    """(distinct keys, int32 counts) of sorted keys; `first` is the
+    scratch of `_starts`."""
+    starts = _starts(keys, first)
+    # int32 straight away: np.diff's int64 copies raised the peak by 3 MB
+    counts = np.empty(len(starts), dtype=np.int32)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1], casting="unsafe")
+    counts[-1] = len(keys) - starts[-1]
+    return keys[starts], counts
 
 
 def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
@@ -503,12 +581,34 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
     k = constants.k
     p_scale = _power_scale(r_grid, t_grid, bandwidth_hz, k)
 
-    # a sorted (refined key, count, bit) run per block, by kind
+    # imported here, as sessions build no table: the import costs 0.6 MB
+    from concurrent.futures import ThreadPoolExecutor
+
+    # pool threads key and sort the blocks, each in the buffer set of its
+    # slot, block i in slot i % width; this thread cuts them, in block
+    # order, into sorted (refined key, count, bit) runs, kept by kind
+    width = _pool_width()
+    blocks = list(_pair_blocks(r_grid, t_grid, bandwidth_hz, k, width))
+    size = max(len(block[0]) for block in blocks) * len(t_grid) ** 2
+    buffers = [(np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+               for _ in range(width)]
     runs = {True: [], False: []}
-    for r_a, t_a, r_b, t_b, mirrored, bit in _pair_blocks(r_grid, t_grid, bandwidth_hz, k):
-        runs[mirrored].append((*np.unique(
-            _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_cell_width, p_scale,
-                        refine=True, mirrored=mirrored), return_counts=True), bit))
+    with ThreadPoolExecutor(width) as pool:
+        def submit(i):
+            return pool.submit(_sorted_keys, blocks[i], buffers[i % width],
+                               bandwidth_hz, k, rel_cell_width, p_scale)
+
+        pending = deque(map(submit, range(min(width, len(blocks)))))
+        for i, (*_, mirrored, bit) in enumerate(blocks):
+            # a failed block raises here, in block order, and stops submission
+            keys = pending.popleft().result()
+            runs[mirrored].append((*_run(keys, buffers[i % width][3]), bit))
+            if (i + width < len(blocks)
+                    and not any(f.done() and f.exception() for f in pending)):
+                pending.append(submit(i + width))
+            else:  # the slot's last block: its buffers go before the fold
+                buffers[i % width] = None
+    del keys  # a view of the last slot's buffers
     cell_keys, cell_sizes, cell_masks = _fold(runs[True], runs[False])
 
     return LookupTable(r_grid=r_grid, t_grid=t_grid,

@@ -141,14 +141,17 @@ def power_prefactor(r_a, r_b, bandwidth_hz, k):
     return 4.0 * k * bandwidth_hz * r_a * r_b
 
 
-def analytic_observable_arrays(r_a, t_a, r_b, t_b, bandwidth_hz, k, denom=None):
+def analytic_observable_arrays(r_a, t_a, r_b, t_b, bandwidth_hz, k, denom=None,
+                               out=None):
     """Vectorized exact observables (superposition of the two generators).
 
     Accepts scalars or broadcastable arrays; returns (s_u, s_i, p_ab).
     `denom` is (r_a + r_b)**2 when the caller holds it.  numpy squares
     arrays but calls libm's ``pow`` on scalars, which differs in the
     last bit for about one value in a thousand, so an array pass that
-    must reproduce scalar calls passes its ``pow`` squares.
+    must reproduce scalar calls passes its ``pow`` squares.  `out`, a
+    triple of float arrays of the broadcast shape, receives the results
+    through the same IEEE operations, each step in place.
     """
     r_a = np.asarray(r_a, dtype=float)
     t_a = np.asarray(t_a, dtype=float)
@@ -156,9 +159,14 @@ def analytic_observable_arrays(r_a, t_a, r_b, t_b, bandwidth_hz, k, denom=None):
     t_b = np.asarray(t_b, dtype=float)
     if denom is None:
         denom = (r_a + r_b) ** 2
-    s_u = 4.0 * k * (t_a * r_a * r_b ** 2 + t_b * r_b * r_a ** 2) / denom
-    s_i = 4.0 * k * (t_a * r_a + t_b * r_b) / denom
-    p_ab = power_prefactor(r_a, r_b, bandwidth_hz, k) * (t_b - t_a) / denom
+    u, i, p = out or (None, None, None)
+    four_k = 4.0 * k
+    s_u = np.divide(np.multiply(four_k, np.add(t_a * r_a * r_b ** 2, t_b * r_b * r_a ** 2,
+                                               out=u), out=u), denom, out=u)
+    s_i = np.divide(np.multiply(four_k, np.add(t_a * r_a, t_b * r_b, out=i), out=i),
+                    denom, out=i)
+    p_ab = np.divide(np.multiply(power_prefactor(r_a, r_b, bandwidth_hz, k), t_b - t_a,
+                                 out=p), denom, out=p)
     return s_u, s_i, p_ab
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, starmap
 from typing import Optional
 
 import numpy as np
@@ -432,9 +432,18 @@ def _partner_views(config: ProtocolConfig, grids, own_r, own_t, s_u, s_i, p_ab):
 def _run_bits(config: ProtocolConfig, indices) -> SessionReport:
     """The session engine: the bit periods in `indices` in one pass."""
     indices = list(indices)
-    states = party_states(config)
     levels = _draw_levels(config, indices)
-    grids = [np.array([(s.resistance, s.temperature) for s in party]) for party in states]
+    if config.variant in QUASI_CONTINUUM_VARIANTS:
+        # the grid product in `party_states` order; states of drawn levels
+        # only (np.unique here would import numpy.ma, 1.1 MB)
+        r_grid, t_grid = config.resistance_grid(), config.temperature_grid()
+        grid = np.column_stack([np.repeat(r_grid, len(t_grid)), np.tile(t_grid, len(r_grid))])
+        drawn = np.flatnonzero(np.bincount(levels.ravel()))
+        grids = [grid] * 2
+        states = [dict(zip(drawn.tolist(), starmap(PartyState, grid[drawn].tolist())))] * 2
+    else:
+        states = party_states(config)
+        grids = [np.array([(s.resistance, s.temperature) for s in party]) for party in states]
     (r_a, t_a), (r_b, t_b) = (grid[level].T for grid, level in zip(grids, levels))
     if config.mode == "analytic":
         observables = analytic_observable_arrays(
@@ -445,8 +454,8 @@ def _run_bits(config: ProtocolConfig, indices) -> SessionReport:
     discarded, discard_status = np.zeros(len(indices), dtype=bool), STATUS_SINGULAR
     if config.variant in QUASI_CONTINUUM_VARIANTS:
         discarded[~tie] = cell_census(
-            config.resistance_grid(), config.temperature_grid(),
-            config.band.bandwidth_hz, config.constants, config.degeneracy_tolerance,
+            r_grid, t_grid, config.band.bandwidth_hz, config.constants,
+            config.degeneracy_tolerance,
             r_a[~tie], t_a[~tie], r_b[~tie], t_b[~tie])[0]
     (view_of_bob, alice_failed), (view_of_alice, bob_failed) = \
         _partner_views(config, grids, (r_a, r_b), (t_a, t_b), *observables)

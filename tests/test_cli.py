@@ -267,7 +267,8 @@ class TestTable:
                                                       monkeypatch):
         # four resistance pairs per block: the first 6 of the 7 mirrored
         # blocks keep their indices in the key range, the 7th does not,
-        # so the error fires after the 6th block is keyed
+        # so the error fires after the 6th block is keyed (one thread)
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 1)
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 16)
         keyed_blocks = []
         block_keys = lookup._block_keys

@@ -107,6 +107,24 @@ class TestAnalyticObservables:
         if constants == SI:
             assert pairs[False] > len(r_grid)
 
+    @pytest.mark.parametrize("constants, bandwidth_hz", [
+        (SI, 1.0), (NORMALIZED, 1.0), (NORMALIZED, 1000.0)],
+        ids=["si", "normalized", "normalized-df1000"])
+    def test_out_form_is_bit_identical(self, constants, bandwidth_hz):
+        # the table build's block layout, and equal-length draws
+        rng = np.random.default_rng(5)
+        r, t = rng.uniform(1.0, 1e4, 30), rng.uniform(0.0, 1e3, 12)
+        for settings in ((r[:15, None, None], t[:, None], r[15:, None, None], t),
+                         (r[:12], t, r[18:], t[::-1])):
+            expected = analytic_observable_arrays(*settings, bandwidth_hz, constants.k)
+            out = [np.full(expected[0].shape, np.nan) for _ in range(3)]
+            actual = analytic_observable_arrays(*settings, bandwidth_hz, constants.k,
+                                                out=out)
+            for column, into, reference in zip(actual, out, expected):
+                assert column is into
+                np.testing.assert_array_equal(column.view(np.int64),
+                                              reference.view(np.int64))
+
     def test_psd_ratio_is_resistance_product_at_equal_temperature(self):
         rng = np.random.default_rng(2)
         for _ in range(50):

@@ -1,7 +1,12 @@
 """Session mechanics for all four variants, plus the singularity
 look-up table."""
 
+import concurrent.futures
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -340,53 +345,98 @@ def pair_kinds(cfg):
 BAND_1K = BandConfig(bandwidth_hz=1000.0, sample_rate_hz=4000.0, samples_per_bit=4096)
 
 
+#: (config, expected blocks) of the streamed build; a block list means
+#: the case runs with five pairs' worth of settings per block at width 1
+STREAMED_CASES = [
+    (rr_config(r_levels=16), None),
+    (rrrt_config(r_levels=6, t_levels=5, degeneracy_tolerance=0.02), None),
+    # five pairs per block: the 28 mirrored pairs in 6 blocks, the
+    # last one of 3, then the 8 diagonal pairs in 2; the fold runs in
+    # slabs of about 50 refined cells
+    (rrrt_config(r_levels=8, t_levels=8),
+     [(5, True, 1)] * 5 + [(3, True, 1), (5, False, 0), (3, False, 0)]),
+    (rrrt_config(r_levels=12, t_levels=6, constants=SI), None),
+    (rrrt_config(r_levels=10, t_levels=7, band=BAND_1K), None),
+    (rr_config(r_levels=64, t_eff=300.0), None),
+    # width 2^-4: x = p / (w p_scale) is exactly -16 or 16 at the
+    # extreme settings, so their parity bit is 0.  In SI units x is
+    # 12 in exact arithmetic for the pair (1000, 3000) at the extreme
+    # temperatures, and its asymmetric prefactor rounds one
+    # orientation to 12 and the other to just below: a mirror of the
+    # latter would land in the cell below
+    (rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.0625), None),
+    (rrrt_config(r_range=(1000.0, 3000.0), r_levels=6, t_levels=4, constants=SI,
+                 degeneracy_tolerance=0.0625), None),
+    # the fold sums each cell over the runs of all blocks: at width
+    # 0.3 coarse cells take entries from up to 6 of the 8 blocks
+    (rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.3),
+     [(5, True, 1)] * 5 + [(3, True, 1), (5, False, 0), (3, False, 0)]),
+    # eight pairs per block, a block per bit value: the mirrored
+    # pairs, the diagonal, and both orientations of the others
+    (rrrt_config(r_levels=12, t_levels=6, band=BAND_1K),
+     [(8, True, 1)] * 5 + [(1, True, 1), (8, False, 0), (4, False, 0)]
+     + [(8, False, 1)] * 3 + [(1, False, 1)] + [(8, False, -1)] * 3 + [(1, False, -1)]),
+    # six pairs per block: some slabs hold plain runs only, so each
+    # mirrored slice there, and its image, is empty
+    (rrrt_config(r_levels=10, t_levels=7, band=BAND_1K),
+     [(6, True, 1)] * 6 + [(2, True, 1), (6, False, 0), (4, False, 0), (6, False, 1),
+                           (1, False, 1), (6, False, -1), (1, False, -1)]),
+    # no mirrored pair: the one pair's prefactor is asymmetric in SI
+    # units, so the fold has plain runs only
+    (rrrt_config(r_range=(1000.0, 3000.0), r_levels=2, t_levels=4, constants=SI,
+                 degeneracy_tolerance=0.0625),
+     [(2, False, 0), (1, False, 1), (1, False, -1)]),
+]
+STREAMED_IDS = ["rr-16", "rrrt-6x5-w0.02", "rrrt-8x8-blocks", "rrrt-12x6-si",
+                "rrrt-10x7-df1000", "rr-64", "rrrt-8x8-w2^-4", "rrrt-6x4-si-w2^-4",
+                "rrrt-8x8-w0.3-blocks", "rrrt-12x6-df1000-blocks",
+                "rrrt-10x7-df1000-blocks", "rrrt-2x4-si-no-mirror"]
+#: the cases with patched blocks
+PATCHED_BLOCK_CASES = [pytest.param(cfg, id=case_id)
+                       for (cfg, blocks), case_id in zip(STREAMED_CASES, STREAMED_IDS)
+                       if blocks is not None]
+
+
+#: random grids: spans are decades above the low end; the narrowest
+#: widths leave the key range, where both builds must fail alike
+RANDOM_GRIDS = dict(variant=st.sampled_from(["rr-kljn", "rrrt-kljn"]),
+                    r_low=st.floats(1.0, 1e4), r_span=st.floats(1e-3, 2.0),
+                    t_low=st.floats(1.0, 1e3), t_span=st.floats(1e-3, 1.0),
+                    r_levels=st.integers(2, 10), t_levels=st.integers(2, 8),
+                    width_exponent=st.floats(-6.5, 0.5),
+                    bandwidth_hz=st.sampled_from([1.0, 3.7, 1000.0]),
+                    si_units=st.booleans())
+
+
+def check_random_grid(variant, r_low, r_span, t_low, t_span, r_levels, t_levels,
+                      width_exponent, bandwidth_hz, si_units):
+    """The build on a `RANDOM_GRIDS` grid against the one-shot build."""
+    fields = dict(variant=variant, bits=0, master_seed=0,
+                  band=BandConfig(bandwidth_hz, 4.0 * bandwidth_hz, 4096),
+                  r_range=(r_low, r_low * 10 ** r_span), r_levels=r_levels,
+                  degeneracy_tolerance=10 ** width_exponent,
+                  constants=SI if si_units else NORMALIZED)
+    if variant == "rr-kljn":
+        fields["t_eff"] = t_low
+    else:
+        fields.update(t_range=(t_low, t_low * 10 ** t_span), t_levels=t_levels)
+    cfg = ProtocolConfig(**fields)
+    expected = one_shot_table(cfg.resistance_grid(), cfg.temperature_grid(),
+                              bandwidth_hz, cfg.constants.k,
+                              cfg.degeneracy_tolerance)
+    if not expected["in_range"]:
+        with pytest.raises(ConfigError, match="too narrow"):
+            build_lookup_table(cfg)
+    else:
+        assert_table_is_one_shot(cfg, build_lookup_table(cfg))
+
+
 class TestStreamedBuild:
     """The pair-streamed, mirrored build against the one-shot reference."""
 
-    @pytest.mark.parametrize("cfg, blocks", [
-        (rr_config(r_levels=16), None),
-        (rrrt_config(r_levels=6, t_levels=5, degeneracy_tolerance=0.02), None),
-        # five pairs per block: the 28 mirrored pairs in 6 blocks, the
-        # last one of 3, then the 8 diagonal pairs in 2; the fold runs in
-        # slabs of about 50 refined cells
-        (rrrt_config(r_levels=8, t_levels=8),
-         [(5, True, 1)] * 5 + [(3, True, 1), (5, False, 0), (3, False, 0)]),
-        (rrrt_config(r_levels=12, t_levels=6, constants=SI), None),
-        (rrrt_config(r_levels=10, t_levels=7, band=BAND_1K), None),
-        (rr_config(r_levels=64, t_eff=300.0), None),
-        # width 2^-4: x = p / (w p_scale) is exactly -16 or 16 at the
-        # extreme settings, so their parity bit is 0.  In SI units x is
-        # 12 in exact arithmetic for the pair (1000, 3000) at the extreme
-        # temperatures, and its asymmetric prefactor rounds one
-        # orientation to 12 and the other to just below: a mirror of the
-        # latter would land in the cell below
-        (rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.0625), None),
-        (rrrt_config(r_range=(1000.0, 3000.0), r_levels=6, t_levels=4, constants=SI,
-                     degeneracy_tolerance=0.0625), None),
-        # the fold sums each cell over the runs of all blocks: at width
-        # 0.3 coarse cells take entries from up to 6 of the 8 blocks
-        (rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.3),
-         [(5, True, 1)] * 5 + [(3, True, 1), (5, False, 0), (3, False, 0)]),
-        # eight pairs per block, a block per bit value: the mirrored
-        # pairs, the diagonal, and both orientations of the others
-        (rrrt_config(r_levels=12, t_levels=6, band=BAND_1K),
-         [(8, True, 1)] * 5 + [(1, True, 1), (8, False, 0), (4, False, 0)]
-         + [(8, False, 1)] * 3 + [(1, False, 1)] + [(8, False, -1)] * 3 + [(1, False, -1)]),
-        # six pairs per block: some slabs hold plain runs only, so each
-        # mirrored slice there, and its image, is empty
-        (rrrt_config(r_levels=10, t_levels=7, band=BAND_1K),
-         [(6, True, 1)] * 6 + [(2, True, 1), (6, False, 0), (4, False, 0), (6, False, 1),
-                               (1, False, 1), (6, False, -1), (1, False, -1)]),
-        # no mirrored pair: the one pair's prefactor is asymmetric in SI
-        # units, so the fold has plain runs only
-        (rrrt_config(r_range=(1000.0, 3000.0), r_levels=2, t_levels=4, constants=SI,
-                     degeneracy_tolerance=0.0625),
-         [(2, False, 0), (1, False, 1), (1, False, -1)]),
-    ], ids=["rr-16", "rrrt-6x5-w0.02", "rrrt-8x8-blocks", "rrrt-12x6-si",
-            "rrrt-10x7-df1000", "rr-64", "rrrt-8x8-w2^-4", "rrrt-6x4-si-w2^-4",
-            "rrrt-8x8-w0.3-blocks", "rrrt-12x6-df1000-blocks", "rrrt-10x7-df1000-blocks",
-            "rrrt-2x4-si-no-mirror"])
+    @pytest.mark.parametrize("cfg, blocks", STREAMED_CASES, ids=STREAMED_IDS)
     def test_matches_one_shot_build(self, cfg, blocks, monkeypatch):
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 1)
         if blocks is not None:
             monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
             monkeypatch.setattr(lookup, "_FOLD_CELLS", 50)
@@ -403,6 +453,17 @@ class TestStreamedBuild:
             assert kinds[False] > levels
         assert_table_is_one_shot(cfg, build_lookup_table(cfg))
 
+    @pytest.mark.parametrize("cfg", PATCHED_BLOCK_CASES)
+    def test_two_threads_match_one_shot_build(self, cfg, monkeypatch):
+        # half as many settings per block, each thread's buffers reused
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 2)
+        monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
+        monkeypatch.setattr(lookup, "_FOLD_CELLS", 50)
+        assert len(list(lookup._pair_blocks(cfg.resistance_grid(), cfg.temperature_grid(),
+                                            cfg.band.bandwidth_hz, cfg.constants.k,
+                                            2))) > 2
+        assert_table_is_one_shot(cfg, build_lookup_table(cfg))
+
     def test_exact_integer_power_indices(self):
         # the premise of the width-2^-4 cases above
         cfg = rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.0625)
@@ -411,39 +472,22 @@ class TestStreamedBuild:
         assert power.min() == -16 and power.max() == 16
 
     @settings(max_examples=40)
-    @given(variant=st.sampled_from(["rr-kljn", "rrrt-kljn"]),
-           r_low=st.floats(1.0, 1e4), r_span=st.floats(1e-3, 2.0),
-           t_low=st.floats(1.0, 1e3), t_span=st.floats(1e-3, 1.0),
-           r_levels=st.integers(2, 10), t_levels=st.integers(2, 8),
-           width_exponent=st.floats(-6.5, 0.5),
-           bandwidth_hz=st.sampled_from([1.0, 3.7, 1000.0]),
-           si_units=st.booleans())
-    def test_matches_one_shot_build_on_random_grids(
-            self, variant, r_low, r_span, t_low, t_span, r_levels, t_levels,
-            width_exponent, bandwidth_hz, si_units):
-        # spans are decades above the low end; the narrowest widths leave
-        # the key range, where both builds must fail alike
-        fields = dict(variant=variant, bits=0, master_seed=0,
-                      band=BandConfig(bandwidth_hz, 4.0 * bandwidth_hz, 4096),
-                      r_range=(r_low, r_low * 10 ** r_span), r_levels=r_levels,
-                      degeneracy_tolerance=10 ** width_exponent,
-                      constants=SI if si_units else NORMALIZED)
-        if variant == "rr-kljn":
-            fields["t_eff"] = t_low
-        else:
-            fields.update(t_range=(t_low, t_low * 10 ** t_span), t_levels=t_levels)
-        cfg = ProtocolConfig(**fields)
-        expected = one_shot_table(cfg.resistance_grid(), cfg.temperature_grid(),
-                                  bandwidth_hz, cfg.constants.k,
-                                  cfg.degeneracy_tolerance)
-        if not expected["in_range"]:
-            with pytest.raises(ConfigError, match="too narrow"):
-                build_lookup_table(cfg)
-        else:
-            assert_table_is_one_shot(cfg, build_lookup_table(cfg))
+    @given(**RANDOM_GRIDS)
+    def test_matches_one_shot_build_on_random_grids(self, **grid):
+        with mock.patch.object(lookup, "_pool_width", lambda: 1):
+            check_random_grid(**grid)
+
+    @settings(max_examples=40)
+    @given(**RANDOM_GRIDS)
+    def test_two_threads_match_one_shot_build_on_random_grids(self, **grid):
+        # blocks of at most 128 settings, so most builds reuse the buffers
+        with mock.patch.object(lookup, "_pool_width", lambda: 2), \
+                mock.patch.object(lookup, "_BLOCK_SETTINGS", 256):
+            check_random_grid(**grid)
 
     def test_fold_premises(self, monkeypatch):
         # the premises of the patched width-0.3 and 10x7 1 kHz cases above
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 1)
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
         monkeypatch.setattr(lookup, "_FOLD_CELLS", 50)
         block_cells, slabs = [], [[]]
@@ -494,6 +538,7 @@ class TestStreamedBuild:
     def test_stage_failure_propagates(self, stage, monkeypatch):
         # five pairs per block, 8 blocks; the second block's keys fail,
         # or the fold's second `_group`, which merges the second slab
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 1)
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
         monkeypatch.setattr(lookup, "_FOLD_CELLS", 50)
         calls = []
@@ -511,6 +556,97 @@ class TestStreamedBuild:
             build_lookup_table(rrrt_config(r_levels=8, t_levels=8))
         assert len(calls) == 2
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("slow, failing, first, keyed", [
+        # block 4 fails while block 3 runs, then block 3 fails: block 3's
+        # error is raised
+        (3, {3, 4}, 3, [0, 1, 2, 3, 4]),
+        # block 1 fails while block 0 runs: block 2 is never submitted
+        (0, {1}, 1, [0, 1]),
+    ], ids=["block-order", "no-submission-after-failure"])
+    def test_two_threads_raise_the_first_failing_block(self, slow, failing, first, keyed,
+                                                       monkeypatch):
+        # two pairs per block, 18 blocks, block i in buffer slot i % 2; the
+        # slow block ends only once the other failing block's future is done
+        (other,) = failing - {slow}
+        futures = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):  # in block order
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 2)
+        monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
+        cfg = rrrt_config(r_levels=8, t_levels=8)
+        index = {(r_a.tobytes(), r_b.tobytes()): i for i, (r_a, _, r_b, *_) in enumerate(
+            lookup._pair_blocks(cfg.resistance_grid(), cfg.temperature_grid(),
+                                cfg.band.bandwidth_hz, cfg.constants.k, 2))}
+        assert len(index) == 18
+        keyed_blocks = []
+        block_keys = lookup._block_keys
+
+        def failing_block_keys(r_a, t_a, r_b, *args, **kwargs):
+            block = index[r_a.tobytes(), r_b.tobytes()]
+            keyed_blocks.append(block)
+            deadline = time.monotonic() + 10
+            while block == slow and not (len(futures) > other and futures[other].done()):
+                assert time.monotonic() < deadline, f"block {other} never finished"
+                time.sleep(1e-3)
+            if block in failing:
+                raise RuntimeError(f"block {block} failed")
+            return block_keys(r_a, t_a, r_b, *args, **kwargs)
+
+        monkeypatch.setattr(lookup, "_block_keys", failing_block_keys)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"block {first} failed"):
+            build_lookup_table(cfg)
+        assert threading.active_count() == threads
+        assert sorted(keyed_blocks) == keyed
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # four threads on one pair per block, switching every microsecond:
+        # a block keyed or cut in buffers another block holds would show
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 4)
+        monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 4 * 64)
+        cfg = rrrt_config(r_levels=12, t_levels=8, band=BAND_1K)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table = build_lookup_table(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_table_is_one_shot(cfg, table)
+
+    def test_each_slot_reuses_its_buffers(self, monkeypatch):
+        # block i is keyed in the buffers of slot i % 2, allocated once
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 2)
+        monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
+        cfg = rrrt_config(r_levels=8, t_levels=8)
+        index = {(r_a.tobytes(), r_b.tobytes()): i for i, (r_a, _, r_b, *_) in enumerate(
+            lookup._pair_blocks(cfg.resistance_grid(), cfg.temperature_grid(),
+                                cfg.band.bandwidth_hz, cfg.constants.k, 2))}
+        storage = {}
+        block_keys = lookup._block_keys
+
+        def spied_block_keys(r_a, t_a, r_b, *args, out=None, **kwargs):
+            if out is not None:  # the build's blocks, not `combo_cells`
+                roots = []
+                for column in out:
+                    while column.base is not None:
+                        column = column.base
+                    roots.append(column)
+                storage[index[r_a.tobytes(), r_b.tobytes()]] = roots
+            return block_keys(r_a, t_a, r_b, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(lookup, "_block_keys", spied_block_keys)
+        assert_table_is_one_shot(cfg, build_lookup_table(cfg))
+        assert sorted(storage) == list(range(18))
+        slots = storage[0], storage[1]
+        assert len({id(column) for slot in slots for column in slot}) == 8
+        for block, roots in storage.items():
+            assert all(a is b for a, b in zip(roots, slots[block % 2]))
 
 
 class TestRunBit:
