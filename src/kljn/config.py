@@ -20,7 +20,7 @@ Documented schema (types; V = required for that variant):
     r_levels             int    resistance grid size            (rr, rrrt)
     t_range              [2]    temperature range               (rrrt)
     t_levels             int    temperature grid size           (rrrt)
-    degeneracy_tolerance float  relative look-up cell width (> 0, default 0.01)
+    degeneracy_tolerance float  cell width of rrrt sessions and `kljn table` (> 0, default 0.01)
     recovery_tolerance   float  resolver residual bound (default per mode)
     estimator_segments   int    periodogram segments in sampled mode
     max_combinations     int    `kljn table` enumeration budget (>= 1)

@@ -10,27 +10,26 @@ degenerate (at least two opposite bit situations within one cell).  A
 zero width would make every setting its own singular cell and discard
 every bit, so configs reject it.
 
-Sessions ask only about the cells of their drawn settings (a median
-of 26 settings at 64 levels), so `cell_census` finds each such cell's
-members without enumerating the grids.  A cell is a box in (s_u, s_i,
-q = p_ab / bandwidth).  Eliminating the temperatures gives the T-free
-relation s_u - R_A R_B s_i - q (R_A - R_B) = 0, so per R_A the box
-bounds R_B, and s_i bounds R_A + R_B; per surviving pair the box
-bounds T_A, and per T_A each observable, linear in T_B, bounds T_B.
-The box widened by `_MARGIN` of its scale holds every member despite
-rounding, and the box narrowed by as much holds members only: the
-T_B inside the narrowed box are counted from their index range, and
-the few candidates between the two boxes (and all of them at a single
-temperature) are keyed with the table's own arithmetic
-(`_block_keys`).  Members are counted per bit value, so the verdict and
-the cell size equal the table's.  The census runs once per distinct
-drawn cell, so its work grows with the (pair, T_A) rows of those
-cells (1.8 million for the 608 distinct cells, 10.7 million members,
-of 1000 bits at width 0.1 and 64 levels), not with the bit count.  It
-runs in pieces of about `_CENSUS_PIECE` values, so its memory is
-bounded whatever the bit count and cell size.  Only the drawn keys must lie in
-the 21-bit key range: a candidate outside it cannot share a drawn
-cell and is dropped.
+rrrt sessions ask only about the cells of their drawn settings (a
+median of 26 settings at 64 levels), so `cell_census` finds each such
+cell's members without enumerating the grids.  A cell is a box in
+(s_u, s_i, q = p_ab / bandwidth).  Eliminating the temperatures gives
+the T-free relation s_u - R_A R_B s_i - q (R_A - R_B) = 0, so per R_A
+the box bounds R_B, and s_i bounds R_A + R_B; per surviving pair the
+box bounds T_A, and per T_A each observable, linear in T_B, bounds
+T_B.  The box widened by `_MARGIN` of its scale holds every member
+despite rounding, and the box narrowed by as much holds members only:
+the T_B inside the narrowed box are counted from their index range,
+and the few candidates between the two boxes are keyed with the
+table's own arithmetic (`_block_keys`).  Members are counted per bit
+value, so the verdict and the cell size equal the table's.  The census
+runs once per distinct drawn cell, so its work grows with the (pair,
+T_A) rows of those cells (1.8 million for the 608 distinct cells, 10.7
+million members, of 1000 bits at width 0.1 and 64 levels), not with
+the bit count.  It runs in pieces of about `_CENSUS_PIECE` values, so
+its memory is bounded whatever the bit count and cell size.  Only the
+drawn keys must lie in the 21-bit key range: a candidate outside it
+cannot share a drawn cell and is dropped.
 
 Tables for fine grids enumerate levels^4 settings, so the build
 streams them in blocks of 2^19 to 2^20 joint settings, each a run of
@@ -83,8 +82,8 @@ refined keys with one thread, 1.71 million with two, against 2.48
 million entries in pair order.  Working memory is the kept runs, 25
 bytes per setting in flight and one slab, rather than levels^4
 settings.  The per-setting cell array `combo_cells` exists only on
-demand: a row-major pass over the Alice settings recomputes it when it
-is first asked for.
+demand: `cell_indices` computes it block by block over the Alice
+settings when it is first asked for.
 """
 
 from __future__ import annotations
@@ -283,12 +282,6 @@ def _member_counts(r_grid, t_grid, bandwidth_hz, k, rel_width, p_scale, keys):
     within _MARGIN of a face, are keyed, in pieces of about
     _CENSUS_PIECE."""
     counts = np.zeros(3 * len(keys), dtype=np.int64)
-
-    def key(slot, cell, r_a, t_a, r_b, t_b):
-        found = _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_width,
-                            p_scale, drop_outside=True) == keys[cell]
-        np.add(counts, np.bincount(slot[found], minlength=len(counts)), out=counts)
-
     index_mask = (1 << _KEY_BITS) - 1
     i_u, i_i, i_p = (((keys >> shift) & index_mask) - _KEY_OFFSET
                      for shift in (2 * _KEY_BITS, _KEY_BITS, 0))
@@ -326,10 +319,6 @@ def _member_counts(r_grid, t_grid, bandwidth_hz, k, rel_width, p_scale, keys):
         cell, j_a = np.divmod(live[pair], len(r_grid))
         ra, rb = r_grid[j_a], r_grid[j_b]
         slot = 3 * cell + _block_bits(ra, rb) + 1
-        if len(t_grid) == 1:
-            t = np.full(len(pair), t_grid[0])
-            key(slot, cell, ra, t, rb, t)
-            continue
         # per pair the box bounds T_A through (s_i, q) and (s_u, q) with
         # T_B eliminated
         (u_l, i_l, q_l), (u_h, i_h, q_h) = (side[:, cell] for side in outer)
@@ -362,8 +351,10 @@ def _member_counts(r_grid, t_grid, bandwidth_hz, k, rel_width, p_scale, keys):
                                       np.concatenate([sure_start, stop])):
                 edge %= len(row)
                 setting = row[edge]
-                key(slot[setting], cell[setting], ra[setting], ta[edge],
-                    rb[setting], t_grid[j_tb])
+                found = _block_keys(ra[setting], ta[edge], rb[setting], t_grid[j_tb],
+                                    bandwidth_hz, k, rel_width, p_scale,
+                                    drop_outside=True) == keys[cell[setting]]
+                counts += np.bincount(slot[setting][found], minlength=len(counts))
     return counts.reshape(-1, 3)
 
 
@@ -429,23 +420,23 @@ class LookupTable:
         t_party = np.tile(self.t_grid, len(self.r_grid))
         rows = max(1, _BLOCK_SETTINGS // len(r_party))
         return np.concatenate([
-            np.searchsorted(self.cell_keys, _block_keys(
-                r_party[start:start + rows, np.newaxis],
-                t_party[start:start + rows, np.newaxis], r_party, t_party,
-                self.bandwidth_hz, self.k, self.rel_cell_width, self.p_scale))
+            self.cell_indices(r_party[start:start + rows, np.newaxis],
+                              t_party[start:start + rows, np.newaxis], r_party, t_party)
             for start in range(0, len(r_party), rows)])
 
     def cell_indices(self, r_a, t_a, r_b, t_b) -> np.ndarray:
-        """Cell index per drawn setting (equal-length arrays on the grids)."""
-        r_a, t_a, r_b, t_b = (np.asarray(v, dtype=float) for v in (r_a, t_a, r_b, t_b))
+        """Cell index per setting of broadcastable arrays of grid values,
+        flat in row-major order."""
         keys = _block_keys(r_a, t_a, r_b, t_b, self.bandwidth_hz, self.k,
                            self.rel_cell_width, self.p_scale)
         pos = np.searchsorted(self.cell_keys, keys)
         found = self.cell_keys[np.minimum(pos, self.n_cells - 1)] == keys
         if not found.all():
             j = np.argmin(found)
-            raise KeyError(f"setting ({r_a[j]}, {t_a[j]}, {r_b[j]}, {t_b[j]}) maps to no "
-                           f"enumerated cell; is it on the configured grids?")
+            setting = ", ".join(str(float(v.flat[j]))
+                                for v in np.broadcast_arrays(r_a, t_a, r_b, t_b))
+            raise KeyError(f"setting ({setting}) maps to no enumerated cell; "
+                           f"is it on the configured grids?")
         return pos
 
     def all_cell_members(self) -> list[np.ndarray]:
@@ -513,8 +504,12 @@ def _fold(mirrored: list, plain: list):
     n_mirrored, runs = len(mirrored), mirrored + plain
     mirrored.clear()
     plain.clear()
-    cuts = np.unique(np.concatenate([keys[_FOLD_CELLS::_FOLD_CELLS] for keys, _, _ in runs])
-                     >> _LOW_BITS << _LOW_BITS)
+    # sorted in place and deduplicated by hand: np.unique would import numpy.ma
+    cuts = np.concatenate([keys[_FOLD_CELLS::_FOLD_CELLS] for keys, _, _ in runs])
+    cuts >>= _LOW_BITS
+    cuts <<= _LOW_BITS
+    cuts.sort()
+    cuts = cuts[_starts(cuts, np.empty(len(cuts), dtype=bool))]
     edges = np.array([np.concatenate(([0], np.searchsorted(keys, cuts), [len(keys)]))
                       for keys, _, _ in runs])
     pieces = []

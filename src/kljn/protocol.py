@@ -9,7 +9,8 @@ Variants:
   temperatures are solved so the LH and HL wire triples coincide; LL/HH
   still discarded.
 * ``rr-kljn``       — resistances drawn per bit from a quasi-continuum
-  grid at a common temperature; ties and singular-cell draws discarded.
+  grid at a common temperature; ties discarded (no other cell is
+  singular, as the R_A <-> R_B swap leaves the wire triple unchanged).
 * ``rrrt-kljn``     — both resistance and temperature drawn per bit;
   ties and singular-cell draws discarded, efficiency approaches 1 on
   fine grids.
@@ -31,7 +32,7 @@ generator), then observables (sampled mode: chunks of bit periods; the
 noise generators' seeded states are one more ``_streams`` pass, set in
 turn on one reused generator that draws each bit's normals), both
 recoveries, bits, the singularity verdict and the statuses are array
-operations; the verdict comes from the cell census
+operations; an rrrt session's verdict comes from the cell census
 (``lookup.cell_census``), so sessions build no look-up table.  The pass
 returns its arrays as a columnar :class:`SessionReport`, which builds a
 bit's :class:`BitOutcome` only when asked; :func:`run_bit` is that pass
@@ -452,7 +453,10 @@ def _run_bits(config: ProtocolConfig, indices) -> SessionReport:
         observables = _sampled_observables(config, indices, r_a, t_a, r_b, t_b)
     tie = _high_bits(config, r_a, r_b)[2]
     discarded, discard_status = np.zeros(len(indices), dtype=bool), STATUS_SINGULAR
-    if config.variant in QUASI_CONTINUUM_VARIANTS:
+    # at T_A = T_B the swap R_A <-> R_B leaves (s_u, s_i, p_ab = 0) bit for
+    # bit unchanged, as IEEE + and * commute, so every rr cell but a tie's
+    # holds both bit values: only rrrt draws can land in a singular cell
+    if config.variant == "rrrt-kljn":
         discarded[~tie] = cell_census(
             r_grid, t_grid, config.band.bandwidth_hz, config.constants,
             config.degeneracy_tolerance,
@@ -482,9 +486,9 @@ def _run_bits(config: ProtocolConfig, indices) -> SessionReport:
 def run_bit(config: ProtocolConfig, bit_index: int,
             table: Optional[LookupTable] = None) -> BitOutcome:
     """One full bit period: the session engine on the single index.
-    `table` is ignored: the engine takes the singularity verdict from the
-    cell census.  It stays for callers that still pass a prebuilt table,
-    the benchmark's run_bit checks, and goes when they stop."""
+    `table` is ignored: the engine builds and reads no table.  It stays
+    for callers that still pass a prebuilt table, the benchmark's run_bit
+    checks, and goes when they stop."""
     return _run_bits(config, [bit_index]).outcome(0)
 
 

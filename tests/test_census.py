@@ -1,11 +1,11 @@
 """The per-bit cell census against the look-up table it replaces on the
-session path, and the sessions it lets run without a table."""
+rrrt session path, and the sessions it lets run without a table."""
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kljn import (
     NORMALIZED,
@@ -20,6 +20,7 @@ from kljn import (
     run_session,
 )
 from kljn.cli import EXIT_OK, EXIT_RUNTIME, main
+from kljn.protocol import STATUS_SINGULAR
 from kljn.report import read_report
 
 BAND = BandConfig(bandwidth_hz=1.0, sample_rate_hz=4.0, samples_per_bit=4096)
@@ -90,18 +91,29 @@ def test_census_matches_the_table_on_every_setting(cfg):
     assert_census_is_the_table(cfg, table, grid_settings(cfg), table.combo_cells)
 
 
+def rr_example(si_units, bandwidth_hz):
+    return example(variant="rr-kljn", r_low=900.0, r_span=0.7, t_low=290.0,
+                   t_span=0.5, r_levels=9, t_levels=2, width_exponent=-2.5,
+                   seed=5, si_units=si_units, bandwidth_hz=bandwidth_hz)
+
+
 @settings(max_examples=40)
 @given(variant=st.sampled_from(["rr-kljn", "rrrt-kljn"]),
        r_low=st.floats(1.0, 1e4), r_span=st.floats(1e-3, 2.0),
        t_low=st.floats(1.0, 1e3), t_span=st.floats(1e-3, 1.0),
        r_levels=st.integers(2, 10), t_levels=st.integers(2, 10),
        width_exponent=st.floats(-4.0, -0.5), seed=st.integers(0, 2 ** 16),
-       si_units=st.booleans())
+       si_units=st.booleans(), bandwidth_hz=st.sampled_from([1.0, 1000.0]))
+@rr_example(False, 1.0)
+@rr_example(False, 1000.0)
+@rr_example(True, 1.0)
+@rr_example(True, 1000.0)
 def test_census_matches_the_table_on_random_grids(
         variant, r_low, r_span, t_low, t_span, r_levels, t_levels,
-        width_exponent, seed, si_units):
+        width_exponent, seed, si_units, bandwidth_hz):
     # spans are decades above the low end
-    fields = dict(variant=variant, band=BAND, bits=200, master_seed=seed,
+    fields = dict(variant=variant, bits=200, master_seed=seed,
+                  band=BandConfig(bandwidth_hz, 4.0 * bandwidth_hz, 4096),
                   r_range=(r_low, r_low * 10 ** r_span), r_levels=r_levels,
                   degeneracy_tolerance=10 ** width_exponent,
                   constants=SI if si_units else NORMALIZED)
@@ -110,6 +122,8 @@ def test_census_matches_the_table_on_random_grids(
     else:
         fields.update(t_range=(t_low, t_low * 10 ** t_span), t_levels=t_levels)
     cfg = ProtocolConfig(**fields)
+    if variant == "rr-kljn":  # whether or not the width fits the key range
+        assert STATUS_SINGULAR not in run_session(cfg).counts
     try:
         table = build_lookup_table(cfg)
     except ConfigError:  # a width too narrow for the key range
@@ -117,6 +131,10 @@ def test_census_matches_the_table_on_random_grids(
     assert_census_is_the_table(cfg, table, grid_settings(cfg), table.combo_cells)
     settings = drawn_settings(cfg)
     assert_census_is_the_table(cfg, table, settings, table.cell_indices(*settings))
+    if variant == "rr-kljn":  # singular cells hold ties only
+        r_a, _, r_b, _ = grid_settings(cfg)
+        singular = table.cell_singular[table.combo_cells]
+        np.testing.assert_array_equal(r_a[singular], r_b[singular])
 
 
 def test_census_of_no_settings():
@@ -142,6 +160,11 @@ def config_file(tmp_path, cfg, **extra):
     return str(path)
 
 
+def mode_fields(mode):
+    return (dict(mode="sampled", band=BandConfig(1.0, 4.0, 1000), estimator_segments=8)
+            if mode == "sampled" else {})
+
+
 @pytest.mark.parametrize("make", [rr_config, rrrt_config])
 @pytest.mark.parametrize("mode", ["analytic", "sampled"])
 def test_sessions_build_no_table(make, mode, monkeypatch, tmp_path):
@@ -150,9 +173,7 @@ def test_sessions_build_no_table(make, mode, monkeypatch, tmp_path):
 
     monkeypatch.setattr(lookup, "build_table", no_table)
     monkeypatch.setattr(protocol, "build_table", no_table)
-    sampled = (dict(mode="sampled", band=BandConfig(1.0, 4.0, 1000),
-                    estimator_segments=8) if mode == "sampled" else {})
-    cfg = make(bits=12, **sampled)
+    cfg = make(bits=12, **mode_fields(mode))
     report = run_session(cfg)
     assert sum(report.counts.values()) == 12
     assert repr(run_bit(cfg, 5)) == repr(report.outcome(5))
@@ -160,6 +181,32 @@ def test_sessions_build_no_table(make, mode, monkeypatch, tmp_path):
     for command in ("simulate", "attack"):
         assert main([command, "--config", path, "--out",
                      str(tmp_path / f"{command}.csv"), "--quiet"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("make", [rr_config, rrrt_config])
+@pytest.mark.parametrize("mode", ["analytic", "sampled"])
+def test_only_rrrt_sessions_take_the_census(make, mode, monkeypatch, tmp_path):
+    # at one temperature no cell but a tie's is singular, so an rr
+    # session has nothing to ask the census
+    censused = []
+    census_of = lookup.cell_census
+
+    def spy(*args):
+        censused.append(len(args[-1]))
+        return census_of(*args)
+
+    monkeypatch.setattr(lookup, "cell_census", spy)
+    monkeypatch.setattr(protocol, "cell_census", spy)
+    cfg = make(bits=40, **mode_fields(mode))
+    report = run_session(cfg)
+    run_bit(cfg, 5)
+    assert main(["simulate", "--config", config_file(tmp_path, cfg), "--out",
+                 str(tmp_path / "session.csv"), "--quiet"]) == EXIT_OK
+    if make is rr_config:
+        assert censused == []
+        assert STATUS_SINGULAR not in report.counts
+    else:
+        assert len(censused) == 3 and censused[0] > 0
 
 
 def test_fine_grid_session_runs_past_the_table_budget(tmp_path):

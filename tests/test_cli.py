@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,33 @@ class TestTable:
         assert main(["table", "--config", cfg, "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "1e-05" in err
+
+    def test_too_narrow_cells_fail_the_rr_table_but_not_its_session(self, tmp_path,
+                                                                    capsys):
+        # an rr session discards ties only, so its cell width is never keyed
+        cfg = config_file(tmp_path, variant="rr-kljn", r_range=[1000.0, 2000.0],
+                          r_levels=16, t_eff=300.0, degeneracy_tolerance=1e-7)
+        for command in ("simulate", "attack"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / f"{command}.csv"),
+                         "--quiet"]) == EXIT_OK
+        assert main(["table", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "too narrow" in err
+
+    @pytest.mark.parametrize("command", ["table", "simulate"])
+    def test_rrrt_commands_leave_numpy_ma_unimported(self, rrrt_cfg, tmp_path, command):
+        # numpy 2.4's np.unique without return_inverse imports numpy.ma
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        script = ("import sys; from kljn.cli import main; "
+                  f"code = main([{command!r}, '--config', {rrrt_cfg!r}, '--out', "
+                  f"{str(tmp_path / 'out.csv')!r}, '--quiet']); "
+                  "print(code, 'numpy.ma' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [str(EXIT_OK), "False"]
 
     def test_too_narrow_cells_on_a_later_block_exit_2(self, tmp_path, capsys,
                                                       monkeypatch):

@@ -429,6 +429,9 @@ def check_random_grid(variant, r_low, r_span, t_low, t_span, r_levels, t_levels,
             build_lookup_table(cfg)
     else:
         assert_table_is_one_shot(cfg, build_lookup_table(cfg))
+        if variant == "rr-kljn":  # singular cells hold ties only
+            singular = expected["cell_singular"][expected["combo_cells"]]
+            assert not expected["combo_bits"][singular].any()
 
 
 class TestStreamedBuild:
