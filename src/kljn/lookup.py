@@ -526,11 +526,10 @@ def _fold(mirrored: list, plain: list):
 
 
 def _pool_width() -> int:
-    """Threads that key the build's blocks: the CPUs this process may run
-    on, at most _BLOCK_SETTINGS // _MIN_BLOCK_SETTINGS."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    """The CPUs this process may run on: the most threads a parallel pass
+    (the build's blocks, a sampled session's bit periods) runs on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return max(1, min(cpus, _BLOCK_SETTINGS // _MIN_BLOCK_SETTINGS))
 
 
 def _sorted_keys(block, buffers, bandwidth_hz, k, rel_width, p_scale) -> np.ndarray:
@@ -582,7 +581,7 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
     # pool threads key and sort the blocks, each in the buffer set of its
     # slot, block i in slot i % width; this thread cuts them, in block
     # order, into sorted (refined key, count, bit) runs, kept by kind
-    width = _pool_width()
+    width = max(1, min(_pool_width(), _BLOCK_SETTINGS // _MIN_BLOCK_SETTINGS))
     blocks = list(_pair_blocks(r_grid, t_grid, bandwidth_hz, k, width))
     size = max(len(block[0]) for block in blocks) * len(t_grid) ** 2
     buffers = [(np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool))

