@@ -8,7 +8,7 @@ and averaged-periodogram estimation of the observables from synthesized
 traces; the sampled functions take one row per bit period, so a single
 period is a one-row call.  Both sampled stages touch only the
 in-band rFFT bins, which run contiguously from bin 1 and are counted
-once per trace layout, and the divider mixes the two voltages in place.
+once per trace layout, and keep every trace in a :class:`TraceWorkspace`.
 
 Sign conventions, fixed once and used everywhere:
 
@@ -183,8 +183,19 @@ def analytic_observables(alice: PartyState, bob: PartyState, band: BandConfig,
     return WireObservables(float(s_u), float(s_i), float(p_ab))
 
 
+class TraceWorkspace:
+    """Trace-sized buffers for synthesis and estimation on up to `rows` bit
+    periods of `band` in `segments` segments; results ignore their contents."""
+
+    def __init__(self, rows: int, band: BandConfig, segments: int):
+        n, seg_len = band.samples_per_bit, band.samples_per_bit // segments
+        self.traces = np.empty((2, rows, n))
+        self.real = np.empty(rows * max(4 * _band_bins(n, band)[0], n))
+        self.spectrum = np.empty(rows * max(n // 2 + 1, segments * (seg_len // 2 + 1)), complex)
+
+
 def synthesize_traces(r_a, t_a, r_b, t_b, band: BandConfig, generators,
-                      constants: PhysicalConstants = SI):
+                      constants: PhysicalConstants = SI, work: TraceWorkspace | None = None):
     """Wire voltage and current samples, one row per bit period.
 
     Two independent band-limited generators with PSDs 4kT_A R_A and
@@ -196,36 +207,40 @@ def synthesize_traces(r_a, t_a, r_b, t_b, band: BandConfig, generators,
     imaginary, u_B real, u_B imaginary, from the j-th numpy ``Generator``
     that `generators` yields; each is drawn from before the next is
     taken, so one generator may be re-seeded per row.
+
+    The traces are views of `work` (a fresh :class:`TraceWorkspace` when
+    none is given), whose float storage holds the normals, then u_B, and
+    complex storage the spectrum, zeroed outside the band first.
     """
-    n = band.samples_per_bit
+    n, rows = band.samples_per_bit, len(r_a)
     bins = slice(1, 1 + _band_bins(n, band)[0])
-    r_a, t_a, r_b, t_b = (np.asarray(v, dtype=float)[:, np.newaxis]
-                          for v in (r_a, t_a, r_b, t_b))
-    normals = np.empty((len(r_a), 4, bins.stop - 1))
+    work = work or TraceWorkspace(rows, band, 1)
+    r_a, t_a, r_b, t_b = (np.asarray(v, dtype=float) for v in (r_a, t_a, r_b, t_b))
+    normals = np.ndarray((rows, 4, bins.stop - 1), float, work.real)
     for row, rng in zip(normals, generators, strict=True):
         rng.standard_normal(out=row)
-    spectrum = np.zeros((len(normals), n // 2 + 1), dtype=complex)
-    voltages = []
-    for psd, re, im in ((4.0 * constants.k * t_a * r_a, 0, 1),
-                        (4.0 * constants.k * t_b * r_b, 2, 3)):
+    spectrum = np.ndarray((rows, n // 2 + 1), complex, work.spectrum)
+    spectrum[:, 0] = spectrum[:, bins.stop:] = 0
+    (u_a, u_wire), u_b = work.traces[:, :rows], np.ndarray((rows, n), float, work.real)
+    for psd, re, im, voltage in ((4.0 * constants.k * t_a * r_a, 0, 1, u_a),
+                                 (4.0 * constants.k * t_b * r_b, 2, 3, u_b)):
         # E|X_k|^2 = psd * fs * n / 2 makes the one-sided periodogram
         # 2|X_k|^2 / (fs n) an unbiased estimate of `psd` in-band.
         amplitude = np.sqrt(psd * band.sample_rate_hz * n / 4.0)
-        # the bins of amplitude * (re + 1j * im), without complex temporaries
-        np.multiply(amplitude, normals[:, re], out=spectrum.real[:, bins])
-        np.multiply(amplitude, normals[:, im], out=spectrum.imag[:, bins])
-        voltages.append(np.fft.irfft(spectrum, n))
-    # the divider's expressions, evaluated in place once the bins are
-    # freed: four 4096-sample rows peak at 0.58 MB of arrays, not 0.84
-    del normals, spectrum
-    u_a, u_b = voltages
-    total_r = r_a + r_b
-    u_wire = u_a * r_b
-    u_a -= u_b
-    u_b *= r_a
-    u_wire += u_b
-    u_wire /= total_r
-    u_a /= total_r
+        # amplitude * (re + 1j * im), row by row: numpy buffers 2-D broadcasts
+        for normal_row, scale in zip(normals, amplitude.tolist()):
+            normal_row[re:im + 1] *= scale
+        spectrum.real[:, bins] = normals[:, re]
+        spectrum.imag[:, bins] = normals[:, im]
+        np.fft.irfft(spectrum, n, out=voltage)
+    # the divider's expressions, evaluated in place row by row
+    for wire, current, other, ra, rb in zip(u_wire, u_a, u_b, r_a.tolist(), r_b.tolist()):
+        np.multiply(current, rb, out=wire)
+        current -= other
+        other *= ra
+        wire += other
+        wire /= ra + rb
+        current /= ra + rb
     return u_wire, u_a
 
 
@@ -256,7 +271,8 @@ def periodogram_bin_count(seg_len: int, band: BandConfig) -> int:
     return guarded or in_band
 
 
-def _averaged_periodogram_psd(x: np.ndarray, band: BandConfig, segments: int) -> np.ndarray:
+def _averaged_periodogram_psd(x: np.ndarray, band: BandConfig, segments: int,
+                              work: TraceWorkspace) -> np.ndarray:
     """Mean in-band PSD per row from non-overlapping rectangular-window
     periodograms, over the :func:`periodogram_bin_count` bins."""
     seg_len = x.shape[1] // segments
@@ -266,20 +282,28 @@ def _averaged_periodogram_psd(x: np.ndarray, band: BandConfig, segments: int) ->
             f"segment length {seg_len} resolves no bins inside the "
             f"{band.bandwidth_hz} Hz band at {band.sample_rate_hz} Hz sampling")
     blocks = x[:, : segments * seg_len].reshape(len(x), segments, seg_len)
-    spectra = np.fft.rfft(blocks, axis=2)[:, :, 1:1 + n_bins]
-    psd = 2.0 * np.abs(spectra) ** 2 / (band.sample_rate_hz * seg_len)
+    spectra = np.fft.rfft(blocks, axis=2, out=np.ndarray(
+        (len(x), segments, seg_len // 2 + 1), complex, work.spectrum))
     # contiguous bin-major rows: each sums in the order of a one-trace mean
-    rows = np.ascontiguousarray(psd.transpose(0, 2, 1))
-    return np.mean(rows.reshape(len(x), -1), axis=1)
+    in_band = np.ndarray((len(x), n_bins, segments), complex, work.real)
+    np.copyto(in_band.transpose(0, 2, 1), spectra[:, :, 1:1 + n_bins])
+    # 2|X|^2 / (fs L), each step in place in the spectra's storage
+    psd = np.abs(in_band, out=np.ndarray(in_band.shape, float, work.spectrum))
+    np.divide(np.multiply(2.0, np.square(psd, out=psd), out=psd),
+              band.sample_rate_hz * seg_len, out=psd)
+    return np.mean(psd.reshape(len(x), -1), axis=1)
 
 
 def estimate_observable_arrays(u_wire: np.ndarray, i_wire: np.ndarray,
-                               band: BandConfig, segments: int):
+                               band: BandConfig, segments: int,
+                               work: TraceWorkspace | None = None):
     """Estimate (s_u, s_i, p_ab) per row of sampled traces.
 
     PSDs come from averaged non-overlapping periodograms (variance
     shrinks as 1/segments); the power into Alice is -<u*i> under the
-    current sign convention of :func:`synthesize_traces`.
+    current sign convention of :func:`synthesize_traces`.  `work` (a fresh
+    :class:`TraceWorkspace` when none is given) holds the segment spectra,
+    then their periodograms, and their in-band bins, then u*i.
     """
     if segments < 1:
         raise TraceTooShort(f"need at least one segment, got {segments}")
@@ -287,6 +311,8 @@ def estimate_observable_arrays(u_wire: np.ndarray, i_wire: np.ndarray,
         raise TraceTooShort(
             f"trace of {u_wire.shape[1]} samples cannot be split into "
             f"{segments} segments of >= 2 samples")
-    return (_averaged_periodogram_psd(u_wire, band, segments),
-            _averaged_periodogram_psd(i_wire, band, segments),
-            -np.mean(u_wire * i_wire, axis=1))
+    work = work or TraceWorkspace(len(u_wire), band, segments)
+    return (_averaged_periodogram_psd(u_wire, band, segments, work),
+            _averaged_periodogram_psd(i_wire, band, segments, work),
+            -np.mean(np.multiply(u_wire, i_wire, out=np.ndarray(u_wire.shape, float, work.real)),
+                     axis=1))

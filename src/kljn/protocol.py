@@ -28,10 +28,10 @@ independent and may be evaluated in any order.  A session is one batch
 pass: per-config state is computed once, the state draws of all bits
 are one array pass that is bit-identical to those per-bit streams
 (``_streams``; a bit it cannot reproduce is drawn from its own
-generator), then observables (sampled mode: chunks of bit periods in
-contiguous parts, up to one thread per CPU; each part's noise
-generators' seeded states are one more ``_streams`` pass, set in turn
-on the part's one reused generator that draws each bit's normals),
+generator), then observables (sampled mode: contiguous parts of
+2^14-sample chunks, a thread and a caller-made workspace per part, up
+to one per CPU; each part's generators' seeded states are one more
+``_streams`` pass, set in turn on one reused generator per part),
 both recoveries, bits, the singularity verdict and the statuses are
 array operations; an rrrt session's verdict comes from the cell census
 (``lookup.cell_census``), so sessions build no look-up table.  The pass
@@ -60,6 +60,7 @@ from .physics import (
     BandConfig,
     PartyState,
     PhysicalConstants,
+    TraceWorkspace,
     WireObservables,
     analytic_observable_arrays,
     estimate_observable_arrays,
@@ -377,12 +378,12 @@ def build_lookup_table(config: ProtocolConfig) -> LookupTable:
                        max_combinations=config.max_combinations)
 
 
-#: Samples per trace held at once in sampled mode, over all threads:
-#: each of `width` threads synthesizes and estimates max(1,
-#: _CHUNK_SAMPLES // width // samples_per_bit) bit periods at a time.
-#: Results do not depend on it.  On 4096-sample bit periods and two
-#: threads, 2**15 and 2**16 ran 16 and 22 % faster than 2**14 but raised
-#: the peak RSS by 0.8 and 2.9 MB; 2**13 ran 47 % slower.
+#: Samples per trace each thread holds at once in sampled mode: a thread
+#: synthesizes and estimates max(1, _CHUNK_SAMPLES // samples_per_bit)
+#: bit periods at a time.  Results do not depend on it.  On 4096-sample
+#: bit periods and two threads, 2**15 and 2**16 ran 6 and 9 % faster
+#: than 2**14 but raised the peak RSS by 1.1 and 3.2 MB; 2**13 ran 13 %
+#: slower.
 _CHUNK_SAMPLES = 1 << 14
 
 
@@ -405,36 +406,36 @@ def _sampled_observables(config: ProtocolConfig, indices: list[int],
                          r_a, t_a, r_b, t_b):
     """Estimated (s_u, s_i, p_ab) arrays, chunk by chunk of bit periods.
 
-    The chunks are split into contiguous parts, one per thread: one per
-    CPU the process may use (`lookup._pool_width`), but no more than the
-    session's samples fill _CHUNK_SAMPLES-sample chunks, which the
-    threads share.  The calling thread runs the first part and a helper
-    thread each other, every part with its own noise generators.  Each
-    row's arithmetic does not depend on the split, so neither do the
-    results.  A session of one such chunk starts no thread.  The first
-    failing part's error is raised, in part order, once every helper has
-    been joined."""
-    per_bit = config.band.samples_per_bit
-    width = max(1, min(lookup._pool_width(), -(-len(indices) * per_bit // _CHUNK_SAMPLES)))
-    step = max(1, _CHUNK_SAMPLES // width // per_bit)
+    The _CHUNK_SAMPLES-sample chunks are split into contiguous parts, one
+    per thread: one per CPU the process may use (`lookup._pool_width`),
+    but no more than there are chunks.  The calling thread allocates each
+    part's workspace, so no trace lands in a helper's malloc arena, and
+    runs the first part; a helper runs each other, with its own generators.
+    Each row's arithmetic does not depend on the split, so neither do the
+    results.  A session of one chunk starts no thread.  The first failing
+    part's error is raised, in part order, once every helper has been
+    joined."""
+    step = max(1, _CHUNK_SAMPLES // config.band.samples_per_bit)
     n_chunks = -(-len(indices) // step)
+    width = max(1, min(lookup._pool_width(), n_chunks))
     bounds = [step * (n_chunks * p // width) for p in range(width)] + [len(indices)]
-    parts = [None] * width
+    works = [TraceWorkspace(min(step, bounds[p + 1] - bounds[p]), config.band,
+                            config.estimator_segments) for p in range(width)]
+    observables, errors = np.empty((3, len(indices))), [None] * width
 
     def run(p):
-        """Part p's chunk triples into parts[p], or its error."""
+        """Part p's columns of `observables`, or its error into errors[p]."""
         try:
             generators = _noise_generators(config, indices[bounds[p]:bounds[p + 1]])
-            parts[p] = []
             for start in range(bounds[p], bounds[p + 1], step):
                 rows = slice(start, start + step)
                 traces = synthesize_traces(r_a[rows], t_a[rows], r_b[rows], t_b[rows],
                                            config.band, islice(generators, step),
-                                           config.constants)
-                parts[p].append(estimate_observable_arrays(*traces, config.band,
-                                                           config.estimator_segments))
+                                           config.constants, works[p])
+                observables[:, rows] = estimate_observable_arrays(
+                    *traces, config.band, config.estimator_segments, works[p])
         except Exception as exc:  # raised on the calling thread, in part order
-            parts[p] = exc
+            errors[p] = exc
 
     helpers = []
     try:
@@ -446,11 +447,9 @@ def _sampled_observables(config: ProtocolConfig, indices: list[int],
     finally:
         for helper in helpers:
             helper.join()
-    for part in parts:
-        if isinstance(part, Exception):
-            raise part
-    chunks = [(np.empty(0),) * 3] + [chunk for part in parts for chunk in part]
-    return [np.concatenate(column) for column in zip(*chunks)]
+    for error in filter(None, errors):
+        raise error
+    return observables
 
 
 def _partner_views(config: ProtocolConfig, grids, own_r, own_t, s_u, s_i, p_ab):

@@ -126,6 +126,7 @@ class TestSimulate:
         # from bits 0 (the calling thread's), 13 and 26.  Part 2 fails
         # first, but part `first`'s error is the one raised
         monkeypatch.setattr(lookup, "_pool_width", lambda: 3)
+        monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", 4096)
         part_of, part_2_failed = {}, threading.Event()
         noise_generators, synthesize = protocol._noise_generators, protocol.synthesize_traces
 

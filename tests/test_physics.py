@@ -1,7 +1,10 @@
 """Core noise-loop physics: analytic observables, synthesis, estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kljn import (
     BOLTZMANN,
@@ -16,8 +19,10 @@ from kljn import (
     lookup,
 )
 from kljn.physics import (
+    TraceWorkspace,
     analytic_observable_arrays,
     estimate_observable_arrays,
+    periodogram_bin_count,
     power_prefactor,
     synthesize_traces,
 )
@@ -252,3 +257,66 @@ class TestEstimation:
         # expected improvement factor is 8; require at least 2.5 to keep
         # the test robust against one lucky coarse draw
         assert np.mean(coarse) > 2.5 * np.mean(fine)
+
+
+def workspace_chunk(rows, band, segments, work, seed=0):
+    """(s_u, s_i, p_ab) lists of a `rows`-row chunk synthesized and
+    estimated in `work`, its states and noise drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    r_a, r_b = rng.uniform(1e3, 3e3, (2, rows))
+    t_a, t_b = rng.uniform(100.0, 500.0, (2, rows))
+    generators = [np.random.default_rng([seed, j]) for j in range(rows)]
+    traces = synthesize_traces(r_a, t_a, r_b, t_b, band, generators, NORMALIZED, work)
+    return [column.tolist() for column in
+            estimate_observable_arrays(*traces, band, segments, work)]
+
+
+class TestWorkspace:
+    @settings(max_examples=30)
+    @given(n=st.integers(16, 4096), bandwidth=st.sampled_from([0.05, 0.5, 1.0, 1.9, 2.0]),
+           segments=st.integers(1, 64), rows=st.integers(1, 4), used=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    # bandwidth = Nyquist: the normals, 4 x 2047 floats a row, outgrow a trace
+    @example(n=4096, bandwidth=2.0, segments=64, rows=4, used=4, seed=1)
+    # 63-sample segments of 4095 samples: strided blocks, an odd rFFT length
+    @example(n=4095, bandwidth=1.0, segments=64, rows=2, used=2, seed=2)
+    # a ragged last chunk: fewer rows than the workspace holds
+    @example(n=4096, bandwidth=1.0, segments=64, rows=4, used=1, seed=3)
+    def test_a_workspace_carries_no_state_between_chunks(self, n, bandwidth, segments,
+                                                         rows, used, seed):
+        band = BandConfig(bandwidth, 4.0, n)
+        assume(used <= rows and n // segments >= 2
+               and periodogram_bin_count(n // segments, band))
+        # sized for the Nyquist band, so it also holds a chunk of that band
+        nyquist = BandConfig(2.0, 4.0, n)
+        work = TraceWorkspace(rows, nyquist, segments)
+        for buffer in vars(work).values():
+            buffer.fill(0.0)
+        clean = workspace_chunk(used, band, segments, work, seed)
+        assert clean == workspace_chunk(used, band, segments,
+                                        TraceWorkspace(used, band, segments), seed)
+        for buffer in vars(work).values():
+            buffer.fill(np.nan)
+        assert workspace_chunk(used, band, segments, work, seed) == clean
+        workspace_chunk(rows, nyquist, segments, work, seed + 1)
+        assert workspace_chunk(used, band, segments, work, seed) == clean
+
+    def test_a_prepared_workspace_allocates_nothing_trace_sized(self):
+        # one 4-row chunk of the benchmark's layout, its generators made
+        # beforehand: every trace-sized array is a view of the workspace
+        work = TraceWorkspace(4, BAND, 64)
+        row_bytes = BAND.samples_per_bit * 8
+        workspace_chunk(4, BAND, 64, work)
+        peaks = []
+        for chunk_work in (work, None):
+            r, t = np.full(4, 1000.0), np.full(4, 300.0)
+            generators = [np.random.default_rng(j) for j in range(4)]
+            tracemalloc.start()
+            try:
+                traces = synthesize_traces(r, t, 2 * r, t, BAND, generators, NORMALIZED,
+                                           chunk_work)
+                estimate_observable_arrays(*traces, BAND, 64, chunk_work)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < row_bytes and peaks[1] > 8 * row_bytes

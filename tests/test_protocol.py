@@ -30,6 +30,7 @@ from kljn import (
     NoPositiveRoot,
     eve_guess_session,
     lookup,
+    physics,
     protocol,
     resolver,
 )
@@ -860,7 +861,7 @@ class TestBatchEngine:
         extra = SMALL_SAMPLED if mode == "sampled" else {}
         monkeypatch.setattr(lookup, "_pool_width", lambda: width)
         if width == 2:  # 12 bits in chunks of 2, three to a thread
-            monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", 5 * 1000)
+            monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", 2 * 1000)
         cfg = make(bits=40 if mode == "analytic" else 12, **extra)
         report = run_session(cfg)
         table = (build_lookup_table(cfg) if cfg.variant in ("rr-kljn", "rrrt-kljn")
@@ -917,34 +918,53 @@ class TestBatchEngine:
     @pytest.mark.parametrize("make", [classic_config, vmg_config, rr_config,
                                       rrrt_config])
     @pytest.mark.parametrize("bits, split", [
-        # width: (chunk sizes, helper threads); the threads share 6 bit periods
-        (20, {1: ([6, 6, 6, 2], 0), 2: ([3] * 6 + [2], 1), 3: ([2] * 10, 2)}),
-        (10, {1: ([6, 4], 0), 2: ([3, 3, 3, 1], 1), 3: ([3, 3, 3, 1], 1)}),
-        (7, {1: ([6, 1], 0), 2: ([3, 3, 1], 1), 3: ([3, 3, 1], 1)}),
-        (4, {1: ([4], 0), 2: ([4], 0), 3: ([4], 0)}),
-        (0, {1: ([], 0), 2: ([], 0), 3: ([], 0)}),
+        # width: each part's chunk sizes, the calling thread's first; each
+        # thread holds 3 bit periods, and a helper thread runs each other part
+        (20, {1: [[3, 3, 3, 3, 3, 3, 2]], 2: [[3, 3, 3], [3, 3, 3, 2]],
+              3: [[3, 3], [3, 3], [3, 3, 2]]}),
+        (10, {1: [[3, 3, 3, 1]], 2: [[3, 3], [3, 1]], 3: [[3], [3], [3, 1]]}),
+        (7, {1: [[3, 3, 1]], 2: [[3], [3, 1]], 3: [[3], [3], [1]]}),
+        (3, {1: [[3]], 2: [[3]], 3: [[3]]}),
+        (0, {1: [[]], 2: [[]], 3: [[]]}),
     ], ids=["three-parts", "ragged", "one-chunk-part", "one-chunk", "empty"])
     def test_widths_give_identical_outcomes(self, make, bits, split, monkeypatch):
         # contiguous parts of chunks, one per thread: 20 bits at width 3 run
-        # as parts of 3, 3 and 4 chunks; 7 bits at width 2 as a part of one
+        # as parts of 2, 2 and 3 chunks; 7 bits at width 2 as a part of one
         # chunk and one of two
-        monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", 6 * 1000 + 5)
-        rows, started = [], []
+        monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", 3 * 1000 + 5)
+        rows, started = {}, []
         synthesize, start = protocol.synthesize_traces, threading.Thread.start
-        monkeypatch.setattr(protocol, "synthesize_traces", lambda r_a, *rest:
-                            rows.append(len(r_a)) or synthesize(r_a, *rest))
+        monkeypatch.setattr(protocol, "synthesize_traces", lambda r_a, *rest: rows.setdefault(
+            threading.get_ident(), []).append(len(r_a)) or synthesize(r_a, *rest))
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread) or start(thread))
         cfg = make(bits=bits, **SMALL_SAMPLED)
         outcomes = []
-        for width, (chunks, helpers) in split.items():
+        for width, parts in split.items():
             monkeypatch.setattr(lookup, "_pool_width", lambda: width)
             outcomes.append([repr(o) for o in run_session(cfg).outcomes])
-            assert sorted(rows) == sorted(chunks) and len(started) == helpers
+            assert rows.pop(threading.get_ident(), []) == parts[0]
+            assert sorted(rows.values()) == sorted(parts[1:])
+            assert len(started) == len(parts[1:])
             rows.clear()
             started.clear()
         assert len(outcomes[0]) == bits
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+    def test_workspaces_are_built_on_the_calling_thread(self, monkeypatch):
+        # 13 bits of 4096 samples, four to a chunk, on two threads: every
+        # workspace, the helper's too, comes from the calling thread
+        built, synthesized = [], set()
+        init, synthesize = physics.TraceWorkspace.__init__, protocol.synthesize_traces
+        monkeypatch.setattr(physics.TraceWorkspace, "__init__", lambda work, *args: built.append(
+            threading.get_ident()) or init(work, *args))
+        monkeypatch.setattr(protocol, "synthesize_traces", lambda *args: synthesized.add(
+            threading.get_ident()) or synthesize(*args))
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 2)
+        cfg = classic_config(bits=13, mode="sampled", estimator_segments=64)
+        assert run_session(cfg).total_bits == 13
+        assert built == [threading.get_ident()] * 2
+        assert len(synthesized) == 2 and threading.get_ident() in synthesized
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         # four threads on one bit period per chunk, switching every
