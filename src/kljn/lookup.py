@@ -50,37 +50,37 @@ too-narrow-width `ConfigError` checks the mirrors' indices too, so it
 fires for exactly the grids where some setting's index leaves the key
 range.
 
-The build keys its blocks on a thread pool and folds them on the
-calling thread.  On strictly ascending grids every block holds one bit
-value: the mirrored pairs (+1), then the diagonal (0), the other pairs
-R_A < R_B (+1) and those pairs reversed (-1).  `_pool_width` threads,
-one per CPU the process may run on but no more than leave each block
-`_MIN_BLOCK_SETTINGS`, share the `_BLOCK_SETTINGS` settings in flight.
-The calling thread allocates one buffer set per thread once per build
-(s_u, s_i and p as float64, and the parity mask), and block i is keyed
-in the set of slot i mod width: the observables are written in place,
-quantized and packed into keys in s_u's storage (the same IEEE
-operations as with a fresh array per step) and sorted in place, which
-numpy does without the GIL.  So the pool threads allocate no per-block
-arrays, and no large allocation lands in their malloc arenas.  The
-calling thread takes the blocks in block order, cuts each into its
-sorted (refined key, int32 count) run, kept with its bit among the runs
-of its kind, mirrored or plain, and hands the buffers back, or frees
-them after their slot's last block, before the fold.  A failed
-block's error is raised there in block order, no block is submitted
-once a failure is seen, and the pool is joined.  The fold stays on the
-calling thread, as a merge on a pool thread left 62-64 MB in that
-thread's arena.  It cuts every run at the same (u, i) group starts,
-into slabs of about `_FOLD_CELLS` keys in all; per slab it adds the
-image of each mirrored slice (`_image`), gives every entry the mask bit
-1 + bit, drops the parity bit and groups everything once, and it frees
-the runs before it concatenates the slabs' cells.  Within each kind of
-pair the blocks take the pairs in order of R_A + R_B, which sets s_i,
-so a block's cells recur little in other blocks: at 64 levels and width
-0.01 the kept runs hold 1.40 million entries for 1.09 million distinct
-refined keys with one thread, 1.71 million with two, against 2.48
-million entries in pair order.  Working memory is the kept runs, 25
-bytes per setting in flight and one slab, rather than levels^4
+The build keys its blocks in rounds of `_pool_width` blocks, one per
+CPU the process may run on but no more than leave each block
+`_MIN_BLOCK_SETTINGS`, which share the `_BLOCK_SETTINGS` settings in
+flight.  On strictly ascending grids every block holds one bit value:
+the mirrored pairs (+1), then the diagonal (0), the other pairs
+R_A < R_B (+1) and those pairs reversed (-1).  `_run_parts` keys block p
+of a round in buffer set p, block 0 on the calling thread and each other on
+a helper, so block i lands in slot i mod width.  The calling thread
+allocates the sets once per build (s_u, s_i and p as float64, and the
+parity mask): the observables are written in place, quantized and
+packed into keys in s_u's storage (the same IEEE operations as with a
+fresh array per step) and sorted in place, which numpy does without the
+GIL.  So a helper's malloc arena gets no block-sized array, only the
+broadcast temporaries of `analytic_observable_arrays` (267 kB per
+2^19-setting block at 64 levels).  The calling thread then cuts the
+round's blocks, in block order, into sorted (refined key, int32 count)
+runs, kept with their bit among the runs of their kind, mirrored or
+plain, and frees set p after its last block.  A failing round raises
+its first failing block's error, and no later round is keyed.  The fold
+stays on the calling thread, as a merge on a helper thread left 62-64 MB
+in that thread's arena.  It cuts every run at the same (u, i) group
+starts, into slabs of about `_FOLD_CELLS` keys in all; per slab it adds
+the image of each mirrored slice (`_image`), gives every entry the mask
+bit 1 + bit, drops the parity bit and groups everything once, and it
+frees the runs before it concatenates the slabs' cells.  Within each
+kind of pair the blocks take the pairs in order of R_A + R_B, which
+sets s_i, so a block's cells recur little in other blocks: at 64 levels
+and width 0.01 the kept runs hold 1.40 million entries for 1.09 million
+distinct refined keys with one thread, 1.71 million with two, against
+2.48 million entries in pair order.  Working memory is the kept runs,
+25 bytes per setting in flight and one slab, rather than levels^4
 settings.  The per-setting cell array `combo_cells` exists only on
 demand: `cell_indices` computes it block by block over the Alice
 settings when it is first asked for.
@@ -90,7 +90,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -526,23 +526,36 @@ def _fold(mirrored: list, plain: list):
 
 
 def _pool_width() -> int:
-    """The CPUs this process may run on: the most threads a parallel pass
-    (the build's blocks, a sampled session's bit periods) runs on."""
+    """The CPUs this process may run on: the most parts a `_run_parts`
+    pass (a round of the build's blocks, a sampled session) runs on."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _sorted_keys(block, buffers, bandwidth_hz, k, rel_width, p_scale) -> np.ndarray:
-    """A block's refined keys (`_block_keys`), computed in `buffers` and
-    sorted in place in s_u's storage.  It runs on a pool thread, which
-    allocates no per-block array, and numpy's sort releases the GIL."""
-    r_a, t_a, r_b, t_b, mirrored, _ = block
-    shape = np.broadcast_shapes(r_a.shape, t_a.shape, r_b.shape, t_b.shape)
-    keys = _block_keys(r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_width, p_scale,
-                       refine=True, mirrored=mirrored,
-                       out=[column[:math.prod(shape)].reshape(shape) for column in buffers])
-    keys.sort()
-    return keys
+def _run_parts(width: int, run) -> None:
+    """`run(p)` for every part p < `width`: part 0 on the calling thread,
+    each other on a helper thread.  Once every helper is joined, the
+    first failing part's error is raised, in part order."""
+    errors = [None] * width
+
+    def guarded(p):
+        try:
+            run(p)
+        except Exception as exc:  # raised on the calling thread, in part order
+            errors[p] = exc
+
+    helpers = []
+    try:
+        for p in range(1, width):
+            helper = threading.Thread(target=guarded, args=(p,))
+            helper.start()
+            helpers.append(helper)
+        guarded(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for error in filter(None, errors):
+        raise error
 
 
 def _run(keys: np.ndarray, first: np.ndarray):
@@ -575,34 +588,32 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
     k = constants.k
     p_scale = _power_scale(r_grid, t_grid, bandwidth_hz, k)
 
-    # imported here, as sessions build no table: the import costs 0.6 MB
-    from concurrent.futures import ThreadPoolExecutor
-
-    # pool threads key and sort the blocks, each in the buffer set of its
-    # slot, block i in slot i % width; this thread cuts them, in block
-    # order, into sorted (refined key, count, bit) runs, kept by kind
+    # rounds of `width` blocks, block p keyed in buffer set p; this thread
+    # cuts them, in block order, into (refined key, count, bit) runs by kind
     width = max(1, min(_pool_width(), _BLOCK_SETTINGS // _MIN_BLOCK_SETTINGS))
     blocks = list(_pair_blocks(r_grid, t_grid, bandwidth_hz, k, width))
     size = max(len(block[0]) for block in blocks) * len(t_grid) ** 2
     buffers = [(np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool))
                for _ in range(width)]
     runs = {True: [], False: []}
-    with ThreadPoolExecutor(width) as pool:
-        def submit(i):
-            return pool.submit(_sorted_keys, blocks[i], buffers[i % width],
-                               bandwidth_hz, k, rel_cell_width, p_scale)
+    for start in range(0, len(blocks), width):
+        round_blocks, keys = blocks[start:start + width], [None] * width
 
-        pending = deque(map(submit, range(min(width, len(blocks)))))
-        for i, (*_, mirrored, bit) in enumerate(blocks):
-            # a failed block raises here, in block order, and stops submission
-            keys = pending.popleft().result()
-            runs[mirrored].append((*_run(keys, buffers[i % width][3]), bit))
-            if (i + width < len(blocks)
-                    and not any(f.done() and f.exception() for f in pending)):
-                pending.append(submit(i + width))
-            else:  # the slot's last block: its buffers go before the fold
-                buffers[i % width] = None
-    del keys  # a view of the last slot's buffers
+        def sort_keys(p):  # in s_u's storage; numpy's sort releases the GIL
+            r_a, t_a, r_b, t_b, mirrored, _ = round_blocks[p]
+            shape = np.broadcast_shapes(r_a.shape, t_a.shape, r_b.shape, t_b.shape)
+            keys[p] = _block_keys(
+                r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_cell_width, p_scale,
+                refine=True, mirrored=mirrored,
+                out=[column[:math.prod(shape)].reshape(shape) for column in buffers[p]])
+            keys[p].sort()
+
+        _run_parts(len(round_blocks), sort_keys)
+        for p, (*_, mirrored, bit) in enumerate(round_blocks):
+            runs[mirrored].append((*_run(keys[p], buffers[p][3]), bit))
+            if start + p + width >= len(blocks):  # its last block: freed before the fold
+                buffers[p] = None
+    del keys  # views of the last round's buffers
     cell_keys, cell_sizes, cell_masks = _fold(runs[True], runs[False])
 
     return LookupTable(r_grid=r_grid, t_grid=t_grid,

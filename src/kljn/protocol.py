@@ -29,9 +29,11 @@ pass: per-config state is computed once, the state draws of all bits
 are one array pass that is bit-identical to those per-bit streams
 (``_streams``; a bit it cannot reproduce is drawn from its own
 generator), then observables (sampled mode: contiguous parts of
-2^14-sample chunks, a thread and a caller-made workspace per part, up
-to one per CPU; each part's generators' seeded states are one more
-``_streams`` pass, set in turn on one reused generator per part),
+2^14-sample chunks, up to one per CPU, run by ``lookup._run_parts``,
+the table build's thread runner: the first on the calling thread, each
+other on a helper, each in a workspace the calling thread makes; each
+part's generators' seeded states are one more ``_streams`` pass, set in
+turn on one reused generator per part),
 both recoveries, bits, the singularity verdict and the statuses are
 array operations; an rrrt session's verdict comes from the cell census
 (``lookup.cell_census``), so sessions build no look-up table.  The pass
@@ -43,7 +45,6 @@ on one index.
 from __future__ import annotations
 
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, starmap
@@ -407,48 +408,34 @@ def _sampled_observables(config: ProtocolConfig, indices: list[int],
     """Estimated (s_u, s_i, p_ab) arrays, chunk by chunk of bit periods.
 
     The _CHUNK_SAMPLES-sample chunks are split into contiguous parts, one
-    per thread: one per CPU the process may use (`lookup._pool_width`),
-    but no more than there are chunks.  The calling thread allocates each
-    part's workspace, so no trace lands in a helper's malloc arena, and
-    runs the first part; a helper runs each other, with its own generators.
-    Each row's arithmetic does not depend on the split, so neither do the
-    results.  A session of one chunk starts no thread.  The first failing
-    part's error is raised, in part order, once every helper has been
-    joined."""
+    per thread (`lookup._run_parts`): one per CPU the process may use
+    (`lookup._pool_width`), but no more than there are chunks.  The
+    calling thread allocates each part's workspace, so no trace lands in
+    a helper's malloc arena, and runs the first part; a helper runs each
+    other, with its own generators.  Each row's arithmetic does not
+    depend on the split, so neither do the results.  A session of one
+    chunk starts no thread.  The first failing part's error is raised, in
+    part order, once every helper has been joined."""
     step = max(1, _CHUNK_SAMPLES // config.band.samples_per_bit)
     n_chunks = -(-len(indices) // step)
     width = max(1, min(lookup._pool_width(), n_chunks))
     bounds = [step * (n_chunks * p // width) for p in range(width)] + [len(indices)]
     works = [TraceWorkspace(min(step, bounds[p + 1] - bounds[p]), config.band,
                             config.estimator_segments) for p in range(width)]
-    observables, errors = np.empty((3, len(indices))), [None] * width
+    observables = np.empty((3, len(indices)))
 
     def run(p):
-        """Part p's columns of `observables`, or its error into errors[p]."""
-        try:
-            generators = _noise_generators(config, indices[bounds[p]:bounds[p + 1]])
-            for start in range(bounds[p], bounds[p + 1], step):
-                rows = slice(start, start + step)
-                traces = synthesize_traces(r_a[rows], t_a[rows], r_b[rows], t_b[rows],
-                                           config.band, islice(generators, step),
-                                           config.constants, works[p])
-                observables[:, rows] = estimate_observable_arrays(
-                    *traces, config.band, config.estimator_segments, works[p])
-        except Exception as exc:  # raised on the calling thread, in part order
-            errors[p] = exc
+        """Part p's columns of `observables`."""
+        generators = _noise_generators(config, indices[bounds[p]:bounds[p + 1]])
+        for start in range(bounds[p], bounds[p + 1], step):
+            rows = slice(start, start + step)
+            traces = synthesize_traces(r_a[rows], t_a[rows], r_b[rows], t_b[rows],
+                                       config.band, islice(generators, step),
+                                       config.constants, works[p])
+            observables[:, rows] = estimate_observable_arrays(
+                *traces, config.band, config.estimator_segments, works[p])
 
-    helpers = []
-    try:
-        for p in range(1, width):
-            helper = threading.Thread(target=run, args=(p,))
-            helper.start()
-            helpers.append(helper)
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for error in filter(None, errors):
-        raise error
+    lookup._run_parts(width, run)
     return observables
 
 

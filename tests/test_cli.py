@@ -131,11 +131,11 @@ class TestSimulate:
         noise_generators, synthesize = protocol._noise_generators, protocol.synthesize_traces
 
         def recorded_noise_generators(config, indices):
-            part_of[threading.get_ident()] = {0: 0, 13: 1, 26: 2}[indices[0]]
+            part_of[threading.current_thread()] = {0: 0, 13: 1, 26: 2}[indices[0]]
             return noise_generators(config, indices)
 
         def failing_synthesize(*args, **kwargs):
-            part = part_of[threading.get_ident()]
+            part = part_of[threading.current_thread()]
             if part in failing:
                 if part == 2:
                     part_2_failed.set()
@@ -155,14 +155,17 @@ class TestSimulate:
         assert threading.active_count() == threads
         assert sorted(part_of.values()) == [0, 1, 2]
 
-    def test_sampled_simulate_leaves_concurrent_futures_unimported(self, tmp_path):
-        # the session's helper threads are plain threads: the import
-        # would cost about 0.6 MB
-        cfg = config_file(tmp_path, variant="classic-kljn", r_low=1000.0,
+    def test_sampled_simulate_leaves_concurrent_futures_unimported(self, rrrt_cfg,
+                                                                    tmp_path):
+        # a sampled session's and a table build's helper threads are plain
+        # threads: the import would cost about 0.6 MB
+        cfg = config_file(tmp_path, "sampled.json", variant="classic-kljn", r_low=1000.0,
                           r_high=2000.0, t_eff=300.0, mode="sampled",
                           estimator_segments=64)
-        assert fresh_main(["simulate", "--config", cfg, "--quiet"],
-                          "concurrent.futures", width=2) == (EXIT_OK, False)
+        for argv in (["simulate", "--config", cfg, "--quiet"],
+                     ["table", "--config", rrrt_cfg, "--out",
+                      str(tmp_path / "table.csv"), "--quiet"]):
+            assert fresh_main(argv, "concurrent.futures", width=2) == (EXIT_OK, False)
 
     def test_deterministic_given_seed(self, rrrt_cfg, tmp_path):
         texts = []

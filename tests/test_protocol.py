@@ -1,11 +1,8 @@
 """Session mechanics for all four variants, plus the singularity
 look-up table."""
 
-import concurrent.futures
 import sys
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -563,26 +560,16 @@ class TestStreamedBuild:
         assert len(calls) == 2
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("slow, failing, first, keyed", [
-        # block 4 fails while block 3 runs, then block 3 fails: block 3's
-        # error is raised
-        (3, {3, 4}, 3, [0, 1, 2, 3, 4]),
-        # block 1 fails while block 0 runs: block 2 is never submitted
-        (0, {1}, 1, [0, 1]),
-    ], ids=["block-order", "no-submission-after-failure"])
-    def test_two_threads_raise_the_first_failing_block(self, slow, failing, first, keyed,
-                                                       monkeypatch):
-        # two pairs per block, 18 blocks, block i in buffer slot i % 2; the
-        # slow block ends only once the other failing block's future is done
-        (other,) = failing - {slow}
-        futures = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def submit(self, *args, **kwargs):  # in block order
-                futures.append(super().submit(*args, **kwargs))
-                return futures[-1]
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    @pytest.mark.parametrize("failing, first", [
+        # block 3 fails on the helper thread before block 2 fails on the
+        # calling thread: block 2's error is raised
+        ({2, 3}, 2),
+        ({2}, 2),
+        ({3}, 3),
+    ], ids=["both-blocks", "calling-thread", "helper"])
+    def test_two_threads_raise_the_first_failing_block(self, failing, first, monkeypatch):
+        # two pairs per block, 18 blocks in rounds of two; round 1 (blocks 2
+        # and 3) fails, so no block of a later round is keyed
         monkeypatch.setattr(lookup, "_pool_width", lambda: 2)
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
         monkeypatch.setattr(lookup, "_MIN_BLOCK_SETTINGS", 5 * 32)
@@ -591,17 +578,17 @@ class TestStreamedBuild:
             lookup._pair_blocks(cfg.resistance_grid(), cfg.temperature_grid(),
                                 cfg.band.bandwidth_hz, cfg.constants.k, 2))}
         assert len(index) == 18
-        keyed_blocks = []
+        keyed_blocks, block_3_failed = [], threading.Event()
         block_keys = lookup._block_keys
 
         def failing_block_keys(r_a, t_a, r_b, *args, **kwargs):
             block = index[r_a.tobytes(), r_b.tobytes()]
-            keyed_blocks.append(block)
-            deadline = time.monotonic() + 10
-            while block == slow and not (len(futures) > other and futures[other].done()):
-                assert time.monotonic() < deadline, f"block {other} never finished"
-                time.sleep(1e-3)
+            keyed_blocks.append((block, threading.current_thread()))
             if block in failing:
+                if block == 3:
+                    block_3_failed.set()
+                elif 3 in failing:
+                    assert block_3_failed.wait(10), "block 3 never failed"
                 raise RuntimeError(f"block {block} failed")
             return block_keys(r_a, t_a, r_b, *args, **kwargs)
 
@@ -610,7 +597,20 @@ class TestStreamedBuild:
         with pytest.raises(RuntimeError, match=f"block {first} failed"):
             build_lookup_table(cfg)
         assert threading.active_count() == threads
-        assert sorted(keyed_blocks) == keyed
+        assert sorted(block for block, _ in keyed_blocks) == [0, 1, 2, 3]
+        # the even block of each round on the calling thread
+        main = threading.current_thread()
+        assert all((thread is main) == (block % 2 == 0) for block, thread in keyed_blocks)
+
+    def test_one_thread_build_starts_no_thread(self, monkeypatch):
+        def no_thread(thread):
+            raise AssertionError(f"the build started {thread}")
+
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 1)
+        monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        cfg = rrrt_config(r_levels=8, t_levels=8)
+        assert_table_is_one_shot(cfg, build_lookup_table(cfg))
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         # four threads on one pair per block, switching every microsecond:
@@ -935,7 +935,7 @@ class TestBatchEngine:
         rows, started = {}, []
         synthesize, start = protocol.synthesize_traces, threading.Thread.start
         monkeypatch.setattr(protocol, "synthesize_traces", lambda r_a, *rest: rows.setdefault(
-            threading.get_ident(), []).append(len(r_a)) or synthesize(r_a, *rest))
+            threading.current_thread(), []).append(len(r_a)) or synthesize(r_a, *rest))
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread) or start(thread))
         cfg = make(bits=bits, **SMALL_SAMPLED)
@@ -943,7 +943,7 @@ class TestBatchEngine:
         for width, parts in split.items():
             monkeypatch.setattr(lookup, "_pool_width", lambda: width)
             outcomes.append([repr(o) for o in run_session(cfg).outcomes])
-            assert rows.pop(threading.get_ident(), []) == parts[0]
+            assert rows.pop(threading.current_thread(), []) == parts[0]
             assert sorted(rows.values()) == sorted(parts[1:])
             assert len(started) == len(parts[1:])
             rows.clear()
