@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     except GridTooLarge as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except KljnError as exc:
+    except (KljnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

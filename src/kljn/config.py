@@ -86,7 +86,7 @@ def load_config(path) -> tuple[ProtocolConfig, dict]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc

@@ -50,25 +50,25 @@ too-narrow-width `ConfigError` checks the mirrors' indices too, so it
 fires for exactly the grids where some setting's index leaves the key
 range.
 
-The build keys its blocks in rounds of `_pool_width` blocks, one per
-CPU the process may run on but no more than leave each block
-`_MIN_BLOCK_SETTINGS`, which share the `_BLOCK_SETTINGS` settings in
-flight.  On strictly ascending grids every block holds one bit value:
+The build keys its blocks in one `_run_parts` pass of `_pool_width`
+parts, one per CPU the process may run on but no more than leave each
+block `_MIN_BLOCK_SETTINGS`, which share the `_BLOCK_SETTINGS` settings
+in flight.  On strictly ascending grids every block holds one bit value:
 the mirrored pairs (+1), then the diagonal (0), the other pairs
-R_A < R_B (+1) and those pairs reversed (-1).  `_run_parts` keys block p
-of a round in buffer set p, block 0 on the calling thread and each other on
-a helper, so block i lands in slot i mod width.  The calling thread
-allocates the sets once per build (s_u, s_i and p as float64, and the
-parity mask): the observables are written in place, quantized and
-packed into keys in s_u's storage (the same IEEE operations as with a
-fresh array per step) and sorted in place, which numpy does without the
-GIL.  So a helper's malloc arena gets no block-sized array, only the
-broadcast temporaries of `analytic_observable_arrays` (267 kB per
-2^19-setting block at 64 levels).  The calling thread then cuts the
-round's blocks, in block order, into sorted (refined key, int32 count)
-runs, kept with their bit among the runs of their kind, mirrored or
-plain, and frees set p after its last block.  A failing round raises
-its first failing block's error, and no later round is keyed.  The fold
+R_A < R_B (+1) and those pairs reversed (-1).  Part p, part 0 on the
+calling thread and each other on a helper, takes blocks p, p + width,
+... in buffer set p, which the calling thread allocates before any
+helper starts (s_u, s_i and p as float64, and the parity mask) and frees
+after the join.  Per block the observables are written in place,
+quantized and packed into keys in s_u's storage (the same IEEE
+operations as with a fresh array per step) and sorted in place, which
+numpy does without the GIL; the part then cuts the sorted keys into
+(refined key, int32 count) runs, kept with their mirrored flag and bit.
+So a helper's malloc arena gets no block-sized array, only its share of
+the kept runs and the broadcast temporaries of
+`analytic_observable_arrays` (267 kB per 2^19-setting block at 64
+levels).  A part keys nothing after its first failing block, and the
+build raises the first failing part's error, in part order.  The fold
 stays on the calling thread, as a merge on a helper thread left 62-64 MB
 in that thread's arena.  It cuts every run at the same (u, i) group
 starts, into slabs of about `_FOLD_CELLS` keys in all; per slab it adds
@@ -493,41 +493,40 @@ def _image(keys: np.ndarray, counts: np.ndarray, bit: int):
     return image, counts[order], -bit
 
 
-def _fold(mirrored: list, plain: list):
+def _fold(runs: list):
     """Coarse cells (keys, sizes, masks) of the sorted refined (key,
-    count, bit) runs `plain` and `mirrored`, the latter with their
-    mirror images added; a cell's mask has bit 1 + b set for each bit
-    value b among its settings.  Every run is cut at the same starts of
-    (s_u, s_i) groups, into slabs of about _FOLD_CELLS keys in all.  The
-    fold empties both lists, so the runs are freed before the slabs'
-    cells are concatenated."""
-    n_mirrored, runs = len(mirrored), mirrored + plain
-    mirrored.clear()
-    plain.clear()
+    count, mirrored, bit) runs, the mirrored ones with their mirror
+    images added; a cell's mask has bit 1 + b set for each bit value b
+    among its settings.  Every run is cut at the same starts of (s_u,
+    s_i) groups, into slabs of about _FOLD_CELLS keys in all.  The fold
+    empties `runs`, so the runs are freed before the slabs' cells are
+    concatenated."""
     # sorted in place and deduplicated by hand: np.unique would import numpy.ma
-    cuts = np.concatenate([keys[_FOLD_CELLS::_FOLD_CELLS] for keys, _, _ in runs])
+    cuts = np.concatenate([keys[_FOLD_CELLS::_FOLD_CELLS] for keys, *_ in runs])
     cuts >>= _LOW_BITS
     cuts <<= _LOW_BITS
     cuts.sort()
     cuts = cuts[_starts(cuts, np.empty(len(cuts), dtype=bool))]
     edges = np.array([np.concatenate(([0], np.searchsorted(keys, cuts), [len(keys)]))
-                      for keys, _, _ in runs])
+                      for keys, *_ in runs])
     pieces = []
     for lo, hi in zip(edges.T[:-1], edges.T[1:]):
         slices = [(keys[a:b], counts[a:b], bit)
-                  for (keys, counts, bit), a, b in zip(runs, lo, hi)]
-        slices += [_image(*piece) for piece in slices[:n_mirrored]]
+                  for (keys, counts, _, bit), a, b in zip(runs, lo, hi)]
+        slices += [_image(*piece) for piece, (_, _, mirrored, _) in zip(slices, runs)
+                   if mirrored]
         keys, counts, bits = zip(*slices)
         masks = np.repeat(np.array([1 << (1 + bit) for bit in bits], dtype=np.int8),
                           [len(piece) for piece in keys])
         pieces.append(_group(np.concatenate(keys) >> 1, np.concatenate(counts), masks))
-    del runs, slices, keys, counts
+    runs.clear()
+    del slices, keys, counts
     return [np.concatenate(column) for column in zip(*pieces)]
 
 
 def _pool_width() -> int:
     """The CPUs this process may run on: the most parts a `_run_parts`
-    pass (a round of the build's blocks, a sampled session) runs on."""
+    pass (a table build, a sampled session) runs on."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -588,33 +587,30 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
     k = constants.k
     p_scale = _power_scale(r_grid, t_grid, bandwidth_hz, k)
 
-    # rounds of `width` blocks, block p keyed in buffer set p; this thread
-    # cuts them, in block order, into (refined key, count, bit) runs by kind
+    # part p keys blocks p, p + width, ... in buffer set p and cuts each
+    # into (refined key, count, mirrored, bit) runs of its own
     width = max(1, min(_pool_width(), _BLOCK_SETTINGS // _MIN_BLOCK_SETTINGS))
     blocks = list(_pair_blocks(r_grid, t_grid, bandwidth_hz, k, width))
+    width = min(width, len(blocks))
     size = max(len(block[0]) for block in blocks) * len(t_grid) ** 2
     buffers = [(np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool))
                for _ in range(width)]
-    runs = {True: [], False: []}
-    for start in range(0, len(blocks), width):
-        round_blocks, keys = blocks[start:start + width], [None] * width
+    runs = [[] for _ in range(width)]
 
-        def sort_keys(p):  # in s_u's storage; numpy's sort releases the GIL
-            r_a, t_a, r_b, t_b, mirrored, _ = round_blocks[p]
+    def cut_share(p):  # keys in s_u's storage; numpy's sort releases the GIL
+        for r_a, t_a, r_b, t_b, mirrored, bit in blocks[p::width]:
             shape = np.broadcast_shapes(r_a.shape, t_a.shape, r_b.shape, t_b.shape)
-            keys[p] = _block_keys(
+            keys = _block_keys(
                 r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_cell_width, p_scale,
                 refine=True, mirrored=mirrored,
                 out=[column[:math.prod(shape)].reshape(shape) for column in buffers[p]])
-            keys[p].sort()
+            keys.sort()
+            runs[p].append((*_run(keys, buffers[p][3]), mirrored, bit))
 
-        _run_parts(len(round_blocks), sort_keys)
-        for p, (*_, mirrored, bit) in enumerate(round_blocks):
-            runs[mirrored].append((*_run(keys[p], buffers[p][3]), bit))
-            if start + p + width >= len(blocks):  # its last block: freed before the fold
-                buffers[p] = None
-    del keys  # views of the last round's buffers
-    cell_keys, cell_sizes, cell_masks = _fold(runs[True], runs[False])
+    _run_parts(width, cut_share)
+    del buffers
+    runs = [run for share in runs for run in share]
+    cell_keys, cell_sizes, cell_masks = _fold(runs)
 
     return LookupTable(r_grid=r_grid, t_grid=t_grid,
                        rel_cell_width=rel_cell_width,

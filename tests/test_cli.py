@@ -400,6 +400,24 @@ class TestErrorPaths:
         assert main(["simulate", "--config",
                      str(tmp_path / "absent.json")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda path: path.mkdir(), id="directory"),
+        pytest.param(lambda path: path.write_bytes(b'{"variant": "\xff"}'), id="non-utf-8"),
+    ])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, make):
+        path = tmp_path / "config.json"
+        make(path)
+        assert main(["simulate", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+
+    def test_out_into_a_missing_directory_exits_1(self, classic_cfg, tmp_path, capsys):
+        out = tmp_path / "absent" / "session.csv"
+        assert main(["simulate", "--config", classic_cfg, "--out", str(out),
+                     "--quiet"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = config_file(tmp_path, variant="classic-kljn", r_low=1000.0,
                           r_high=2000.0, t_eff=300.0, typo_key=1)

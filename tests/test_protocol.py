@@ -562,14 +562,15 @@ class TestStreamedBuild:
 
     @pytest.mark.parametrize("failing, first", [
         # block 3 fails on the helper thread before block 2 fails on the
-        # calling thread: block 2's error is raised
+        # calling thread: part 0's error, block 2's, is raised
         ({2, 3}, 2),
         ({2}, 2),
         ({3}, 3),
     ], ids=["both-blocks", "calling-thread", "helper"])
     def test_two_threads_raise_the_first_failing_block(self, failing, first, monkeypatch):
-        # two pairs per block, 18 blocks in rounds of two; round 1 (blocks 2
-        # and 3) fails, so no block of a later round is keyed
+        # two pairs per block, 18 blocks: part 0 keys the even blocks on the
+        # calling thread and part 1 the odd ones on a helper, each up to its
+        # own first failing block
         monkeypatch.setattr(lookup, "_pool_width", lambda: 2)
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
         monkeypatch.setattr(lookup, "_MIN_BLOCK_SETTINGS", 5 * 32)
@@ -597,10 +598,34 @@ class TestStreamedBuild:
         with pytest.raises(RuntimeError, match=f"block {first} failed"):
             build_lookup_table(cfg)
         assert threading.active_count() == threads
-        assert sorted(block for block, _ in keyed_blocks) == [0, 1, 2, 3]
-        # the even block of each round on the calling thread
+        for part in range(2):
+            share = list(range(part, 18, 2))
+            stop = min((share.index(block) + 1 for block in failing if block % 2 == part),
+                       default=len(share))
+            assert [block for block, _ in keyed_blocks if block % 2 == part] == share[:stop]
+        # the even blocks on the calling thread
         main = threading.current_thread()
         assert all((thread is main) == (block % 2 == 0) for block, thread in keyed_blocks)
+
+    def test_two_thread_build_starts_one_helper(self, monkeypatch):
+        # 18 blocks on two parts: one helper keys its share in one pass
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 2)
+        monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
+        monkeypatch.setattr(lookup, "_MIN_BLOCK_SETTINGS", 5 * 32)
+        cfg = rrrt_config(r_levels=8, t_levels=8)
+        assert len(list(lookup._pair_blocks(cfg.resistance_grid(), cfg.temperature_grid(),
+                                            cfg.band.bandwidth_hz, cfg.constants.k,
+                                            2))) == 18
+        started, start = [], lookup.threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(lookup.threading.Thread, "start", counted_start)
+        table = build_lookup_table(cfg)
+        assert len(started) == 1
+        assert_table_is_one_shot(cfg, table)
 
     def test_one_thread_build_starts_no_thread(self, monkeypatch):
         def no_thread(thread):
