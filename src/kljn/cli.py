@@ -20,6 +20,8 @@ Every command is deterministic given (config file, --seed).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 from itertools import repeat
@@ -60,7 +62,11 @@ def _say(args, *message):
 
 
 def _load(args) -> tuple[ProtocolConfig, dict]:
+    """The config with its --seed override; a --out into a directory
+    that does not exist fails here, before any work."""
     config, extras = load_config(args.config)
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or os.curdir):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     return config, extras
@@ -217,14 +223,12 @@ def cmd_table(args) -> int:
     if args.out:
         with_members = table.n_settings <= _MEMBER_DUMP_LIMIT
         columns = ["cell", "size", "singular"] + (["members"] if with_members else [])
-        # every count fits the type that holds n_settings
-        rows = np.empty((table.n_cells, 3), dtype=np.min_scalar_type(table.n_settings))
-        rows[:, 0] = np.arange(table.n_cells, dtype=rows.dtype)
-        rows[:, 1] = table.cell_sizes
-        rows[:, 2] = table.cell_singular
+        rows = (np.arange(table.n_cells, dtype=np.min_scalar_type(table.n_cells)),
+                table.cell_sizes, table.cell_singular)
         if with_members:
-            rows = [cells + [";".join(map(str, members.tolist()))]
-                    for cells, members in zip(rows.tolist(), table.all_cell_members())]
+            rows = zip(*(values.astype(np.int64).tolist() for values in rows),
+                       (";".join(map(str, members.tolist()))
+                        for members in table.all_cell_members()))
         summary = {
             "schema": "kljn-table-csv-1",
             "variant": config.variant,

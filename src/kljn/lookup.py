@@ -69,21 +69,25 @@ the kept runs and the broadcast temporaries of
 `analytic_observable_arrays` (267 kB per 2^19-setting block at 64
 levels).  A part keys nothing after its first failing block, and the
 build raises the first failing part's error, in part order.  The fold
-stays on the calling thread, as a merge on a helper thread left 62-64 MB
-in that thread's arena.  It cuts every run at the same (u, i) group
-starts, into slabs of about `_FOLD_CELLS` keys in all; per slab it adds
-the image of each mirrored slice (`_image`), gives every entry the mask
-bit 1 + bit, drops the parity bit and groups everything once, and it
-frees the runs before it concatenates the slabs' cells.  Within each
+cuts every run at the same (u, i) group starts, into slabs of about
+`_FOLD_CELLS` keys in all, and folds them in a second `_run_parts` pass:
+part p takes slabs p, p + width, ..., and per slab adds the image of
+each mirrored slice (`_image`), gives every entry the mask bit 1 + bit,
+drops the parity bit and groups everything once into that slab's own
+slot.  The calling thread frees the runs, then concatenates the slabs'
+cells in slab order.  A helper's arena so gets one slab's temporaries
+at a time (a median of 3 MB, at most 14 MB, at 64 levels and width
+0.01) and its share of the slabs' cells, not a merge of the whole
+table, which left 62-64 MB in a helper's arena when tried.  Within each
 kind of pair the blocks take the pairs in order of R_A + R_B, which
 sets s_i, so a block's cells recur little in other blocks: at 64 levels
 and width 0.01 the kept runs hold 1.40 million entries for 1.09 million
 distinct refined keys with one thread, 1.71 million with two, against
 2.48 million entries in pair order.  Working memory is the kept runs,
-25 bytes per setting in flight and one slab, rather than levels^4
-settings.  The per-setting cell array `combo_cells` exists only on
-demand: `cell_indices` computes it block by block over the Alice
-settings when it is first asked for.
+25 bytes per setting in flight and one slab per part, rather than
+levels^4 settings.  The per-setting cell array `combo_cells` exists
+only on demand: `cell_indices` computes it block by block over the
+Alice settings when it is first asked for.
 """
 
 from __future__ import annotations
@@ -498,9 +502,11 @@ def _fold(runs: list):
     count, mirrored, bit) runs, the mirrored ones with their mirror
     images added; a cell's mask has bit 1 + b set for each bit value b
     among its settings.  Every run is cut at the same starts of (s_u,
-    s_i) groups, into slabs of about _FOLD_CELLS keys in all.  The fold
-    empties `runs`, so the runs are freed before the slabs' cells are
-    concatenated."""
+    s_i) groups, into slabs of about _FOLD_CELLS keys in all; a
+    `_run_parts` pass of up to `_pool_width` parts folds them, part p
+    slabs p, p + width, ..., each into its own slot.  The fold empties
+    `runs`, so the runs are freed before the slabs' cells are
+    concatenated in slab order."""
     # sorted in place and deduplicated by hand: np.unique would import numpy.ma
     cuts = np.concatenate([keys[_FOLD_CELLS::_FOLD_CELLS] for keys, *_ in runs])
     cuts >>= _LOW_BITS
@@ -509,19 +515,23 @@ def _fold(runs: list):
     cuts = cuts[_starts(cuts, np.empty(len(cuts), dtype=bool))]
     edges = np.array([np.concatenate(([0], np.searchsorted(keys, cuts), [len(keys)]))
                       for keys, *_ in runs])
-    pieces = []
-    for lo, hi in zip(edges.T[:-1], edges.T[1:]):
-        slices = [(keys[a:b], counts[a:b], bit)
-                  for (keys, counts, _, bit), a, b in zip(runs, lo, hi)]
-        slices += [_image(*piece) for piece, (_, _, mirrored, _) in zip(slices, runs)
-                   if mirrored]
-        keys, counts, bits = zip(*slices)
-        masks = np.repeat(np.array([1 << (1 + bit) for bit in bits], dtype=np.int8),
-                          [len(piece) for piece in keys])
-        pieces.append(_group(np.concatenate(keys) >> 1, np.concatenate(counts), masks))
+    slabs = [None] * (len(cuts) + 1)
+    width = min(_pool_width(), len(slabs))
+
+    def fold_share(p):
+        for slab in range(p, len(slabs), width):
+            slices = [(keys[lo:hi], counts[lo:hi], bit) for (keys, counts, _, bit), lo, hi
+                      in zip(runs, edges[:, slab], edges[:, slab + 1])]
+            slices += [_image(*piece) for piece, (_, _, mirrored, _) in zip(slices, runs)
+                       if mirrored]
+            keys, counts, bits = zip(*slices)
+            masks = np.repeat(np.array([1 << (1 + bit) for bit in bits], dtype=np.int8),
+                              [len(piece) for piece in keys])
+            slabs[slab] = _group(np.concatenate(keys) >> 1, np.concatenate(counts), masks)
+
+    _run_parts(width, fold_share)
     runs.clear()
-    del slices, keys, counts
-    return [np.concatenate(column) for column in zip(*pieces)]
+    return [np.concatenate(column) for column in zip(*slabs)]
 
 
 def _pool_width() -> int:

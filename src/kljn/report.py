@@ -5,24 +5,32 @@ lines are prefixed with ``#`` so the table parses with any CSV reader;
 the toolkit's own reader returns both parts and round-trips exactly
 (floats are serialized with repr, which is lossless for doubles).
 
-Rows given as one 2-D integer numpy array (the singularity table's
-cell, size and singular columns) are formatted in pieces of
-`_DUMP_PIECE` rows as ASCII digit matrices, byte for byte as
-``csv.writer`` writes their ``str(int)`` cells.  Any other rows (those
-holding strings, None or floats) go through ``csv.writer``.
+Rows given as a tuple of integer or bool numpy columns (the
+singularity table's cell, size and singular columns) are formatted in
+pieces of `_DUMP_PIECE` rows as ASCII digit matrices, byte for byte as
+``csv.writer`` writes their ``str(int)`` cells (a bool as 0 or 1).  A
+`lookup._run_parts` pass of up to `lookup._pool_width` parts formats
+them, part p pieces p, p + width, ..., and each part writes its piece
+when the one before it is written.  So the pieces land in order, and a
+part holds one formatted piece at a time: the dump's memory is about
+one piece's per part, plus the columns, which are read where they are
+instead of being stacked into one copy.  Any other rows (those holding
+strings, None or floats) go through ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import csv
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import lookup
 from .errors import ConfigError
 
-_DUMP_PIECE = 1 << 16  # rows per piece of the integer array path
+_DUMP_PIECE = 1 << 16  # rows per piece of the integer column path
 
 
 @dataclass
@@ -42,22 +50,24 @@ def _format(value) -> str:
     return str(value)
 
 
-def _int_piece(block: np.ndarray) -> str:
-    """The rows of the 2-D integer array `block` as ``csv.writer`` writes
-    them: ``str(int)`` cells joined by ',', each row ended by '\\n'.
+def _int_piece(columns) -> str:
+    """The rows of the equal-length integer or bool `columns` as
+    ``csv.writer`` writes their ``str(int)`` cells: joined by ',', each
+    row ended by '\\n'.
 
     Each column gets a sign slot (when it holds a negative value) and
     right-aligned digit slots as wide as its largest magnitude; a keep
     mask drops the unused sign slots and the leading zeros.
     """
-    comma, everywhere = np.full(len(block), ord(","), np.uint8), np.ones(len(block), bool)
+    rows = len(columns[0])
+    comma, everywhere = np.full(rows, ord(","), np.uint8), np.ones(rows, bool)
     text, keep = [], []  # one slot per character column, left to right
-    for values in block.T:
+    for values in columns:
         minus = values < 0
         magnitude = values.astype(np.uint64)  # two's complement: exact for int64's minimum
         np.negative(magnitude, out=magnitude, where=minus)
         if minus.any():
-            text.append(np.full(len(block), ord("-"), np.uint8))
+            text.append(np.full(rows, ord("-"), np.uint8))
             keep.append(minus)
         digits = []  # units first
         for place in range(len(str(magnitude.max(initial=0)))):
@@ -73,22 +83,52 @@ def _int_piece(block: np.ndarray) -> str:
     return text[np.stack(keep, axis=1)].tobytes().decode("ascii")
 
 
+def _write_int_columns(handle, columns) -> None:
+    """Write `columns` in pieces of _DUMP_PIECE rows, formatted on up to
+    `_pool_width` parts and written in piece order."""
+    starts = range(0, len(columns[0]), _DUMP_PIECE)
+    width = max(1, min(lookup._pool_width(), len(starts)))
+    turn = threading.Condition()
+    written = [0]  # pieces written, or None once a part has failed
+
+    def dump_share(p):
+        try:
+            for piece in range(p, len(starts), width):
+                text = _int_piece([values[starts[piece]:starts[piece] + _DUMP_PIECE]
+                                   for values in columns])
+                with turn:
+                    turn.wait_for(lambda: written[0] in (piece, None))
+                    if written[0] is None:
+                        return
+                    handle.write(text)
+                    written[0] += 1
+                    turn.notify_all()
+        except BaseException:  # no part waits for a piece that never comes
+            with turn:
+                written[0] = None
+                turn.notify_all()
+            raise
+
+    lookup._run_parts(width, dump_share)
+
+
 def write_csv(columns, rows, summary: dict, path) -> None:
     """Stream one output file: the header, `rows` (value sequences in
     `columns` order) and the summary block.
 
     The one CSV writer of the toolkit.  The csv module writes None as
     an empty cell and floats with repr, as :func:`_format` does for the
-    summary values.  `rows` given as a 2-D integer numpy array with at
-    least one column are written in pieces by :func:`_int_piece`.
+    summary values.  `rows` given as a tuple of equal-length 1-D
+    integer or bool numpy arrays, one per column, are read where they
+    lie and formatted in pieces by :func:`_int_piece`.
     """
     with open(path, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] \
-                and rows.dtype.kind in "iu":
-            for start in range(0, len(rows), _DUMP_PIECE):
-                handle.write(_int_piece(rows[start:start + _DUMP_PIECE]))
+        if isinstance(rows, tuple) and rows and all(
+                isinstance(values, np.ndarray) and values.dtype.kind in "biu"
+                for values in rows):
+            _write_int_columns(handle, rows)
         else:
             writer.writerows(rows)
         handle.writelines(f"# {key},{_format(value)}\n"

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kljn import cli, lookup, protocol
+from kljn import cli, lookup, protocol, report
 from kljn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from kljn.config import load_config
 from kljn.errors import KljnError
@@ -388,6 +388,67 @@ class TestTable:
         assert main(["table", "--config", cfg, "--quiet"]) == EXIT_RUNTIME
         assert "refused" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("members", [True, False], ids=["members", "columns"])
+    @pytest.mark.parametrize("fold_cells, dump_piece, slabs, pieces", [
+        (2000, 5000, 17, 11),
+        (1 << 15, 30000, 1, 2),
+    ], ids=["uneven-shares", "more-parts-than-slabs-and-pieces"])
+    def test_table_bytes_do_not_depend_on_the_thread_count(
+            self, tmp_path, monkeypatch, members, fold_cells, dump_piece, slabs, pieces):
+        # 51 289 cells of 65 536 settings at 16 levels, whose slabs and
+        # pieces split unevenly over two and three parts, or are fewer
+        # than three; the member lists go through csv.writer
+        cfg = config_file(tmp_path, variant="rrrt-kljn",
+                          r_range=[1000.0, 2000.0], r_levels=16,
+                          t_range=[200.0, 400.0], t_levels=16)
+        monkeypatch.setattr(lookup, "_FOLD_CELLS", fold_cells)
+        monkeypatch.setattr(report, "_DUMP_PIECE", dump_piece)
+        if not members:
+            monkeypatch.setattr(cli, "_MEMBER_DUMP_LIMIT", 0)
+        calls = {"_group": 0, "_int_piece": 0}
+        for module, name in ((lookup, "_group"), (report, "_int_piece")):
+            def counted(*args, original=getattr(module, name), name=name):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        outputs = []
+        for width in (1, 2, 3):
+            monkeypatch.setattr(lookup, "_pool_width", lambda: width)
+            out = tmp_path / f"table-{width}.csv"
+            assert main(["table", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert calls == {"_group": 3 * slabs, "_int_piece": 0 if members else 3 * pieces}
+        assert outputs[0].startswith(b"cell,size,singular" + b",members" * members + b"\n")
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("width, helpers", [(1, 0), (2, 3), (3, 5)])
+    def test_table_starts_one_helper_per_part_and_pass(self, tmp_path, monkeypatch,
+                                                       width, helpers):
+        # the fold's 17 slabs and the dump's 11 pieces each take one pass
+        # of `width` parts, the keys one of at most two (their blocks hold
+        # at least _MIN_BLOCK_SETTINGS); on one CPU the calling thread does
+        # all
+        cfg = config_file(tmp_path, variant="rrrt-kljn",
+                          r_range=[1000.0, 2000.0], r_levels=16,
+                          t_range=[200.0, 400.0], t_levels=16)
+        monkeypatch.setattr(lookup, "_pool_width", lambda: width)
+        monkeypatch.setattr(lookup, "_FOLD_CELLS", 2000)
+        monkeypatch.setattr(report, "_DUMP_PIECE", 5000)
+        monkeypatch.setattr(cli, "_MEMBER_DUMP_LIMIT", 0)
+        started, start = [], threading.Thread.start
+
+        def counted_start(thread):
+            if width == 1:
+                raise AssertionError(f"a one-CPU table started {thread}")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        assert main(["table", "--config", cfg, "--out", str(tmp_path / "table.csv"),
+                     "--quiet"]) == EXIT_OK
+        assert len(started) == helpers
+
 
 class TestErrorPaths:
     def test_malformed_config_exits_2(self, tmp_path, capsys):
@@ -417,6 +478,24 @@ class TestErrorPaths:
                      "--quiet"]) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, work", [
+        ("table", "build_lookup_table"),
+        ("simulate", "run_session"),
+        ("attack", "run_session"),
+    ])
+    def test_out_into_a_missing_directory_fails_before_the_work(
+            self, rrrt_cfg, tmp_path, capsys, monkeypatch, command, work):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} called {work}")
+
+        monkeypatch.setattr(cli, work, no_work)
+        out = tmp_path / "absent" / "out.csv"
+        assert main([command, "--config", rrrt_cfg, "--out", str(out),
+                     "--quiet"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+        assert not out.parent.exists()
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = config_file(tmp_path, variant="classic-kljn", r_low=1000.0,

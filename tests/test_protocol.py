@@ -607,11 +607,13 @@ class TestStreamedBuild:
         main = threading.current_thread()
         assert all((thread is main) == (block % 2 == 0) for block, thread in keyed_blocks)
 
-    def test_two_thread_build_starts_one_helper(self, monkeypatch):
-        # 18 blocks on two parts: one helper keys its share in one pass
+    def test_two_thread_build_starts_one_helper_per_pass(self, monkeypatch):
+        # 18 blocks and several slabs on two parts: one helper keys its
+        # share of the blocks, and one folds its share of the slabs
         monkeypatch.setattr(lookup, "_pool_width", lambda: 2)
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
         monkeypatch.setattr(lookup, "_MIN_BLOCK_SETTINGS", 5 * 32)
+        monkeypatch.setattr(lookup, "_FOLD_CELLS", 50)
         cfg = rrrt_config(r_levels=8, t_levels=8)
         assert len(list(lookup._pair_blocks(cfg.resistance_grid(), cfg.temperature_grid(),
                                             cfg.band.bandwidth_hz, cfg.constants.k,
@@ -624,7 +626,7 @@ class TestStreamedBuild:
 
         monkeypatch.setattr(lookup.threading.Thread, "start", counted_start)
         table = build_lookup_table(cfg)
-        assert len(started) == 1
+        assert len(started) == 2
         assert_table_is_one_shot(cfg, table)
 
     def test_one_thread_build_starts_no_thread(self, monkeypatch):

@@ -1,13 +1,14 @@
 """CSV report writing/parsing and JSON config loading."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kljn import ConfigError, NORMALIZED, SI, report
+from kljn import ConfigError, NORMALIZED, SI, lookup, report
 from kljn import eve_guess_session, run_session
 from kljn.cli import main
 from kljn.config import load_config
@@ -93,37 +94,56 @@ class TestSessionReport:
             read_report(path)
 
 
-def integer_matrices(dtype):
-    """Integer matrices of `dtype` with 0 to 30 rows and 1 to 4 columns:
-    small values (leading zeros of every length), the type's extremes
-    and anything between."""
+def integer_column(dtype, rows):
+    """A column of `rows` values of `dtype`: small values (leading zeros
+    of every length), the type's extremes and anything between."""
+    if dtype is np.bool_:
+        return arrays(dtype, rows)
     info = np.iinfo(dtype)
     lo, hi = int(info.min), int(info.max)
     elements = (st.integers(max(lo, -999), min(hi, 999)) | st.integers(lo, hi)
                 | st.sampled_from([0, lo, hi]))
-    return arrays(dtype, st.tuples(st.integers(0, 30), st.integers(1, 4)),
-                  elements=elements)
+    return arrays(dtype, rows, elements=elements)
 
 
-def written(tmp_dir, name, rows, n_columns):
+@st.composite
+def integer_columns(draw, dtypes):
+    """A tuple of 1 to 4 equal-length columns, 0 to 30 values each, of
+    dtypes drawn from `dtypes`."""
+    rows = draw(st.integers(0, 30))
+    return tuple(draw(integer_column(dtype, rows))
+                 for dtype in draw(st.lists(st.sampled_from(dtypes), min_size=1, max_size=4)))
+
+
+def written(tmp_dir, name, columns, rows=None):
+    """The bytes write_csv writes for `columns`, or for `rows` if given."""
     path = tmp_dir / name
-    write_csv(["a", "b", "c", "d"][:n_columns], rows,
-              {"schema": "test", "rows": len(rows)}, path)
+    write_csv(["a", "b", "c", "d"][:len(columns)],
+              columns if rows is None else rows,
+              {"schema": "test", "rows": len(columns[0])}, path)
     return path.read_bytes()
 
 
+def as_csv_writer_rows(columns):
+    """`columns` as rows of Python ints, what csv.writer is given."""
+    return list(zip(*(values.astype(object).tolist() if values.dtype != bool
+                      else values.astype(int).tolist() for values in columns)))
+
+
 class TestIntegerRows:
-    """The array path of write_csv writes what csv.writer writes."""
+    """The column path of write_csv writes what csv.writer writes."""
 
     @settings(max_examples=80)
-    @given(matrix=st.sampled_from([np.int64, np.uint64, np.int32, np.uint16, np.int8])
-           .flatmap(integer_matrices))
-    def test_matches_csv_writer(self, matrix, tmp_path_factory):
+    @given(columns=integer_columns([np.bool_, np.uint8, np.uint32, np.int64,
+                                    np.uint64, np.int32, np.uint16, np.int8]))
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_matches_csv_writer(self, columns, width, tmp_path_factory):
         tmp_dir = tmp_path_factory.mktemp("rows")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(report, "_DUMP_PIECE", 7)  # pieces cut the rows
-            actual = written(tmp_dir, "array.csv", matrix, matrix.shape[1])
-        assert actual == written(tmp_dir, "lists.csv", matrix.tolist(), matrix.shape[1])
+            patch.setattr(lookup, "_pool_width", lambda: width)
+            actual = written(tmp_dir, "columns.csv", columns)
+        assert actual == written(tmp_dir, "rows.csv", columns, as_csv_writer_rows(columns))
 
     @pytest.mark.parametrize("matrix", [
         np.array([[0, -1, 1], [-(2 ** 63), 2 ** 63 - 1, 10 ** 18]], dtype=np.int64),
@@ -132,8 +152,49 @@ class TestIntegerRows:
         np.zeros((0, 3), dtype=np.int64),
     ], ids=["int64-extremes", "uint64-one-column", "int16-negative", "no-rows"])
     def test_edge_cases(self, matrix, tmp_path):
-        assert written(tmp_path, "array.csv", matrix, matrix.shape[1]) == written(
-            tmp_path, "lists.csv", matrix.tolist(), matrix.shape[1])
+        assert written(tmp_path, "columns.csv", tuple(matrix.T)) == written(
+            tmp_path, "rows.csv", tuple(matrix.T), matrix.tolist())
+
+    def test_mixed_table_columns(self, tmp_path):
+        # the columns `kljn table` passes: uint32 cells, int64 sizes and
+        # bool flags, written as 0 and 1
+        columns = (np.arange(3, dtype=np.uint32), np.array([7, 0, 2 ** 40]),
+                   np.array([True, False, True]))
+        assert written(tmp_path, "columns.csv", columns) == (
+            b"a,b,c\n0,7,1\n1,0,0\n2,1099511627776,1\n# schema,test\n# rows,3\n")
+
+    def test_failing_piece_raises_after_the_join(self, tmp_path, monkeypatch):
+        # 10 pieces on three parts: a helper's piece 4 fails while the
+        # other parts wait for their turns; its error is raised after the
+        # join, and no part formats a piece past the next one of its share
+        monkeypatch.setattr(report, "_DUMP_PIECE", 3)
+        monkeypatch.setattr(lookup, "_pool_width", lambda: 3)
+        int_piece, formatted = report._int_piece, []
+
+        def failing_int_piece(columns):
+            formatted.append(int(columns[0][0]) // 3)
+            if formatted[-1] == 4:
+                raise RuntimeError("piece 4 failed")
+            return int_piece(columns)
+
+        monkeypatch.setattr(report, "_int_piece", failing_int_piece)
+        threads, raised = threading.active_count(), []
+
+        def dump():
+            with pytest.raises(RuntimeError, match="piece 4 failed"):
+                written(tmp_path, "columns.csv", (np.arange(30),))
+            raised.append(True)
+
+        dumper = threading.Thread(target=dump, daemon=True)
+        dumper.start()
+        dumper.join(30)
+        assert not dumper.is_alive(), "a part still waits for its turn"
+        assert raised and threading.active_count() == threads
+        assert 4 in formatted and not {7, 8, 9} & set(formatted)
+        # whole pieces, in order, none from piece 4 on
+        rows = (tmp_path / "columns.csv").read_text().splitlines()[1:]
+        assert rows == [str(value) for value in range(len(rows))]
+        assert len(rows) % 3 == 0 and len(rows) <= 12
 
 
 def write_config(tmp_path, **overrides):
