@@ -50,35 +50,35 @@ too-narrow-width `ConfigError` checks the mirrors' indices too, so it
 fires for exactly the grids where some setting's index leaves the key
 range.
 
-The build keys its blocks in one `_run_parts` pass of `_pool_width`
-parts, one per CPU the process may run on but no more than leave each
+The table build, sampled sessions (`protocol`) and the table dump
+(`report`) run on the package's one thread runner, `_run_parts`, on up
+to `_pool_width` parts, one per CPU the process may run on; its results
+do not depend on the part count.
+
+The build keys its blocks in one pass of no more parts than leave each
 block `_MIN_BLOCK_SETTINGS`, which share the `_BLOCK_SETTINGS` settings
 in flight.  On strictly ascending grids every block holds one bit value:
 the mirrored pairs (+1), then the diagonal (0), the other pairs
-R_A < R_B (+1) and those pairs reversed (-1).  Part p, part 0 on the
-calling thread and each other on a helper, takes blocks p, p + width,
-... in buffer set p, which the calling thread allocates before any
-helper starts (s_u, s_i and p as float64, and the parity mask) and frees
-after the join.  Per block the observables are written in place,
-quantized and packed into keys in s_u's storage (the same IEEE
-operations as with a fresh array per step) and sorted in place, which
-numpy does without the GIL; the part then cuts the sorted keys into
-(refined key, int32 count) runs, kept with their mirrored flag and bit.
-So a helper's malloc arena gets no block-sized array, only its share of
-the kept runs and the broadcast temporaries of
+R_A < R_B (+1) and those pairs reversed (-1).  Part p keys its blocks
+in buffer set p, which the calling thread allocates before any helper
+starts (s_u, s_i and p as float64, and the parity mask) and frees after
+the join.  Per block the observables are written in place, quantized
+and packed into keys in s_u's storage (the same IEEE operations as with
+a fresh array per step) and sorted in place, which numpy does without
+the GIL, then cut into a (refined key, int32 count) run, kept with its
+mirrored flag and bit.  So a helper's malloc arena gets no block-sized
+array, only its runs and the broadcast temporaries of
 `analytic_observable_arrays` (267 kB per 2^19-setting block at 64
-levels).  A part keys nothing after its first failing block, and the
-build raises the first failing part's error, in part order.  The fold
-cuts every run at the same (u, i) group starts, into slabs of about
-`_FOLD_CELLS` keys in all, and folds them in a second `_run_parts` pass:
-part p takes slabs p, p + width, ..., and per slab adds the image of
-each mirrored slice (`_image`), gives every entry the mask bit 1 + bit,
-drops the parity bit and groups everything once into that slab's own
-slot.  The calling thread frees the runs, then concatenates the slabs'
-cells in slab order.  A helper's arena so gets one slab's temporaries
-at a time (a median of 3 MB, at most 14 MB, at 64 levels and width
-0.01) and its share of the slabs' cells, not a merge of the whole
-table, which left 62-64 MB in a helper's arena when tried.  Within each
+levels).  The fold cuts every run at the same (u, i) group starts, one
+at every `_FOLD_CELLS`-th key of each run, so a slab takes up to about
+`_FOLD_CELLS` keys from each run, and folds the slabs in a second pass:
+per slab it adds the image of each mirrored slice (`_image`), gives
+every entry the mask bit 1 + bit, drops the parity bit and groups
+everything once.  The calling thread frees the runs, then concatenates
+the slabs' cells.  A helper's arena so gets one slab's temporaries at a
+time (a median of 3 MB, at most 14 MB, at 64 levels and width 0.01) and
+its share of the slabs' cells, not a merge of the whole table, which
+left 62-64 MB in a helper's arena when tried.  Within each
 kind of pair the blocks take the pairs in order of R_A + R_B, which
 sets s_i, so a block's cells recur little in other blocks: at 64 levels
 and width 0.01 the kept runs hold 1.40 million entries for 1.09 million
@@ -126,11 +126,15 @@ _MIN_BLOCK_SETTINGS = 1 << 19
 #: parity.
 _LOW_BITS = _KEY_BITS + 1
 
-#: Refined keys per slab of the build's fold, over all its runs.  At 64
-#: levels, width 0.01 and two threads, 2^15 lowered the fold's traced
-#: peak from 50 to 40 MB against 2^16, and the `rrrt-table` benchmark's
-#: peak RSS from 114.9 to 110.9 MB (the one-thread build with 2^16:
-#: 114.8 MB), at the same speed; 2^14 and 2^17 were slower.
+#: Refined keys between the fold's cuts in each run: every run is cut at
+#: every `_FOLD_CELLS`-th of its keys, moved back to the start of its
+#: (s_u, s_i) group, so a slab takes up to about `_FOLD_CELLS` keys from
+#: each run, not in all (at 64 levels and width 0.01, a median of 56 k
+#: entries and at most 245 k, images included).  At 64 levels, width
+#: 0.01 and two threads, 2^15 lowered the fold's traced peak from 50 to
+#: 40 MB against 2^16, and the `rrrt-table` benchmark's peak RSS from
+#: 114.9 to 110.9 MB (the one-thread build with 2^16: 114.8 MB), at the
+#: same speed; 2^14 and 2^17 were slower.
 _FOLD_CELLS = 1 << 15
 
 #: Values per piece of the census: candidate settings, (pair, T_A) rows
@@ -502,11 +506,10 @@ def _fold(runs: list):
     count, mirrored, bit) runs, the mirrored ones with their mirror
     images added; a cell's mask has bit 1 + b set for each bit value b
     among its settings.  Every run is cut at the same starts of (s_u,
-    s_i) groups, into slabs of about _FOLD_CELLS keys in all; a
-    `_run_parts` pass of up to `_pool_width` parts folds them, part p
-    slabs p, p + width, ..., each into its own slot.  The fold empties
-    `runs`, so the runs are freed before the slabs' cells are
-    concatenated in slab order."""
+    s_i) groups, one at every _FOLD_CELLS-th key of each run, so a slab
+    takes up to about _FOLD_CELLS keys from each run; one `_run_parts`
+    pass folds the slabs.  The fold empties `runs`, so the runs are
+    freed before the slabs' cells are concatenated in slab order."""
     # sorted in place and deduplicated by hand: np.unique would import numpy.ma
     cuts = np.concatenate([keys[_FOLD_CELLS::_FOLD_CELLS] for keys, *_ in runs])
     cuts >>= _LOW_BITS
@@ -515,56 +518,59 @@ def _fold(runs: list):
     cuts = cuts[_starts(cuts, np.empty(len(cuts), dtype=bool))]
     edges = np.array([np.concatenate(([0], np.searchsorted(keys, cuts), [len(keys)]))
                       for keys, *_ in runs])
-    slabs = [None] * (len(cuts) + 1)
-    width = min(_pool_width(), len(slabs))
 
-    def fold_share(p):
-        for slab in range(p, len(slabs), width):
-            slices = [(keys[lo:hi], counts[lo:hi], bit) for (keys, counts, _, bit), lo, hi
-                      in zip(runs, edges[:, slab], edges[:, slab + 1])]
-            slices += [_image(*piece) for piece, (_, _, mirrored, _) in zip(slices, runs)
-                       if mirrored]
-            keys, counts, bits = zip(*slices)
-            masks = np.repeat(np.array([1 << (1 + bit) for bit in bits], dtype=np.int8),
-                              [len(piece) for piece in keys])
-            slabs[slab] = _group(np.concatenate(keys) >> 1, np.concatenate(counts), masks)
+    def fold(p, slab):
+        slices = [(keys[lo:hi], counts[lo:hi], bit) for (keys, counts, _, bit), lo, hi
+                  in zip(runs, edges[:, slab], edges[:, slab + 1])]
+        slices += [_image(*piece) for piece, (_, _, mirrored, _) in zip(slices, runs)
+                   if mirrored]
+        keys, counts, bits = zip(*slices)
+        masks = np.repeat(np.array([1 << (1 + bit) for bit in bits], dtype=np.int8),
+                          [len(piece) for piece in keys])
+        return _group(np.concatenate(keys) >> 1, np.concatenate(counts), masks)
 
-    _run_parts(width, fold_share)
+    slabs = _run_parts(_pool_width(), range(len(cuts) + 1), fold)
     runs.clear()
     return [np.concatenate(column) for column in zip(*slabs)]
 
 
 def _pool_width() -> int:
     """The CPUs this process may run on: the most parts a `_run_parts`
-    pass (a table build, a sampled session) runs on."""
+    pass runs on."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _run_parts(width: int, run) -> None:
-    """`run(p)` for every part p < `width`: part 0 on the calling thread,
-    each other on a helper thread.  Once every helper is joined, the
-    first failing part's error is raised, in part order."""
-    errors = [None] * width
+def _run_parts(width: int, items, task) -> list:
+    """``[task(p, item) for item in items]`` on up to `width` parts, one
+    per item at most: part p takes items p, p + width, ..., keeping any
+    per-part state of its own under index p; part 0 runs on the calling
+    thread, each other on a helper thread.  A part runs no item after its
+    first failing one, and once every helper is joined the first failing
+    part's error is raised, in part order."""
+    width = max(1, min(width, len(items)))
+    results, errors = [None] * len(items), [None] * width
 
-    def guarded(p):
+    def run(p):
         try:
-            run(p)
+            for i in range(p, len(items), width):
+                results[i] = task(p, items[i])
         except Exception as exc:  # raised on the calling thread, in part order
             errors[p] = exc
 
     helpers = []
     try:
         for p in range(1, width):
-            helper = threading.Thread(target=guarded, args=(p,))
+            helper = threading.Thread(target=run, args=(p,))
             helper.start()
             helpers.append(helper)
-        guarded(0)
+        run(0)
     finally:
         for helper in helpers:
             helper.join()
     for error in filter(None, errors):
         raise error
+    return results
 
 
 def _run(keys: np.ndarray, first: np.ndarray):
@@ -597,29 +603,26 @@ def build_table(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
     k = constants.k
     p_scale = _power_scale(r_grid, t_grid, bandwidth_hz, k)
 
-    # part p keys blocks p, p + width, ... in buffer set p and cuts each
-    # into (refined key, count, mirrored, bit) runs of its own
+    # part p keys its blocks in buffer set p and cuts each into a
+    # (refined key, count, mirrored, bit) run
     width = max(1, min(_pool_width(), _BLOCK_SETTINGS // _MIN_BLOCK_SETTINGS))
     blocks = list(_pair_blocks(r_grid, t_grid, bandwidth_hz, k, width))
-    width = min(width, len(blocks))
     size = max(len(block[0]) for block in blocks) * len(t_grid) ** 2
     buffers = [(np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool))
-               for _ in range(width)]
-    runs = [[] for _ in range(width)]
+               for _ in range(min(width, len(blocks)))]
 
-    def cut_share(p):  # keys in s_u's storage; numpy's sort releases the GIL
-        for r_a, t_a, r_b, t_b, mirrored, bit in blocks[p::width]:
-            shape = np.broadcast_shapes(r_a.shape, t_a.shape, r_b.shape, t_b.shape)
-            keys = _block_keys(
-                r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_cell_width, p_scale,
-                refine=True, mirrored=mirrored,
-                out=[column[:math.prod(shape)].reshape(shape) for column in buffers[p]])
-            keys.sort()
-            runs[p].append((*_run(keys, buffers[p][3]), mirrored, bit))
+    def cut(p, block):  # keys in s_u's storage; numpy's sort releases the GIL
+        r_a, t_a, r_b, t_b, mirrored, bit = block
+        shape = np.broadcast_shapes(r_a.shape, t_a.shape, r_b.shape, t_b.shape)
+        keys = _block_keys(
+            r_a, t_a, r_b, t_b, bandwidth_hz, k, rel_cell_width, p_scale,
+            refine=True, mirrored=mirrored,
+            out=[column[:math.prod(shape)].reshape(shape) for column in buffers[p]])
+        keys.sort()
+        return (*_run(keys, buffers[p][3]), mirrored, bit)
 
-    _run_parts(width, cut_share)
+    runs = _run_parts(width, blocks, cut)
     del buffers
-    runs = [run for share in runs for run in share]
     cell_keys, cell_sizes, cell_masks = _fold(runs)
 
     return LookupTable(r_grid=r_grid, t_grid=t_grid,

@@ -175,12 +175,15 @@ def analytic_observables(alice: PartyState, bob: PartyState, band: BandConfig,
     """Exact wire observables for the ideal loop.
 
     Each generator sees the other party's resistor as the divider load,
-    and the two noise processes are independent, so the PSDs add.
+    and the two noise processes are independent, so the PSDs add.  One
+    row of :func:`analytic_observable_arrays`, bit for bit: its inputs are
+    one-element arrays, which numpy squares as it squares the session and
+    table arrays.
     """
     s_u, s_i, p_ab = analytic_observable_arrays(
-        alice.resistance, alice.temperature, bob.resistance, bob.temperature,
+        [alice.resistance], [alice.temperature], [bob.resistance], [bob.temperature],
         band.bandwidth_hz, constants.k)
-    return WireObservables(float(s_u), float(s_i), float(p_ab))
+    return WireObservables(float(s_u[0]), float(s_i[0]), float(p_ab[0]))
 
 
 class TraceWorkspace:

@@ -29,11 +29,10 @@ pass: per-config state is computed once, the state draws of all bits
 are one array pass that is bit-identical to those per-bit streams
 (``_streams``; a bit it cannot reproduce is drawn from its own
 generator), then observables (sampled mode: contiguous parts of
-2^14-sample chunks, up to one per CPU, run by ``lookup._run_parts``,
-the table build's thread runner: the first on the calling thread, each
-other on a helper, each in a workspace the calling thread makes; each
-part's generators' seeded states are one more ``_streams`` pass, set in
-turn on one reused generator per part),
+2^14-sample chunks, one per part of the thread runner
+``lookup._run_parts``, each in a workspace the calling thread makes;
+each part's generators' seeded states are one more ``_streams`` pass,
+set in turn on one reused generator per part),
 both recoveries, bits, the singularity verdict and the statuses are
 array operations; an rrrt session's verdict comes from the cell census
 (``lookup.cell_census``), so sessions build no look-up table.  The pass
@@ -408,14 +407,12 @@ def _sampled_observables(config: ProtocolConfig, indices: list[int],
     """Estimated (s_u, s_i, p_ab) arrays, chunk by chunk of bit periods.
 
     The _CHUNK_SAMPLES-sample chunks are split into contiguous parts, one
-    per thread (`lookup._run_parts`): one per CPU the process may use
+    per part of `lookup._run_parts`: one per CPU the process may use
     (`lookup._pool_width`), but no more than there are chunks.  The
     calling thread allocates each part's workspace, so no trace lands in
-    a helper's malloc arena, and runs the first part; a helper runs each
-    other, with its own generators.  Each row's arithmetic does not
-    depend on the split, so neither do the results.  A session of one
-    chunk starts no thread.  The first failing part's error is raised, in
-    part order, once every helper has been joined."""
+    a helper's malloc arena; each part draws from its own generators.
+    Each row's arithmetic does not depend on the split, so neither do the
+    results.  A session of one chunk starts no thread."""
     step = max(1, _CHUNK_SAMPLES // config.band.samples_per_bit)
     n_chunks = -(-len(indices) // step)
     width = max(1, min(lookup._pool_width(), n_chunks))
@@ -424,7 +421,7 @@ def _sampled_observables(config: ProtocolConfig, indices: list[int],
                             config.estimator_segments) for p in range(width)]
     observables = np.empty((3, len(indices)))
 
-    def run(p):
+    def run(p, _):
         """Part p's columns of `observables`."""
         generators = _noise_generators(config, indices[bounds[p]:bounds[p + 1]])
         for start in range(bounds[p], bounds[p + 1], step):
@@ -435,7 +432,7 @@ def _sampled_observables(config: ProtocolConfig, indices: list[int],
             observables[:, rows] = estimate_observable_arrays(
                 *traces, config.band, config.estimator_segments, works[p])
 
-    lookup._run_parts(width, run)
+    lookup._run_parts(width, range(width), run)
     return observables
 
 

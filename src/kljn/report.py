@@ -8,20 +8,17 @@ the toolkit's own reader returns both parts and round-trips exactly
 Rows given as a tuple of integer or bool numpy columns (the
 singularity table's cell, size and singular columns) are formatted in
 pieces of `_DUMP_PIECE` rows as ASCII digit matrices, byte for byte as
-``csv.writer`` writes their ``str(int)`` cells (a bool as 0 or 1).  A
-`lookup._run_parts` pass of up to `lookup._pool_width` parts formats
-them, part p pieces p, p + width, ..., and each part writes its piece
-when the one before it is written.  So the pieces land in order, and a
-part holds one formatted piece at a time: the dump's memory is about
-one piece's per part, plus the columns, which are read where they are
-instead of being stacked into one copy.  Any other rows (those holding
-strings, None or floats) go through ``csv.writer``.
+``csv.writer`` writes their ``str(int)`` cells (a bool as 0 or 1), in
+one pass of the thread runner `lookup._run_parts`, which hands the
+pieces back in order; they are written once all are formatted (10.1 MB
+of text at 64 levels).  The columns are read where they lie instead of
+being stacked into one copy.  Any other rows (those holding strings,
+None or floats) go through ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import csv
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -83,35 +80,6 @@ def _int_piece(columns) -> str:
     return text[np.stack(keep, axis=1)].tobytes().decode("ascii")
 
 
-def _write_int_columns(handle, columns) -> None:
-    """Write `columns` in pieces of _DUMP_PIECE rows, formatted on up to
-    `_pool_width` parts and written in piece order."""
-    starts = range(0, len(columns[0]), _DUMP_PIECE)
-    width = max(1, min(lookup._pool_width(), len(starts)))
-    turn = threading.Condition()
-    written = [0]  # pieces written, or None once a part has failed
-
-    def dump_share(p):
-        try:
-            for piece in range(p, len(starts), width):
-                text = _int_piece([values[starts[piece]:starts[piece] + _DUMP_PIECE]
-                                   for values in columns])
-                with turn:
-                    turn.wait_for(lambda: written[0] in (piece, None))
-                    if written[0] is None:
-                        return
-                    handle.write(text)
-                    written[0] += 1
-                    turn.notify_all()
-        except BaseException:  # no part waits for a piece that never comes
-            with turn:
-                written[0] = None
-                turn.notify_all()
-            raise
-
-    lookup._run_parts(width, dump_share)
-
-
 def write_csv(columns, rows, summary: dict, path) -> None:
     """Stream one output file: the header, `rows` (value sequences in
     `columns` order) and the summary block.
@@ -128,7 +96,10 @@ def write_csv(columns, rows, summary: dict, path) -> None:
         if isinstance(rows, tuple) and rows and all(
                 isinstance(values, np.ndarray) and values.dtype.kind in "biu"
                 for values in rows):
-            _write_int_columns(handle, rows)
+            handle.writelines(lookup._run_parts(
+                lookup._pool_width(), range(0, len(rows[0]), _DUMP_PIECE),
+                lambda p, start: _int_piece([values[start:start + _DUMP_PIECE]
+                                             for values in rows])))
         else:
             writer.writerows(rows)
         handle.writelines(f"# {key},{_format(value)}\n"

@@ -130,6 +130,23 @@ class TestAnalyticObservables:
                 np.testing.assert_array_equal(column.view(np.int64),
                                               reference.view(np.int64))
 
+    @pytest.mark.parametrize("constants, bandwidth_hz", [
+        (SI, 1.0), (NORMALIZED, 1.0), (NORMALIZED, 1000.0)],
+        ids=["si", "normalized", "normalized-df1000"])
+    def test_scalar_form_is_bit_identical_to_the_arrays(self, constants, bandwidth_hz):
+        # libm's pow squares some of these sums one ulp off numpy's square
+        rng = np.random.default_rng(11)
+        r_a, r_b = rng.uniform(1000.0, 4000.0, (2, 20_000))
+        t_a, t_b = rng.uniform(200.0, 400.0, (2, 20_000))
+        expected = np.array(analytic_observable_arrays(r_a, t_a, r_b, t_b,
+                                                       bandwidth_hz, constants.k)).T
+        band = BandConfig(bandwidth_hz, 4.0 * bandwidth_hz, 4096)
+        actual = np.array([tuple(analytic_observables(PartyState(*a), PartyState(*b),
+                                                      band, constants))
+                           for a, b in zip(zip(r_a.tolist(), t_a.tolist()),
+                                           zip(r_b.tolist(), t_b.tolist()))])
+        np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
     def test_psd_ratio_is_resistance_product_at_equal_temperature(self):
         rng = np.random.default_rng(2)
         for _ in range(50):

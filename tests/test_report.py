@@ -164,37 +164,31 @@ class TestIntegerRows:
             b"a,b,c\n0,7,1\n1,0,0\n2,1099511627776,1\n# schema,test\n# rows,3\n")
 
     def test_failing_piece_raises_after_the_join(self, tmp_path, monkeypatch):
-        # 10 pieces on three parts: a helper's piece 4 fails while the
-        # other parts wait for their turns; its error is raised after the
-        # join, and no part formats a piece past the next one of its share
+        # 10 pieces on three parts: a helper's piece 4 fails, and the other
+        # helper formats piece 8 only after that; the error is raised once
+        # both are joined, the failing part formats no later piece (7), and
+        # the file holds the header but no table row
         monkeypatch.setattr(report, "_DUMP_PIECE", 3)
         monkeypatch.setattr(lookup, "_pool_width", lambda: 3)
-        int_piece, formatted = report._int_piece, []
+        int_piece, formatted, piece_4_failed = report._int_piece, [], threading.Event()
 
         def failing_int_piece(columns):
-            formatted.append(int(columns[0][0]) // 3)
-            if formatted[-1] == 4:
+            piece = int(columns[0][0]) // 3
+            if piece == 4:
+                piece_4_failed.set()
                 raise RuntimeError("piece 4 failed")
+            if piece == 8:
+                assert piece_4_failed.wait(10), "piece 4 never failed"
+            formatted.append(piece)
             return int_piece(columns)
 
         monkeypatch.setattr(report, "_int_piece", failing_int_piece)
-        threads, raised = threading.active_count(), []
-
-        def dump():
-            with pytest.raises(RuntimeError, match="piece 4 failed"):
-                written(tmp_path, "columns.csv", (np.arange(30),))
-            raised.append(True)
-
-        dumper = threading.Thread(target=dump, daemon=True)
-        dumper.start()
-        dumper.join(30)
-        assert not dumper.is_alive(), "a part still waits for its turn"
-        assert raised and threading.active_count() == threads
-        assert 4 in formatted and not {7, 8, 9} & set(formatted)
-        # whole pieces, in order, none from piece 4 on
-        rows = (tmp_path / "columns.csv").read_text().splitlines()[1:]
-        assert rows == [str(value) for value in range(len(rows))]
-        assert len(rows) % 3 == 0 and len(rows) <= 12
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="piece 4 failed"):
+            written(tmp_path, "columns.csv", (np.arange(30),))
+        assert threading.active_count() == threads
+        assert sorted(formatted) == [0, 1, 2, 3, 5, 6, 8, 9]
+        assert (tmp_path / "columns.csv").read_text() == "a\n"
 
 
 def write_config(tmp_path, **overrides):
