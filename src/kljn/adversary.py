@@ -186,22 +186,24 @@ def eve_rrrt_solution_family(view: EveView, assumed_r_a_grid,
     obs = view.observables
     if not (obs.s_u > 0 and obs.s_i > 0):
         raise InconsistentObservables("spectra must be positive for a family sweep")
-    family, = eve_rrrt_solution_families([[value] for value in obs], view.bandwidth_hz,
-                                         assumed_r_a_grid, tolerance, constants)
-    if not family:
+    _, *fields = eve_rrrt_solution_families([[value] for value in obs], view.bandwidth_hz,
+                                            assumed_r_a_grid, tolerance, constants)
+    if not len(fields[0]):
         raise InconsistentObservables(
             "no consistent configuration exists for these observables; "
             "they cannot have come from a valid two-resistor loop")
-    return family
+    return [SolutionFamilyPoint(*values) for values in zip(*(f.tolist() for f in fields))]
 
 
 def eve_rrrt_solution_families(observables, bandwidth_hz: float, assumed_r_a_grid,
                                tolerance: float, constants: PhysicalConstants = SI
-                               ) -> list[list[SolutionFamilyPoint]]:
+                               ) -> tuple[np.ndarray, ...]:
     """:func:`eve_rrrt_solution_family` of every triple of the (s_u,
     s_i, p_ab) columns `observables`, in one array pass over triples x
-    assumed R_A; a triple with no family, or with a non-positive
-    spectrum, gets an empty list.
+    assumed R_A, as columns over the family points: the index of each
+    point's triple (ascending), then its assumed_r_a, implied_t_a,
+    implied_alpha, implied_beta and residual.  A triple with no family,
+    or with a non-positive spectrum, owns no point.
 
     Results equal the one-triple sweep's scalar arithmetic bit for bit:
     the two squares that it takes with libm's ``pow`` (the loop's total
@@ -210,7 +212,6 @@ def eve_rrrt_solution_families(observables, bandwidth_hz: float, assumed_r_a_gri
     """
     s_u, s_i, p_ab = (np.asarray(column, dtype=float)[:, np.newaxis]
                       for column in observables)
-    n_triples = len(s_u)
     grid = np.asarray(assumed_r_a_grid, dtype=float)
     k = constants.k
     df = bandwidth_hz
@@ -241,11 +242,7 @@ def eve_rrrt_solution_families(observables, bandwidth_hz: float, assumed_r_a_gri
     residual = np.sqrt([e_u ** 2 + e_i ** 2 + e_p ** 2
                         for e_u, e_i, e_p in zip(*(e.tolist() for e in errors))])
     kept = residual <= tolerance
-    fields = (r_a, t_a, r_b / r_a, t_b / t_a, residual)
-    points = [SolutionFamilyPoint(*values)
-              for values in zip(*(field[kept].tolist() for field in fields))]
-    bounds = np.searchsorted(triple[kept], np.arange(n_triples + 1)).tolist()
-    return [points[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return tuple(column[kept] for column in (triple, r_a, t_a, r_b / r_a, t_b / t_a, residual))
 
 
 def default_assumed_grid(config: ProtocolConfig, points: int = 10) -> np.ndarray:

@@ -24,7 +24,6 @@ import errno
 import os
 import sys
 from dataclasses import replace
-from itertools import repeat
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .protocol import (
     build_lookup_table,
     run_session,
 )
-from .report import write_csv
+from .report import _cells, write_csv
 from .resolver import vmg_matching_residual
 
 EXIT_OK = 0
@@ -79,21 +78,30 @@ _SESSION_COLUMNS = [
 ]
 
 
-def _session_rows(report, guesses):
-    """The per-bit rows of a session, read from its columns; the key and
-    Eve's cells only on secure bits."""
+def _state_columns(draws):
+    """The (resistance, temperature) text columns of the drawn states
+    `draws`, each distinct state object formatted once as csv.writer
+    formats its values (an integer config value stays ``1000``)."""
+    _, first, inverse = np.unique(np.fromiter(map(id, draws), np.intp, len(draws)),
+                                  return_index=True, return_inverse=True)
+    texts = np.array([(str(draws[j].resistance), str(draws[j].temperature))
+                      for j in first.tolist()], dtype=object).reshape(-1, 2)
+    return texts[inverse].T
+
+
+def _session_columns(report, guesses):
+    """The per-bit columns of a session; the key and Eve's cells only on
+    secure bits."""
     secure, tie = report.secure, report.status == STATUS_TIE
-    key, guess, correct = np.full((3, report.total_bits), None, dtype=object)
-    key[secure], guess[secure] = report.key_bits, guesses.guesses
-    correct[secure] = [int(g == t) for g, t in zip(guesses.guesses, guesses.truths)]
-    return zip(report.indices, repeat(report.variant),
-               *([getattr(state, name) for state in draws]
-                 for draws in report.draws for name in ("resistance", "temperature")),
-               *(column.tolist() for column in report.observables),
-               report.status.tolist(),
-               *(np.where(tie, None, np.where(high, "H", "L")).tolist()
-                 for high in report.high),
-               key.tolist(), guess.tolist(), correct.tolist())
+    bits = np.full((3, report.total_bits), None, dtype=object)
+    bits[:, secure] = np.array(["0", "1"], dtype=object)[np.array(
+        [report.high[1][secure], guesses.guesses,
+         np.equal(guesses.guesses, guesses.truths)], dtype=int)]
+    return (np.array(report.indices, dtype=np.int64), [report.variant] * report.total_bits,
+            *(column for draws in report.draws for column in _state_columns(draws)),
+            *report.observables, report.status.tolist(),
+            *(np.where(tie, None, np.where(high, "H", "L")) for high in report.high),
+            *bits)
 
 
 def cmd_simulate(args) -> int:
@@ -117,7 +125,7 @@ def cmd_simulate(args) -> int:
         interval = guesses.wilson_interval()
         if interval:
             summary["eve_wilson99_low"], summary["eve_wilson99_high"] = interval
-        write_csv(_SESSION_COLUMNS, _session_rows(report, guesses), summary, args.out)
+        write_csv(_SESSION_COLUMNS, _session_columns(report, guesses), summary, args.out)
     efficiency = "n/a" if report.efficiency is None else f"{report.efficiency:.4f}"
     accuracy = "n/a" if guesses.accuracy is None else f"{guesses.accuracy:.4f}"
     _say(args, f"variant={config.variant} bits={config.bits} "
@@ -141,19 +149,23 @@ def _attack_rows(config: ProtocolConfig, extras: dict, indices, observables):
     (four-resistor scheme, whose unequal temperatures rule out the
     equal-temperature pair model) or the pair model's tolerance (equal
     temperatures).  A bit the model cannot fit gets one row of its
-    index with empty cells.
+    index with empty cells.  The family table comes as a tuple of
+    columns, the others as rows.
     """
     if config.variant == "rrrt-kljn":  # all bits' sweeps in one array pass
-        families = eve_rrrt_solution_families(
+        triple, *fields = eve_rrrt_solution_families(
             observables, config.band.bandwidth_hz,
             default_assumed_grid(config, extras.get("eve_grid_points", 10)),
             extras.get("family_tolerance", 1e-9), config.constants)
-        rows = []
-        for index, family in zip(indices, families):
-            rows.extend([(index, p.assumed_r_a, p.implied_t_a, p.implied_alpha,
-                          p.implied_beta, p.implied_alice_bit(), p.residual)
-                         for p in family] or [(index,) + (None,) * 6])
-        return _FAMILY_COLUMNS, rows
+        alpha = fields[2]
+        fields.insert(4, np.where(alpha == 1.0, None, np.where(alpha > 1.0, "L", "H")))
+        sizes = np.bincount(triple, minlength=len(indices))
+        owner = np.repeat(np.arange(len(indices)), np.maximum(sizes, 1))
+        if not sizes.all():  # a bit with no family keeps one row of empty cells
+            cells = np.full((len(fields), len(owner)), None, dtype=object)
+            cells[:, sizes[owner] > 0] = [_cells(values) for values in fields]
+            fields = list(cells)
+        return _FAMILY_COLUMNS, (np.array(indices, dtype=np.int64)[owner], *fields)
     if config.variant == "vmg-kljn":  # every triple has a nearest class
         return _CLASS_COLUMNS, list(zip(indices, _nearest_classes(
             observables, _binary_classes(config))))
@@ -190,8 +202,9 @@ def cmd_attack(args) -> int:
     if args.out:
         write_csv(columns, rows, summary, args.out)
     accuracy = "n/a" if guesses.accuracy is None else f"{guesses.accuracy:.4f}"
+    n_rows = len(rows[0]) if isinstance(rows, tuple) else len(rows)
     _say(args, f"variant={config.variant} secure={guesses.n} "
-               f"eve[{guesses.strategy}]={accuracy} table_rows={len(rows)}")
+               f"eve[{guesses.strategy}]={accuracy} table_rows={n_rows}")
     return EXIT_OK
 
 

@@ -5,21 +5,26 @@ lines are prefixed with ``#`` so the table parses with any CSV reader;
 the toolkit's own reader returns both parts and round-trips exactly
 (floats are serialized with repr, which is lossless for doubles).
 
-Rows given as a tuple of integer or bool numpy columns (the
-singularity table's cell, size and singular columns) are formatted in
-pieces of `_DUMP_PIECE` rows as ASCII digit matrices, byte for byte as
-``csv.writer`` writes their ``str(int)`` cells (a bool as 0 or 1), in
-one pass of the thread runner `lookup._run_parts`, which hands the
-pieces back in order; they are written once all are formatted (10.1 MB
-of text at 64 levels).  The columns are read where they lie instead of
-being stacked into one copy.  Any other rows (those holding strings,
-None or floats) go through ``csv.writer``.
+Rows given as a tuple of equal-length columns are read where they lie
+and formatted in pieces of `_DUMP_PIECE` rows, in one pass of the
+thread runner `lookup._run_parts`, byte for byte as ``csv.writer``
+writes the same rows as Python objects: float64 columns by repr,
+integer and bool columns as ASCII digit matrices (a bool as 0 or 1),
+text columns (str, or None for an empty cell) as they are.  A piece of
+integer and bool columns is one text, written once all are formatted
+(10.1 MB of text at 64 levels); a piece with other columns formats each
+distinct value of a column once (a float per bit pattern), holds the
+cells and joins each line as it is written.  Other rows (the few-row tables and :func:`write_report`'s
+round trip) go through ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import re
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +32,8 @@ import numpy as np
 from . import lookup
 from .errors import ConfigError
 
-_DUMP_PIECE = 1 << 16  # rows per piece of the integer column path
+_DUMP_PIECE = 1 << 16  # rows per piece of the column path
+_QUOTED = re.compile('[,"\r\n]')  # text cells that csv.writer may quote
 
 
 @dataclass
@@ -80,26 +86,62 @@ def _int_piece(columns) -> str:
     return text[np.stack(keep, axis=1)].tobytes().decode("ascii")
 
 
+def _text(value) -> str:
+    """A text cell as ``csv.writer`` writes it among other cells."""
+    if value is None or not _QUOTED.search(value):
+        return value or ""
+    buffer = io.StringIO()  # the quoting as csv.writer does it
+    csv.writer(buffer, lineterminator="\n").writerow((value, ""))
+    return buffer.getvalue()[:-2]
+
+
+def _cells(values) -> list[str]:
+    """The cells of one column, each distinct value formatted once: a
+    float64 array's by repr, per bit pattern (so -0.0 keeps its own),
+    an integer or bool array's by :func:`_int_piece`, and any other
+    sequence's str or None values by :func:`_text`."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fbiu":
+        floats = values.dtype.kind == "f"
+        patterns, inverse = np.unique(values.view(np.int64) if floats else values,
+                                      return_inverse=True)
+        texts = (map(float.__repr__, patterns.view(np.float64).tolist()) if floats
+                 else _int_piece([patterns]).split("\n")[:-1])
+        return np.array(list(texts), dtype=object)[inverse].tolist()
+    texts = {value: _text(value) for value in set(values)}
+    return list(map(texts.__getitem__, values))
+
+
+def _piece(columns):
+    """The rows of the equal-length `columns` as text chunks: integer and
+    bool columns as one chunk, others line by line as they are written,
+    so that no piece-sized text is held."""
+    if all(isinstance(values, np.ndarray) and values.dtype.kind in "biu"
+           for values in columns):
+        return (_int_piece(columns),)
+    cells = [_cells(values) for values in columns]
+    if len(cells) == 1:  # csv.writer quotes a row's lone empty cell
+        cells = [[cell or '""' for cell in cells[0]]]
+    return map("{}\n".format, map(",".join, zip(*cells)))
+
+
 def write_csv(columns, rows, summary: dict, path) -> None:
     """Stream one output file: the header, `rows` (value sequences in
     `columns` order) and the summary block.
 
     The one CSV writer of the toolkit.  The csv module writes None as
     an empty cell and floats with repr, as :func:`_format` does for the
-    summary values.  `rows` given as a tuple of equal-length 1-D
-    integer or bool numpy arrays, one per column, are read where they
-    lie and formatted in pieces by :func:`_int_piece`.
+    summary values.  `rows` given as a tuple of equal-length columns
+    (float64, integer or bool numpy arrays, or sequences of str or
+    None), one per CSV column, are formatted in pieces by :func:`_piece`.
     """
     with open(path, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        if isinstance(rows, tuple) and rows and all(
-                isinstance(values, np.ndarray) and values.dtype.kind in "biu"
-                for values in rows):
-            handle.writelines(lookup._run_parts(
+        if isinstance(rows, tuple):
+            handle.writelines(chain.from_iterable(lookup._run_parts(
                 lookup._pool_width(), range(0, len(rows[0]), _DUMP_PIECE),
-                lambda p, start: _int_piece([values[start:start + _DUMP_PIECE]
-                                             for values in rows])))
+                lambda p, start: _piece([values[start:start + _DUMP_PIECE]
+                                         for values in rows]))))
         else:
             writer.writerows(rows)
         handle.writelines(f"# {key},{_format(value)}\n"

@@ -216,15 +216,14 @@ class TestSolutionFamilies:
         columns[1][40:80] = rng.permutation(columns[1][40:80]) * 7.0
         columns[0][80], columns[1][81] = 0.0, -1.0
         grid = np.append(np.geomspace(900.0, 2200.0, 25), [-5.0, 0.0])
-        families = eve_rrrt_solution_families(columns, 1.0, grid, tolerance, NORMALIZED)
-        assert len(families) == n
-        sizes = []
-        for triple, family in zip(zip(*(c.tolist() for c in columns)), families):
-            expected = per_point_family(triple, grid, tolerance, 1.0)
-            assert [(p.assumed_r_a, p.implied_t_a, p.implied_alpha, p.implied_beta,
-                     p.residual) for p in family] == expected
-            sizes.append(len(family))
-        assert sizes.count(0) >= 42 and sum(sizes) > 3000
+        triple, *fields = eve_rrrt_solution_families(columns, 1.0, grid, tolerance,
+                                                     NORMALIZED)
+        # every point, tagged with the index of its triple, in triple order
+        expected = [(j, point) for j, values in enumerate(zip(*(c.tolist() for c in columns)))
+                    for point in per_point_family(values, grid, tolerance, 1.0)]
+        assert list(zip(triple.tolist(), zip(*(f.tolist() for f in fields)))) == expected
+        sizes = np.bincount(triple, minlength=n)
+        assert np.count_nonzero(sizes == 0) >= 42 and sizes.sum() > 3000
 
 
 class TestGuessSession:

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kljn import cli, lookup, protocol, report
+from kljn import NORMALIZED, adversary, cli, lookup, physics, protocol, report
 from kljn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from kljn.config import load_config
-from kljn.errors import KljnError
+from kljn.errors import InconsistentObservables, KljnError
 from kljn.protocol import build_lookup_table
 from kljn.report import read_report, write_report
 
@@ -260,6 +260,99 @@ class TestAttack:
         copy = tmp_path / "copy.csv"
         write_report(report, copy)
         assert copy.read_bytes() == out.read_bytes()
+
+
+    @pytest.mark.parametrize("fields", [
+        # a two-point grid and a residual bound below rounding leave some
+        # secure bits without a family
+        dict(variant="rrrt-kljn", r_range=[1000.0, 2000.0], r_levels=16,
+             t_range=[200.0, 400.0], t_levels=16, eve_grid_points=2,
+             family_tolerance=1e-17),
+        dict(variant="vmg-kljn", vmg_resistors=[1000.0, 2000.0, 1200.0, 2500.0],
+             t_eff=300.0),
+        dict(variant="rr-kljn", r_range=[1000.0, 2000.0], r_levels=16, t_eff=300.0),
+    ], ids=["rrrt", "vmg", "rr"])
+    def test_prints_the_table_row_count(self, tmp_path, capsys, fields):
+        cfg = config_file(tmp_path, **{**fields, "bits": 200})
+        out = tmp_path / "attack.csv"
+        assert main(["attack", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = read_report(out).rows
+        assert capsys.readouterr().out.endswith(f" table_rows={len(rows)}\n")
+        if fields["variant"] == "rrrt-kljn":  # two-point families and empty rows
+            empty = [row for row in rows if row["residual"] is None]
+            assert empty and all(set(row.values()) == {row["index"], None} for row in empty)
+            assert len(rows) > len({row["index"] for row in rows})
+
+    def test_family_rows_match_the_points(self, tmp_path):
+        # one row per family point, as the one-triple sweep's points give
+        # them, and one empty row in place for a bit with no family; at
+        # alpha == 1.0 (assumed R_A 1000 on an R_A = R_B = 1000 triple) the
+        # implied bit is a tie, an empty cell
+        config = load_config(config_file(
+            tmp_path, variant="rrrt-kljn", r_range=[1000.0, 2000.0], r_levels=4,
+            t_range=[200.0, 400.0], t_levels=4))[0]
+        settings = [np.array(column) for column in zip(
+            (1000.0, 250.0, 1000.0, 380.0), (1200.0, 300.0, 1700.0, 220.0),
+            (1500.0, 250.0, 1100.0, 390.0))]
+        observables = list(physics.analytic_observable_arrays(*settings, 1.0, 1.0))
+        observables[0][1] = 0.0  # a spectrum no loop gives: no family
+        columns, rows = cli._attack_rows(config, {"eve_grid_points": 2}, [4, 9, 17],
+                                         observables)
+        out = tmp_path / "attack.csv"
+        report.write_csv(columns, rows, {}, out)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(columns)
+        grid = adversary.default_assumed_grid(config, 2)
+        for index, triple in zip([4, 9, 17], zip(*(c.tolist() for c in observables))):
+            view = adversary.EveView(physics.WireObservables(*triple), 1.0)
+            try:
+                family = adversary.eve_rrrt_solution_family(view, grid, 1e-9, NORMALIZED)
+            except InconsistentObservables:
+                family = []
+            writer.writerows([(index, p.assumed_r_a, p.implied_t_a, p.implied_alpha,
+                               p.implied_beta, p.implied_alice_bit(), p.residual)
+                              for p in family] or [(index,) + (None,) * 6])
+        assert out.read_text() == expected.getvalue()
+        assert "4,1000.0,250.0,1.0,1.52,,0.0\n" in out.read_text()
+        assert "\n9,,,,,,\n" in out.read_text()
+
+    @pytest.mark.parametrize("command, fields", [
+        ("simulate", dict(variant="classic-kljn", r_low=1000, r_high=2000.0, t_eff=300)),
+        ("simulate", dict(variant="rrrt-kljn", r_range=[1000.0, 2000.0], r_levels=8,
+                          t_range=[200.0, 400.0], t_levels=8, mode="sampled",
+                          estimator_segments=64)),
+        ("attack", dict(variant="rrrt-kljn", r_range=[1000.0, 2000.0], r_levels=8,
+                        t_range=[200.0, 400.0], t_levels=8)),
+        ("attack", dict(variant="rrrt-kljn", r_range=[1000.0, 2000.0], r_levels=16,
+                        t_range=[200.0, 400.0], t_levels=16, eve_grid_points=2,
+                        family_tolerance=1e-17)),
+    ], ids=["simulate-classic", "simulate-sampled-rrrt", "attack-rrrt",
+            "attack-rrrt-empty-families"])
+    def test_tables_reach_write_csv_as_columns(self, tmp_path, monkeypatch, command,
+                                               fields):
+        # a row iterator would fall back to csv.writer; the columns must be
+        # equal-length numpy arrays or str/None sequences, the observables
+        # and family values float64 arrays (with no empty family)
+        handed = []
+        monkeypatch.setattr(cli, "write_csv", lambda columns, rows, summary, path:
+                            handed.append(rows) or report.write_csv(columns, rows,
+                                                                    summary, path))
+        cfg = config_file(tmp_path, **fields)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv"),
+                     "--quiet"]) == EXIT_OK
+        rows, = handed
+        assert isinstance(rows, tuple) and len({len(values) for values in rows}) == 1
+        assert len(rows[0]) == len(read_report(tmp_path / "out.csv").rows) > 0
+        kinds = [values.dtype.kind if isinstance(values, np.ndarray) else "list"
+                 for values in rows]
+        floats = {"simulate": [6, 7, 8],
+                  "attack": [] if "eve_grid_points" in fields else [1, 2, 3, 4, 6]}[command]
+        assert [k for k, kind in enumerate(kinds) if kind == "f"] == floats
+        assert set(kinds) <= {"f", "i", "O", "list"}
+        for values in rows:
+            if not isinstance(values, np.ndarray) or values.dtype.kind == "O":
+                assert {type(value) for value in values} <= {str, type(None)}
 
 
 class TestVmgSolve:

@@ -125,9 +125,11 @@ def written(tmp_dir, name, columns, rows=None):
 
 
 def as_csv_writer_rows(columns):
-    """`columns` as rows of Python ints, what csv.writer is given."""
-    return list(zip(*(values.astype(object).tolist() if values.dtype != bool
-                      else values.astype(int).tolist() for values in columns)))
+    """`columns` as rows of Python objects, what csv.writer is given: ints
+    (a bool as 0 or 1), floats, and text columns as they are."""
+    return list(zip(*(values if isinstance(values, list)
+                      else values.astype(int if values.dtype == bool else object).tolist()
+                      for values in columns)))
 
 
 class TestIntegerRows:
@@ -189,6 +191,57 @@ class TestIntegerRows:
         assert threading.active_count() == threads
         assert sorted(formatted) == [0, 1, 2, 3, 5, 6, 8, 9]
         assert (tmp_path / "columns.csv").read_text() == "a\n"
+
+
+#: floats where repr changes notation, sign or precision
+SPECIAL_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 9999999999999998.0,
+                  1e-4, 1e-5]
+
+
+@st.composite
+def mixed_columns(draw):
+    """A tuple of 1 to 4 equal-length columns, 0 to 30 values each: float64
+    (special values, repeats of a few values, or any double), integer,
+    bool, or text (str, holding delimiters, quotes and line breaks, or
+    None)."""
+    rows = draw(st.integers(0, 30))
+    floats = st.sampled_from(SPECIAL_FLOATS) | st.floats(width=64)
+    kinds = {
+        "float": arrays(np.float64, rows, elements=floats | st.sampled_from(
+            draw(st.lists(floats, min_size=1, max_size=3)))),
+        "int": integer_column(np.int64, rows),
+        "bool": integer_column(np.bool_, rows),
+        "text": st.lists(st.none() | st.text(alphabet='ab ,"\r\n;', max_size=4),
+                         min_size=rows, max_size=rows),
+    }
+    return tuple(draw(kinds[kind]) for kind in draw(
+        st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=4)))
+
+
+class TestColumnRows:
+    """Float, integer, bool and text columns, written by the column path
+    of write_csv, as csv.writer writes them."""
+
+    @settings(max_examples=150)
+    @given(columns=mixed_columns())
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_matches_csv_writer(self, columns, width, tmp_path_factory):
+        tmp_dir = tmp_path_factory.mktemp("rows")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report, "_DUMP_PIECE", 7)  # pieces cut the rows
+            patch.setattr(lookup, "_pool_width", lambda: width)
+            actual = written(tmp_dir, "columns.csv", columns)
+        assert actual == written(tmp_dir, "rows.csv", columns, as_csv_writer_rows(columns))
+
+    @pytest.mark.parametrize("columns", [
+        (np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), []),
+        (["", None, "x"],),
+        (["a,b", 'say "hi"', None, "plain"], np.array([0.5, -0.0, 0.5, np.nan])),
+        (np.array(SPECIAL_FLOATS), [None, "", "L", "H", "", None, "1", "0", "a\rb", "c\nd"]),
+    ], ids=["no-rows", "one-column-empty-cells", "quoted-text", "special-floats"])
+    def test_edge_cases(self, columns, tmp_path):
+        assert written(tmp_path, "columns.csv", columns) == written(
+            tmp_path, "rows.csv", columns, as_csv_writer_rows(columns))
 
 
 def write_config(tmp_path, **overrides):
