@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InconsistentObservables, ModelMismatch
+from .errors import InconsistentObservables
 from .physics import (
     SI,
     PhysicalConstants,
@@ -43,7 +43,7 @@ from .protocol import (
     party_states,
     run_session,
 )
-from .resolver import ResistorPair, eve_resistor_pair_equal_temp
+from .resolver import PAIR_FAILURES, ResistorPair, eve_resistor_pairs_equal_temp
 
 STRATEGIES = ("random", "nearest-class")
 
@@ -143,26 +143,41 @@ def _nearest_classes(observables, classes: dict[str, WireObservables]) -> list[s
     return [names[k] for k in np.argmin(distances, axis=0).tolist()]
 
 
-def eve_pair_extraction(view: EveView, t_eff: float,
-                        constants: PhysicalConstants = SI,
-                        mismatch_tolerance: float = 1e-6) -> ResistorPair:
-    """Extract the unordered resistor pair under the equal-temperature model.
+def eve_pair_extractions(observables, bandwidth_hz: float, t_eff: float,
+                         constants: PhysicalConstants = SI,
+                         mismatch_tolerance: float = 1e-6) -> tuple[np.ndarray, ...]:
+    """Extract the unordered resistor pair under the equal-temperature
+    model from every triple of the (s_u, s_i, p_ab) columns
+    `observables`, in one array pass: columns (low, high, degenerate,
+    failure), where failure is 0 or the :data:`PAIR_FAILURES` code of the
+    first check the triple fails.
 
     Real leak for the equal-temperature variants: the two resistance
     values are recoverable from (s_u, s_i), though their locations are
-    not.  The model is checked before use: a non-zero normalized power
-    flow betrays unequal temperatures and raises ModelMismatch, which is
+    not.  The model is checked before use: a normalized power flow over
+    `mismatch_tolerance` betrays unequal temperatures (code 1), which is
     exactly why the pair leak disappears in the random-temperature
     scheme.
     """
-    obs = view.observables
-    power_scale = 4.0 * constants.k * t_eff * view.bandwidth_hz
-    normalized_power = abs(obs.p_ab) / power_scale
-    if normalized_power > mismatch_tolerance:
-        raise ModelMismatch(
-            f"normalized power flow {normalized_power} is inconsistent with "
-            f"the equal-temperature model (tolerance {mismatch_tolerance})")
-    return eve_resistor_pair_equal_temp(obs.s_u, obs.s_i, t_eff, constants)
+    s_u, s_i, p_ab = (np.asarray(column, dtype=float) for column in observables)
+    power_scale = 4.0 * constants.k * t_eff * bandwidth_hz
+    *pair, failure = eve_resistor_pairs_equal_temp(s_u, s_i, t_eff, constants)
+    return (*pair, np.where(np.abs(p_ab) / power_scale > mismatch_tolerance, 1, failure))
+
+
+def eve_pair_extraction(view: EveView, t_eff: float,
+                        constants: PhysicalConstants = SI,
+                        mismatch_tolerance: float = 1e-6) -> ResistorPair:
+    """:func:`eve_pair_extractions` of one view; raises its failure's
+    error (ModelMismatch for the power flow)."""
+    *pair, failure = eve_pair_extractions([[value] for value in view.observables],
+                                          view.bandwidth_hz, t_eff, constants,
+                                          mismatch_tolerance)
+    if failure[0]:
+        error_class, reason = PAIR_FAILURES[failure[0]]
+        raise error_class(f"{reason}, got {view.observables} at T = {t_eff} "
+                          f"(tolerance {mismatch_tolerance})")
+    return ResistorPair(*(values[0].item() for values in pair))
 
 
 def eve_rrrt_solution_family(view: EveView, assumed_r_a_grid,

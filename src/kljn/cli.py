@@ -29,17 +29,15 @@ import numpy as np
 
 from . import __version__
 from .adversary import (
-    EveView,
     _binary_classes,
     _nearest_classes,
     default_assumed_grid,
     eve_guess_session,
-    eve_pair_extraction,
+    eve_pair_extractions,
     eve_rrrt_solution_families,
 )
 from .config import load_config
 from .errors import ConfigError, GridTooLarge, KljnError
-from .physics import WireObservables
 from .protocol import (
     STATUS_SECURE,
     STATUS_TIE,
@@ -140,19 +138,31 @@ _CLASS_COLUMNS = ["index", "eve_class"]
 _PAIR_COLUMNS = ["index", "r_pair_low", "r_pair_high", "degenerate"]
 
 
+def _with_empty_cells(fields, fitted):
+    """The columns `fields` of the rows where `fitted` holds, spread over
+    all rows with empty cells in the others; `fields` as they are when
+    every row is fitted."""
+    if fitted.all():
+        return list(fields)
+    cells = np.full((len(fields), len(fitted)), None, dtype=object)
+    cells[:, fitted] = [_cells(values) for values in fields]
+    return list(cells)
+
+
 def _attack_rows(config: ProtocolConfig, extras: dict, indices, observables):
     """(columns, rows) of Eve's analysis of the secure bits `indices`,
-    whose (s_u, s_i, p_ab) columns are `observables`.
+    whose (s_u, s_i, p_ab) columns are `observables`; the rows come as a
+    tuple of columns, from one array pass over all bits.
 
     Eve's public model is built once per session: the assumed-R_A grid
     of the family sweep (random temperatures), the class centres
     (four-resistor scheme, whose unequal temperatures rule out the
     equal-temperature pair model) or the pair model's tolerance (equal
     temperatures).  A bit the model cannot fit gets one row of its
-    index with empty cells.  The family table comes as a tuple of
-    columns, the others as rows.
+    index with empty cells.
     """
-    if config.variant == "rrrt-kljn":  # all bits' sweeps in one array pass
+    indices = np.array(indices, dtype=np.int64)
+    if config.variant == "rrrt-kljn":
         triple, *fields = eve_rrrt_solution_families(
             observables, config.band.bandwidth_hz,
             default_assumed_grid(config, extras.get("eve_grid_points", 10)),
@@ -161,25 +171,16 @@ def _attack_rows(config: ProtocolConfig, extras: dict, indices, observables):
         fields.insert(4, np.where(alpha == 1.0, None, np.where(alpha > 1.0, "L", "H")))
         sizes = np.bincount(triple, minlength=len(indices))
         owner = np.repeat(np.arange(len(indices)), np.maximum(sizes, 1))
-        if not sizes.all():  # a bit with no family keeps one row of empty cells
-            cells = np.full((len(fields), len(owner)), None, dtype=object)
-            cells[:, sizes[owner] > 0] = [_cells(values) for values in fields]
-            fields = list(cells)
-        return _FAMILY_COLUMNS, (np.array(indices, dtype=np.int64)[owner], *fields)
+        return _FAMILY_COLUMNS, (indices[owner], *_with_empty_cells(fields, sizes[owner] > 0))
     if config.variant == "vmg-kljn":  # every triple has a nearest class
-        return _CLASS_COLUMNS, list(zip(indices, _nearest_classes(
-            observables, _binary_classes(config))))
-    tolerance = config.effective_recovery_tolerance()
-    rows = []
-    for index, triple in zip(indices, zip(*(column.tolist() for column in observables))):
-        try:
-            pair = eve_pair_extraction(
-                EveView(WireObservables(*triple), config.band.bandwidth_hz),
-                config.t_eff, config.constants, mismatch_tolerance=tolerance)
-            rows.append((index, pair.low, pair.high, int(pair.degenerate)))
-        except KljnError:
-            rows.append((index, None, None, None))
-    return _PAIR_COLUMNS, rows
+        return _CLASS_COLUMNS, (indices, _nearest_classes(observables,
+                                                          _binary_classes(config)))
+    *pair, failure = eve_pair_extractions(
+        observables, config.band.bandwidth_hz, config.t_eff, config.constants,
+        config.effective_recovery_tolerance())
+    fitted = failure == 0
+    return _PAIR_COLUMNS, (indices, *_with_empty_cells([values[fitted] for values in pair],
+                                                       fitted))
 
 
 def cmd_attack(args) -> int:
@@ -202,9 +203,8 @@ def cmd_attack(args) -> int:
     if args.out:
         write_csv(columns, rows, summary, args.out)
     accuracy = "n/a" if guesses.accuracy is None else f"{guesses.accuracy:.4f}"
-    n_rows = len(rows[0]) if isinstance(rows, tuple) else len(rows)
     _say(args, f"variant={config.variant} secure={guesses.n} "
-               f"eve[{guesses.strategy}]={accuracy} table_rows={n_rows}")
+               f"eve[{guesses.strategy}]={accuracy} table_rows={len(rows[0])}")
     return EXIT_OK
 
 
@@ -220,8 +220,8 @@ def cmd_vmg_solve(args) -> int:
     _say(args, f"lh_hl_max_relative_mismatch={residual!r}")
     if args.out:
         write_csv(["t_al", "t_ah", "t_bl", "t_bh", "residual"],
-                  [(float(config.t_eff), temps.t_ah, temps.t_bl, temps.t_bh,
-                    residual)],
+                  tuple(np.array([value], dtype=float) for value in (
+                      config.t_eff, temps.t_ah, temps.t_bl, temps.t_bh, residual)),
                   {"schema": "kljn-vmg-csv-1"}, args.out)
     return EXIT_OK
 
@@ -239,9 +239,8 @@ def cmd_table(args) -> int:
         rows = (np.arange(table.n_cells, dtype=np.min_scalar_type(table.n_cells)),
                 table.cell_sizes, table.cell_singular)
         if with_members:
-            rows = zip(*(values.astype(np.int64).tolist() for values in rows),
-                       (";".join(map(str, members.tolist()))
-                        for members in table.all_cell_members()))
+            rows += ([";".join(map(str, members.tolist()))
+                      for members in table.all_cell_members()],)
         summary = {
             "schema": "kljn-table-csv-1",
             "variant": config.variant,

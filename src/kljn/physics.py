@@ -84,6 +84,8 @@ class BandConfig:
     def __post_init__(self):
         if not 0 < self.bandwidth_hz < float("inf"):
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth_hz}")
+        if not np.isfinite(self.sample_rate_hz):
+            raise ValueError(f"sample rate must be finite, got {self.sample_rate_hz}")
         if self.sample_rate_hz < 2.0 * self.bandwidth_hz:
             raise ValueError(
                 f"sample rate {self.sample_rate_hz} cannot represent band-limited "

@@ -5,17 +5,17 @@ lines are prefixed with ``#`` so the table parses with any CSV reader;
 the toolkit's own reader returns both parts and round-trips exactly
 (floats are serialized with repr, which is lossless for doubles).
 
-Rows given as a tuple of equal-length columns are read where they lie
-and formatted in pieces of `_DUMP_PIECE` rows, in one pass of the
-thread runner `lookup._run_parts`, byte for byte as ``csv.writer``
-writes the same rows as Python objects: float64 columns by repr,
-integer and bool columns as ASCII digit matrices (a bool as 0 or 1),
-text columns (str, or None for an empty cell) as they are.  A piece of
-integer and bool columns is one text, written once all are formatted
-(10.1 MB of text at 64 levels); a piece with other columns formats each
-distinct value of a column once (a float per bit pattern), holds the
-cells and joins each line as it is written.  Other rows (the few-row tables and :func:`write_report`'s
-round trip) go through ``csv.writer``.
+Rows are a tuple of equal-length columns, read where they lie and
+formatted in pieces of `_DUMP_PIECE` rows, in one pass of the thread
+runner `lookup._run_parts`, byte for byte as ``csv.writer`` writes the
+same rows as Python objects: float64 columns by repr, integer and bool
+columns as ASCII digit matrices (a bool as 0 or 1), text columns (str,
+or None for an empty cell) as they are.  A piece of integer and bool
+columns is one text, written once all are formatted (10.1 MB of text
+at 64 levels); a piece with other columns formats each distinct value
+of a column once (a float per bit pattern), holds the cells and joins
+each line as it is written.  ``csv.writer`` itself writes only the
+header and quotes the text cells that need it.
 """
 
 from __future__ import annotations
@@ -125,33 +125,31 @@ def _piece(columns):
 
 
 def write_csv(columns, rows, summary: dict, path) -> None:
-    """Stream one output file: the header, `rows` (value sequences in
-    `columns` order) and the summary block.
+    """Stream one output file: the header, `rows` and the summary block.
 
-    The one CSV writer of the toolkit.  The csv module writes None as
-    an empty cell and floats with repr, as :func:`_format` does for the
-    summary values.  `rows` given as a tuple of equal-length columns
-    (float64, integer or bool numpy arrays, or sequences of str or
-    None), one per CSV column, are formatted in pieces by :func:`_piece`.
+    The one CSV writer of the toolkit.  `rows` is a tuple of
+    equal-length columns, one per name in `columns`: float64, integer or
+    bool numpy arrays, or sequences of str or None, formatted in pieces
+    by :func:`_piece`.  Summary values are written by :func:`_format`, as
+    the csv module writes them (None as an empty cell, floats by repr).
     """
     with open(path, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        if isinstance(rows, tuple):
-            handle.writelines(chain.from_iterable(lookup._run_parts(
-                lookup._pool_width(), range(0, len(rows[0]), _DUMP_PIECE),
-                lambda p, start: _piece([values[start:start + _DUMP_PIECE]
-                                         for values in rows]))))
-        else:
-            writer.writerows(rows)
+        csv.writer(handle, lineterminator="\n").writerow(columns)
+        handle.writelines(chain.from_iterable(lookup._run_parts(
+            lookup._pool_width(), range(0, len(rows[0]), _DUMP_PIECE),
+            lambda p, start: _piece([values[start:start + _DUMP_PIECE]
+                                     for values in rows]))))
         handle.writelines(f"# {key},{_format(value)}\n"
                           for key, value in summary.items())
 
 
 def write_report(report: CsvReport, path) -> None:
-    """Write a :class:`CsvReport` through :func:`write_csv`."""
+    """Write a :class:`CsvReport` through :func:`write_csv`, each column
+    as the text of its values, so that 1 and 1.0, or 0.0 and -0.0, in
+    one column keep their own."""
     write_csv(report.columns,
-              ([row.get(col) for col in report.columns] for row in report.rows),
+              tuple([_format(row.get(col)) for row in report.rows]
+                    for col in report.columns),
               report.summary, path)
 
 

@@ -39,6 +39,7 @@ from .errors import (
     AmbiguousRecovery,
     InadmissibleTemperatures,
     InconsistentObservables,
+    ModelMismatch,
     NoPositiveRoot,
     SingularSystem,
 )
@@ -314,32 +315,54 @@ def recover_partner_arrays(gamma, phi, delta, tolerance: float):
     return alpha, beta, failure
 
 
-def eve_resistor_pair_equal_temp(s_u: float, s_i: float, t: float,
-                                 constants: PhysicalConstants = SI,
-                                 degeneracy_rtol: float = 1e-9) -> ResistorPair:
-    """Unordered resistor pair from wire spectra at a common temperature.
+#: Why the equal-temperature pair extraction fails a lane, by code (0:
+#: extracted), in check order: the power flow of
+#: :func:`kljn.adversary.eve_pair_extractions`, then the spectra.
+PAIR_FAILURES = (
+    None,
+    (ModelMismatch, "power flow inconsistent with the equal-temperature model"),
+    (InconsistentObservables, "spectra must be positive"),
+    (InconsistentObservables, "negative discriminant: no two resistors at that temperature"),
+    (InconsistentObservables, "extracted a non-positive resistance"),
+)
+
+
+def eve_resistor_pairs_equal_temp(s_u, s_i, t: float, constants: PhysicalConstants = SI,
+                                  degeneracy_rtol: float = 1e-9):
+    """Unordered resistor pairs from arrays of wire spectra at a common
+    temperature, in one array pass: columns (low, high, degenerate,
+    failure), where failure is 0 or the :data:`PAIR_FAILURES` code (2 to
+    4) of the first check the lane fails.
 
     Solved in Vieta form — the pair satisfies R1 + R2 = 4kT/s_i and
     R1*R2 = s_u/s_i — which is algebraically identical to the closed
     quadratic formula but stable for widely separated resistors.
     """
-    if not (s_u > 0 and s_i > 0):
-        raise InconsistentObservables(f"spectra must be positive, got ({s_u}, {s_i})")
-    pair_sum = 4.0 * constants.k * t / s_i
-    pair_product = s_u / s_i
-    disc = pair_sum * pair_sum - 4.0 * pair_product
-    if disc < 0.0:
-        raise InconsistentObservables(
-            f"negative discriminant {disc}: spectra inconsistent with two "
-            f"resistors at temperature {t}")
-    r1 = 0.5 * (pair_sum + math.sqrt(disc))
-    r2 = pair_product / r1 if r1 > 0.0 else 0.0
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise InconsistentObservables(
-            f"extracted non-positive resistances ({r2}, {r1})")
-    low, high = sorted((r1, r2))
-    degenerate = (high - low) <= degeneracy_rtol * high
-    return ResistorPair(low=low, high=high, degenerate=degenerate)
+    s_u, s_i = np.asarray(s_u, dtype=float), np.asarray(s_i, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pair_sum = 4.0 * constants.k * t / s_i
+        pair_product = s_u / s_i
+        disc = pair_sum * pair_sum - 4.0 * pair_product
+        r1 = 0.5 * (pair_sum + np.sqrt(disc))
+        r2 = pair_product / r1
+        low, high = np.minimum(r1, r2), np.maximum(r1, r2)
+        degenerate = (high - low) <= degeneracy_rtol * high
+    failure = np.select([~((s_u > 0) & (s_i > 0)), disc < 0.0, ~(r1 > 0.0) | (r2 <= 0.0)],
+                        [2, 3, 4], 0)
+    return low, high, degenerate, failure
+
+
+def eve_resistor_pair_equal_temp(s_u: float, s_i: float, t: float,
+                                 constants: PhysicalConstants = SI,
+                                 degeneracy_rtol: float = 1e-9) -> ResistorPair:
+    """:func:`eve_resistor_pairs_equal_temp` of one pair of spectra;
+    raises its failure's error."""
+    *pair, failure = eve_resistor_pairs_equal_temp([s_u], [s_i], t, constants,
+                                                   degeneracy_rtol)
+    if failure[0]:
+        error_class, reason = PAIR_FAILURES[failure[0]]
+        raise error_class(f"{reason}, got (s_u, s_i) = ({s_u}, {s_i}) at T = {t}")
+    return ResistorPair(*(values[0].item() for values in pair))
 
 
 def vmg_matching_residual(r_al: float, r_ah: float, r_bl: float, r_bh: float,

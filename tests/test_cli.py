@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kljn import NORMALIZED, adversary, cli, lookup, physics, protocol, report
+from kljn import NORMALIZED, adversary, cli, lookup, physics, protocol, report, resolver
 from kljn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from kljn.config import load_config
-from kljn.errors import InconsistentObservables, KljnError
+from kljn.errors import InconsistentObservables, KljnError, ModelMismatch
 from kljn.protocol import build_lookup_table
 from kljn.report import read_report, write_report
 
@@ -317,23 +317,77 @@ class TestAttack:
         assert "4,1000.0,250.0,1.0,1.52,,0.0\n" in out.read_text()
         assert "\n9,,,,,,\n" in out.read_text()
 
-    @pytest.mark.parametrize("command, fields", [
-        ("simulate", dict(variant="classic-kljn", r_low=1000, r_high=2000.0, t_eff=300)),
+    @pytest.mark.parametrize("code, triple", [
+        (1, (None, None, 1.0)),  # the fitted pair's spectra, but a power flow
+        (2, (1.0, 0.0, 0.0)),
+        (3, (1e12, 0.4, 0.0)),
+        (4, (5e-324, 1.0, 0.0)),  # the product underflows: a zero root
+    ], ids=["power-flow", "zero-s_i", "negative-discriminant", "zero-root"])
+    def test_pair_rows_empty_only_the_failing_lane(self, tmp_path, code, triple):
+        # a failing lane between two fitted pairs gets empty cells, its
+        # neighbours the pairs the one-lane wrapper extracts alone, and the
+        # wrappers raise the error class of the lane's code
+        config = load_config(config_file(tmp_path, variant="rr-kljn", r_range=[1000.0, 2000.0],
+                                         r_levels=4, t_eff=300.0))[0]
+        fitted = [np.array(column) for column in physics.analytic_observable_arrays(
+            np.array([1000.0, 1500.0]), 300.0, np.array([2000.0, 1100.0]), 300.0, 1.0, 1.0)]
+        triple = tuple(fitted[k][0] if value is None else value
+                       for k, value in enumerate(triple))
+        observables = [np.array([good[0], bad, good[1]]) for good, bad in zip(fitted, triple)]
+        tolerance = config.effective_recovery_tolerance()
+        *_, failure = adversary.eve_pair_extractions(observables, 1.0, 300.0, NORMALIZED,
+                                                     tolerance)
+        assert failure.tolist() == [0, code, 0]
+        columns, rows = cli._attack_rows(config, {}, [3, 8, 12], observables)
+        out = tmp_path / "attack.csv"
+        report.write_csv(columns, rows, {}, out)
+        pairs = [adversary.eve_pair_extraction(
+            adversary.EveView(physics.WireObservables(*(column[j] for column in fitted)), 1.0),
+            300.0, NORMALIZED, tolerance) for j in range(2)]
+        assert [value for pair in pairs for value in pair[:2]] == pytest.approx(
+            [1000.0, 2000.0, 1100.0, 1500.0], rel=1e-12)
+        assert out.read_text() == "".join([
+            "index,r_pair_low,r_pair_high,degenerate\n",
+            f"3,{pairs[0].low!r},{pairs[0].high!r},0\n", "8,,,\n",
+            f"12,{pairs[1].low!r},{pairs[1].high!r},0\n"])
+        error = ModelMismatch if code == 1 else InconsistentObservables
+        assert resolver.PAIR_FAILURES[code][0] is error
+        with pytest.raises(error):
+            adversary.eve_pair_extraction(adversary.EveView(
+                physics.WireObservables(*triple), 1.0), 300.0, NORMALIZED, tolerance)
+        if code > 1:
+            with pytest.raises(error):
+                resolver.eve_resistor_pair_equal_temp(*triple[:2], 300.0, NORMALIZED)
+
+    @pytest.mark.parametrize("command, fields, floats", [
+        ("simulate", dict(variant="classic-kljn", r_low=1000, r_high=2000.0, t_eff=300),
+         [6, 7, 8]),
         ("simulate", dict(variant="rrrt-kljn", r_range=[1000.0, 2000.0], r_levels=8,
                           t_range=[200.0, 400.0], t_levels=8, mode="sampled",
-                          estimator_segments=64)),
+                          estimator_segments=64), [6, 7, 8]),
         ("attack", dict(variant="rrrt-kljn", r_range=[1000.0, 2000.0], r_levels=8,
-                        t_range=[200.0, 400.0], t_levels=8)),
+                        t_range=[200.0, 400.0], t_levels=8), [1, 2, 3, 4, 6]),
         ("attack", dict(variant="rrrt-kljn", r_range=[1000.0, 2000.0], r_levels=16,
                         t_range=[200.0, 400.0], t_levels=16, eve_grid_points=2,
-                        family_tolerance=1e-17)),
+                        family_tolerance=1e-17), []),
+        ("attack", dict(variant="vmg-kljn", vmg_resistors=[1000.0, 2000.0, 1200.0, 2500.0],
+                        t_eff=300.0, bits=200), []),
+        ("attack", dict(variant="rr-kljn", r_range=[1000.0, 2000.0], r_levels=16,
+                        t_eff=300.0, bits=200), [1, 2]),
+        ("attack", dict(variant="rr-kljn", r_range=[1000.0, 2000.0], r_levels=16,
+                        t_eff=300.0, mode="sampled", samples_per_bit=1024,
+                        estimator_segments=16), []),
+        ("vmg-solve", dict(variant="vmg-kljn", vmg_resistors=[1000, 2000, 1200, 2500],
+                           t_eff=300), [0, 1, 2, 3, 4]),
+        ("table", dict(variant="rrrt-kljn", r_range=[1000.0, 2000.0], r_levels=4,
+                       t_range=[200.0, 400.0], t_levels=4), []),
     ], ids=["simulate-classic", "simulate-sampled-rrrt", "attack-rrrt",
-            "attack-rrrt-empty-families"])
+            "attack-rrrt-empty-families", "attack-vmg", "attack-rr",
+            "attack-sampled-rr-empty-pairs", "vmg-solve", "table-members"])
     def test_tables_reach_write_csv_as_columns(self, tmp_path, monkeypatch, command,
-                                               fields):
-        # a row iterator would fall back to csv.writer; the columns must be
-        # equal-length numpy arrays or str/None sequences, the observables
-        # and family values float64 arrays (with no empty family)
+                                               fields, floats):
+        # the columns must be equal-length numpy arrays or str/None
+        # sequences, the float columns float64 arrays (with no empty cell)
         handed = []
         monkeypatch.setattr(cli, "write_csv", lambda columns, rows, summary, path:
                             handed.append(rows) or report.write_csv(columns, rows,
@@ -343,16 +397,17 @@ class TestAttack:
                      "--quiet"]) == EXIT_OK
         rows, = handed
         assert isinstance(rows, tuple) and len({len(values) for values in rows}) == 1
-        assert len(rows[0]) == len(read_report(tmp_path / "out.csv").rows) > 0
+        table = read_report(tmp_path / "out.csv").rows
+        assert len(rows[0]) == len(table) > 0
         kinds = [values.dtype.kind if isinstance(values, np.ndarray) else "list"
                  for values in rows]
-        floats = {"simulate": [6, 7, 8],
-                  "attack": [] if "eve_grid_points" in fields else [1, 2, 3, 4, 6]}[command]
         assert [k for k, kind in enumerate(kinds) if kind == "f"] == floats
-        assert set(kinds) <= {"f", "i", "O", "list"}
+        assert set(kinds) <= {"f", "i", "u", "b", "O", "list"}
         for values in rows:
             if not isinstance(values, np.ndarray) or values.dtype.kind == "O":
                 assert {type(value) for value in values} <= {str, type(None)}
+        if fields.get("mode") == "sampled" and command == "attack":
+            assert any(row["r_pair_low"] is None for row in table)
 
 
 class TestVmgSolve:
@@ -490,7 +545,8 @@ class TestTable:
             self, tmp_path, monkeypatch, members, fold_cells, dump_piece, slabs, pieces):
         # 51 289 cells of 65 536 settings at 16 levels, whose slabs and
         # pieces split unevenly over two and three parts, or are fewer
-        # than three; the member lists go through csv.writer
+        # than three; with the member lists, a piece formats the distinct
+        # values of each of its three integer and bool columns apart
         cfg = config_file(tmp_path, variant="rrrt-kljn",
                           r_range=[1000.0, 2000.0], r_levels=16,
                           t_range=[200.0, 400.0], t_levels=16)
@@ -511,7 +567,7 @@ class TestTable:
             out = tmp_path / f"table-{width}.csv"
             assert main(["table", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
             outputs.append(out.read_bytes())
-        assert calls == {"_group": 3 * slabs, "_int_piece": 0 if members else 3 * pieces}
+        assert calls == {"_group": 3 * slabs, "_int_piece": 3 * pieces * (3 if members else 1)}
         assert outputs[0].startswith(b"cell,size,singular" + b",members" * members + b"\n")
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
@@ -660,6 +716,18 @@ class TestErrorPaths:
         assert main(["simulate", "--config", cfg, "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and name in err
+
+    @pytest.mark.parametrize("mode", ["sampled", "analytic"])
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
+    @pytest.mark.parametrize("command", ["simulate", "attack", "table"])
+    def test_non_finite_sample_rate_exits_2(self, tmp_path, capsys, command, rate, mode):
+        # json writes the rate as the Infinity / NaN token it also reads
+        cfg = config_file(tmp_path, variant="rr-kljn", r_range=[1000.0, 2000.0], r_levels=4,
+                          t_eff=300.0, sample_rate_hz=rate, mode=mode, estimator_segments=64)
+        assert main([command, "--config", cfg, "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sample rate" in err
+        assert "Traceback" not in err
 
     def test_negative_seed_flag_exits_2(self, classic_cfg, capsys):
         assert main(["simulate", "--config", classic_cfg, "--seed", "-1",

@@ -1,7 +1,10 @@
 """CSV report writing/parsing and JSON config loading."""
 
+import csv
+import io
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,13 +118,26 @@ def integer_columns(draw, dtypes):
                  for dtype in draw(st.lists(st.sampled_from(dtypes), min_size=1, max_size=4)))
 
 
-def written(tmp_dir, name, columns, rows=None):
-    """The bytes write_csv writes for `columns`, or for `rows` if given."""
+HEADER = ["a", "b", "c", "d"]
+
+
+def written(tmp_dir, name, columns):
+    """The bytes write_csv writes for `columns`."""
     path = tmp_dir / name
-    write_csv(["a", "b", "c", "d"][:len(columns)],
-              columns if rows is None else rows,
+    write_csv(HEADER[:len(columns)], columns,
               {"schema": "test", "rows": len(columns[0])}, path)
     return path.read_bytes()
+
+
+def by_csv_writer(columns, rows):
+    """The bytes csv.writer writes for `rows`, with the header and the
+    summary of :func:`written` for `columns`: the reference."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(HEADER[:len(columns)])
+    writer.writerows(rows)
+    text.write(f"# schema,test\n# rows,{len(columns[0])}\n")
+    return text.getvalue().encode()
 
 
 def as_csv_writer_rows(columns):
@@ -145,7 +161,7 @@ class TestIntegerRows:
             patch.setattr(report, "_DUMP_PIECE", 7)  # pieces cut the rows
             patch.setattr(lookup, "_pool_width", lambda: width)
             actual = written(tmp_dir, "columns.csv", columns)
-        assert actual == written(tmp_dir, "rows.csv", columns, as_csv_writer_rows(columns))
+        assert actual == by_csv_writer(columns, as_csv_writer_rows(columns))
 
     @pytest.mark.parametrize("matrix", [
         np.array([[0, -1, 1], [-(2 ** 63), 2 ** 63 - 1, 10 ** 18]], dtype=np.int64),
@@ -154,8 +170,8 @@ class TestIntegerRows:
         np.zeros((0, 3), dtype=np.int64),
     ], ids=["int64-extremes", "uint64-one-column", "int16-negative", "no-rows"])
     def test_edge_cases(self, matrix, tmp_path):
-        assert written(tmp_path, "columns.csv", tuple(matrix.T)) == written(
-            tmp_path, "rows.csv", tuple(matrix.T), matrix.tolist())
+        assert written(tmp_path, "columns.csv", tuple(matrix.T)) == by_csv_writer(
+            tuple(matrix.T), matrix.tolist())
 
     def test_mixed_table_columns(self, tmp_path):
         # the columns `kljn table` passes: uint32 cells, int64 sizes and
@@ -231,7 +247,7 @@ class TestColumnRows:
             patch.setattr(report, "_DUMP_PIECE", 7)  # pieces cut the rows
             patch.setattr(lookup, "_pool_width", lambda: width)
             actual = written(tmp_dir, "columns.csv", columns)
-        assert actual == written(tmp_dir, "rows.csv", columns, as_csv_writer_rows(columns))
+        assert actual == by_csv_writer(columns, as_csv_writer_rows(columns))
 
     @pytest.mark.parametrize("columns", [
         (np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), []),
@@ -240,8 +256,43 @@ class TestColumnRows:
         (np.array(SPECIAL_FLOATS), [None, "", "L", "H", "", None, "1", "0", "a\rb", "c\nd"]),
     ], ids=["no-rows", "one-column-empty-cells", "quoted-text", "special-floats"])
     def test_edge_cases(self, columns, tmp_path):
-        assert written(tmp_path, "columns.csv", columns) == written(
-            tmp_path, "rows.csv", columns, as_csv_writer_rows(columns))
+        assert written(tmp_path, "columns.csv", columns) == by_csv_writer(
+            columns, as_csv_writer_rows(columns))
+
+
+#: one column of Python objects that csv.writer formats apart: 0.0 and
+#: -0.0, 1 and 1.0, nan and inf, text it quotes, and None
+MIXED_VALUES = [0.0, -0.0, 1, 1.0, float("nan"), float("inf"), -float("inf"), None,
+                "a,b", 'say "hi"', "x\r\ny", "", "plain", 2 ** 70, -7]
+
+
+class TestWriteReport:
+    """write_report writes a CsvReport's rows as csv.writer writes them."""
+
+    @pytest.mark.parametrize("columns, rows", [
+        (["a", "b", "c"], [{"a": value, "b": MIXED_VALUES[-1 - k], "c": k}
+                           for k, value in enumerate(MIXED_VALUES)]),
+        (["a"], [{"a": value} for value in MIXED_VALUES]),
+        (["a", "b"], [{"a": 1.0}, {"b": "only b"}, {}]),
+        (["a", "b"], []),
+    ], ids=["python-objects", "one-column", "missing-keys", "no-rows"])
+    def test_matches_csv_writer(self, tmp_path, columns, rows):
+        path = tmp_path / "report.csv"
+        write_report(report.CsvReport(columns, rows, {"schema": "test", "rows": len(rows)}),
+                     path)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row.get(column) for column in columns] for row in rows)
+        expected.write(f"# schema,test\n# rows,{len(rows)}\n")
+        assert path.read_bytes() == expected.getvalue().encode()
+
+
+def test_csv_writer_writes_no_table_rows():
+    # every table reaches write_csv as columns; csv.writer writes only the
+    # header and quotes text cells
+    sources = Path(report.__file__).parent.glob("*.py")
+    assert [path.name for path in sources if "writerows" in path.read_text()] == []
 
 
 def write_config(tmp_path, **overrides):

@@ -2,8 +2,11 @@
 session's array route, the equal-temperature pair extraction, and the
 temperature-matching solve."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kljn import (
     BandConfig,
@@ -13,6 +16,7 @@ from kljn import (
     NoPositiveRoot,
     PartyState,
     ReducedObservables,
+    SI,
     WireObservables,
     analytic_observables,
     eve_resistor_pair_equal_temp,
@@ -22,6 +26,7 @@ from kljn import (
 )
 from kljn.resolver import (
     RECOVERY_FAILURES,
+    eve_resistor_pairs_equal_temp,
     equation_residual,
     recover_partner_arrays,
     reduce_observable_arrays,
@@ -249,6 +254,35 @@ class TestEvePairExtraction:
             lo, hi = sorted((r1, r2))
             assert pair.low == pytest.approx(lo, rel=1e-10)
             assert pair.high == pytest.approx(hi, rel=1e-10)
+
+    @settings(max_examples=150)
+    @given(spectra=st.lists(st.tuples(*[st.floats() | st.sampled_from(
+               [0.0, -0.0, 5e-324, 1e-300, 1e300, 0.4, 1e12, 1200.0])] * 2), max_size=12),
+           t=st.sampled_from([300.0, 1e-300, 1e300]), constants=st.sampled_from([NORMALIZED, SI]))
+    def test_array_pass_equals_the_scalar_vieta_steps(self, spectra, t, constants):
+        # the scalar extraction's IEEE steps, lane by lane, are the
+        # reference: its first failing check's code, else its pair bit for
+        # bit (NaN, infinities, zeros and underflow included)
+        def scalar(s_u, s_i):
+            if not (s_u > 0 and s_i > 0):
+                return 2
+            pair_sum = 4.0 * constants.k * t / s_i
+            pair_product = s_u / s_i
+            disc = pair_sum * pair_sum - 4.0 * pair_product
+            if disc < 0.0:
+                return 3
+            r1 = 0.5 * (pair_sum + math.sqrt(disc))
+            r2 = pair_product / r1 if r1 > 0.0 else 0.0
+            if r1 <= 0.0 or r2 <= 0.0:
+                return 4
+            low, high = sorted((r1, r2))
+            return repr(low), repr(high), (high - low) <= 1e-9 * high
+
+        low, high, degenerate, failure = eve_resistor_pairs_equal_temp(
+            [s_u for s_u, _ in spectra], [s_i for _, s_i in spectra], t, constants)
+        got = [code or (repr(lo), repr(hi), deg) for lo, hi, deg, code in zip(
+            low.tolist(), high.tolist(), degenerate.tolist(), failure.tolist())]
+        assert got == [scalar(*lane) for lane in spectra]
 
     def test_negative_discriminant_rejected(self):
         # s_u too large for the implied resistance sum
