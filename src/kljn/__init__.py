@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .adversary import (
     EveView,
     GuessRecord,
+    ResistorPair,
     SolutionFamilyPoint,
     eve_guess_session,
     eve_pair_extraction,
@@ -47,9 +48,7 @@ from .protocol import (
 from .resolver import (
     RecoveredPartner,
     ReducedObservables,
-    ResistorPair,
     VmgTemperatures,
-    eve_resistor_pair_equal_temp,
     recover_partner,
     reduce_observables,
     solve_vmg_temperatures,

@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InconsistentObservables
+from .errors import InconsistentObservables, ModelMismatch
 from .physics import (
     SI,
     PhysicalConstants,
@@ -43,7 +43,6 @@ from .protocol import (
     party_states,
     run_session,
 )
-from .resolver import PAIR_FAILURES, ResistorPair, eve_resistor_pairs_equal_temp
 
 STRATEGIES = ("random", "nearest-class")
 
@@ -143,6 +142,25 @@ def _nearest_classes(observables, classes: dict[str, WireObservables]) -> list[s
     return [names[k] for k in np.argmin(distances, axis=0).tolist()]
 
 
+class ResistorPair(NamedTuple):
+    """Unordered resistor pair: values leak, the party assignment does not."""
+
+    low: float
+    high: float
+    degenerate: bool
+
+
+#: Why :func:`eve_pair_extractions` fails a triple, by code (0:
+#: extracted), in check order.
+PAIR_FAILURES = (
+    None,
+    (ModelMismatch, "power flow inconsistent with the equal-temperature model"),
+    (InconsistentObservables, "spectra must be positive"),
+    (InconsistentObservables, "negative discriminant: no two resistors at that temperature"),
+    (InconsistentObservables, "extracted a non-positive resistance"),
+)
+
+
 def eve_pair_extractions(observables, bandwidth_hz: float, t_eff: float,
                          constants: PhysicalConstants = SI,
                          mismatch_tolerance: float = 1e-6) -> tuple[np.ndarray, ...]:
@@ -154,15 +172,25 @@ def eve_pair_extractions(observables, bandwidth_hz: float, t_eff: float,
 
     Real leak for the equal-temperature variants: the two resistance
     values are recoverable from (s_u, s_i), though their locations are
-    not.  The model is checked before use: a normalized power flow over
-    `mismatch_tolerance` betrays unequal temperatures (code 1), which is
-    exactly why the pair leak disappears in the random-temperature
-    scheme.
+    not.  A normalized power flow over `mismatch_tolerance` betrays
+    unequal temperatures (code 1), which is exactly why the pair leak
+    disappears in the random-temperature scheme.  The pair is solved in
+    Vieta form, R1 + R2 = 4kT/s_i and R1*R2 = s_u/s_i, stable for widely
+    separated resistors.
     """
     s_u, s_i, p_ab = (np.asarray(column, dtype=float) for column in observables)
-    power_scale = 4.0 * constants.k * t_eff * bandwidth_hz
-    *pair, failure = eve_resistor_pairs_equal_temp(s_u, s_i, t_eff, constants)
-    return (*pair, np.where(np.abs(p_ab) / power_scale > mismatch_tolerance, 1, failure))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pair_sum = 4.0 * constants.k * t_eff / s_i
+        pair_product = s_u / s_i
+        disc = pair_sum * pair_sum - 4.0 * pair_product
+        r1 = 0.5 * (pair_sum + np.sqrt(disc))
+        r2 = pair_product / r1
+        low, high = np.minimum(r1, r2), np.maximum(r1, r2)
+        degenerate = (high - low) <= 1e-9 * high
+        power_flow = np.abs(p_ab) / (4.0 * constants.k * t_eff * bandwidth_hz)
+    failure = np.select([power_flow > mismatch_tolerance, ~((s_u > 0) & (s_i > 0)),
+                         disc < 0.0, ~(r1 > 0.0) | (r2 <= 0.0)], [1, 2, 3, 4], 0)
+    return low, high, degenerate, failure
 
 
 def eve_pair_extraction(view: EveView, t_eff: float,
@@ -198,11 +226,9 @@ def eve_rrrt_solution_family(view: EveView, assumed_r_a_grid,
     parameters are unphysical are dropped.  This is the one-triple form
     of :func:`eve_rrrt_solution_families`.
     """
-    obs = view.observables
-    if not (obs.s_u > 0 and obs.s_i > 0):
-        raise InconsistentObservables("spectra must be positive for a family sweep")
-    _, *fields = eve_rrrt_solution_families([[value] for value in obs], view.bandwidth_hz,
-                                            assumed_r_a_grid, tolerance, constants)
+    _, *fields = eve_rrrt_solution_families([[value] for value in view.observables],
+                                            view.bandwidth_hz, assumed_r_a_grid,
+                                            tolerance, constants)
     if not len(fields[0]):
         raise InconsistentObservables(
             "no consistent configuration exists for these observables; "

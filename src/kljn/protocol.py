@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, starmap
+from itertools import islice, product, starmap
 from typing import Optional
 
 import numpy as np
@@ -329,6 +329,24 @@ def party_states(config: ProtocolConfig) -> tuple[tuple[PartyState, ...],
     return grid, grid
 
 
+def _check_wire_range(config: ProtocolConfig, grids=None):
+    """Raise ConfigError unless the analytic observables between each of
+    Alice's and each of Bob's extreme states, each party's (R, T) rows
+    `grids` or else the grid corners, have finite, positive s_u and s_i and
+    a finite p_ab: past the float range every bit would quietly fail."""
+    grids = grids or [np.array(list(product(config.resistance_grid()[[0, -1]],
+                                            config.temperature_grid()[[0, -1]])))] * 2
+    (r_a, t_a), (r_b, t_b) = (rows.T for rows in grids)
+    with np.errstate(all="ignore"):
+        s_u, s_i, p_ab = analytic_observable_arrays(r_a[:, None], t_a[:, None], r_b, t_b,
+                                                    config.band.bandwidth_hz, config.constants.k)
+    if not np.all((s_u > 0) & (s_i > 0) & np.isfinite([s_u, s_i, p_ab]).all(axis=0)):
+        keys = {"classic-kljn": "r_low, r_high, t_eff", "vmg-kljn": "vmg_resistors, t_eff",
+                "rr-kljn": "r_range, t_eff", "rrrt-kljn": "r_range, t_range"}[config.variant]
+        raise ConfigError(f"{keys} and bandwidth_hz put the wire observables out of float "
+                          f"range: s_u and s_i must be finite and positive, p_ab finite")
+
+
 def _level_counts(config: ProtocolConfig) -> tuple[int, int]:
     """(resistance, temperature) levels each party draws from."""
     n_r = config.r_levels if config.variant in QUASI_CONTINUUM_VARIANTS else 2
@@ -372,6 +390,7 @@ def build_lookup_table(config: ProtocolConfig) -> LookupTable:
     if config.variant not in QUASI_CONTINUUM_VARIANTS:
         raise ConfigError(
             f"look-up tables apply to quasi-continuum variants, not {config.variant!r}")
+    _check_wire_range(config)
     return build_table(config.resistance_grid(), config.temperature_grid(),
                        config.band.bandwidth_hz, config.constants,
                        config.degeneracy_tolerance,
@@ -443,7 +462,7 @@ def _partner_views(config: ProtocolConfig, grids, own_r, own_t, s_u, s_i, p_ab):
     partner's `grids` (R, T) rows."""
     for party in (0, 1):
         # Bob sees the same wire with the power flowing into Alice negated
-        alpha, beta, failure = recover_partner_arrays(*reduce_observable_arrays(
+        alpha, beta, _, failure = recover_partner_arrays(*reduce_observable_arrays(
             s_u, s_i, -p_ab if party else p_ab, own_r[party], own_t[party],
             config.band.bandwidth_hz, config.constants.k),
             config.effective_recovery_tolerance())
@@ -467,8 +486,10 @@ def _run_bits(config: ProtocolConfig, indices) -> SessionReport:
         grids = [grid] * 2
         states = [dict(zip(drawn.tolist(), starmap(PartyState, grid[drawn].tolist())))] * 2
     else:
-        states = party_states(config)
+        with np.errstate(all="ignore"):  # the check reports a solve past the float range
+            states = party_states(config)
         grids = [np.array([(s.resistance, s.temperature) for s in party]) for party in states]
+    _check_wire_range(config, grids if config.variant in BINARY_VARIANTS else None)
     (r_a, t_a), (r_b, t_b) = (grid[level].T for grid, level in zip(grids, levels))
     if config.mode == "analytic":
         observables = analytic_observable_arrays(

@@ -14,24 +14,23 @@ subtracting pairs of equations eliminates b:
     gamma - phi = a / (1 + a),     delta - phi = 1 / (1 + a).
 
 Two recovery routes are implemented.  The elimination route solves the
-linear relations above directly; its array form
-:func:`recover_partner_arrays` is the session route.  The paper's
+linear relations above directly, over arrays:
+:func:`recover_partner_arrays` is the session route, and
+``recover_partner(..., "elimination")`` is one lane of it.  The paper's
 quadratic route, kept as its cross-check, eliminates `a` between pairs
 of the three equations (resultant of the two quadratics in `a`),
 yielding a quadratic in `b` whose roots are {b, 1}; the spurious unit
 root is rejected by back-substitution.  The routes must agree wherever
 the quadratic yields a unique physical root.
 
-Also here: the unordered resistor-pair extraction available to anyone
-on the wire at a known common temperature, and the temperature-matching
-solve for the four-resistor binary scheme.
+Also here: the temperature-matching solve for the four-resistor binary
+scheme.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .errors import (
     AmbiguousRecovery,
     InadmissibleTemperatures,
     InconsistentObservables,
-    ModelMismatch,
     NoPositiveRoot,
     SingularSystem,
 )
@@ -89,14 +87,6 @@ class RecoveredPartner:
                              f"({self.alpha}, {self.beta})")
         if self.residual < 0:
             raise ValueError("residual must be non-negative")
-
-
-class ResistorPair(NamedTuple):
-    """Unordered resistor pair: values leak, the party assignment does not."""
-
-    low: float
-    high: float
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -162,25 +152,6 @@ def solve_quadratic_stable(a: float, b: float, c: float) -> tuple[float, float]:
     if q == 0.0:
         return 0.0, 0.0
     return q / a, c / q
-
-
-def _recover_by_elimination(reduced: ReducedObservables,
-                            tolerance: float) -> RecoveredPartner:
-    g, f, d = reduced.gamma, reduced.phi, reduced.delta
-    if d - f <= 0.0 or g - f <= 0.0:
-        raise NoPositiveRoot(
-            f"elimination gives non-positive resistance ratio from "
-            f"(gamma, phi, delta) = ({g}, {f}, {d})")
-    alpha = (g - f) / (d - f)
-    beta = 1.0 + f * (1.0 + alpha) ** 2 / alpha
-    if beta <= 0.0:
-        raise NoPositiveRoot(f"elimination gives non-positive temperature ratio {beta}")
-    residual = equation_residual(reduced, alpha, beta)
-    if residual > tolerance:
-        raise InconsistentObservables(
-            f"elimination residual {residual} exceeds tolerance {tolerance}")
-    return RecoveredPartner(alpha=alpha, beta=beta, method="elimination",
-                            residual=residual)
 
 
 def _beta_quadratic_primary(g: float, f: float) -> tuple[float, float, float]:
@@ -275,24 +246,29 @@ def recover_partner(reduced: ReducedObservables, tolerance: float,
 
     ``method="quadratic"`` follows the closed-form route (quadratic in
     the temperature ratio, alternative quadratic for disambiguation,
-    then the resistance ratio); ``method="elimination"`` is the direct
-    linear-elimination oracle.  Both must satisfy all three equations
-    within `tolerance`.
+    then the resistance ratio); ``method="elimination"`` is one lane of
+    :func:`recover_partner_arrays`, raising its failure code's error.
+    Both must satisfy all three equations within `tolerance`.
     """
+    if method == "elimination":
+        alpha, beta, residual, failure = (values[0].item() for values in recover_partner_arrays(
+            *np.array([[reduced.gamma], [reduced.phi], [reduced.delta]], dtype=float), tolerance))
+        if failure:
+            error_class, reason = RECOVERY_FAILURES[failure]
+            raise error_class(f"{reason} for {reduced} (tolerance {tolerance})")
+        return RecoveredPartner(alpha=alpha, beta=beta, method=method, residual=residual)
+    if method != "quadratic":
+        raise ValueError(f"unknown recovery method {method!r}")
     residual = abs(reduced.identity_residual())
     if residual > tolerance:
         raise InconsistentObservables(
             f"consistency identity violated by {residual} "
             f"(tolerance {tolerance}); observables are not from a valid loop")
-    if method == "elimination":
-        return _recover_by_elimination(reduced, tolerance)
-    if method == "quadratic":
-        return _recover_by_quadratic(reduced, tolerance)
-    raise ValueError(f"unknown recovery method {method!r}")
+    return _recover_by_quadratic(reduced, tolerance)
 
 
 #: Why :func:`recover_partner_arrays` fails a lane, by code (0: recovered),
-#: in the order the scalar elimination route checks them.
+#: in check order.
 RECOVERY_FAILURES = (
     None,
     (InconsistentObservables, "consistency identity violated"),
@@ -303,8 +279,9 @@ RECOVERY_FAILURES = (
 
 def recover_partner_arrays(gamma, phi, delta, tolerance: float):
     """The elimination route over arrays of reduced observables: (alpha,
-    beta, failure), where failure is 0 or the :data:`RECOVERY_FAILURES`
-    code of the first check ``recover_partner(..., "elimination")`` fails."""
+    beta, residual, failure), where residual is the max relative mismatch
+    of the three equations and failure is 0 or the
+    :data:`RECOVERY_FAILURES` code of the first check the lane fails."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha = (gamma - phi) / (delta - phi)
         beta = 1.0 + phi * (1.0 + alpha) ** 2 / alpha
@@ -312,57 +289,7 @@ def recover_partner_arrays(gamma, phi, delta, tolerance: float):
     failure = np.select([~(np.abs(gamma + delta - 2.0 * phi - 1.0) <= tolerance),
                          (delta - phi <= 0.0) | (gamma - phi <= 0.0) | ~(beta > 0.0),
                          ~(residual <= tolerance)], [1, 2, 3], 0)
-    return alpha, beta, failure
-
-
-#: Why the equal-temperature pair extraction fails a lane, by code (0:
-#: extracted), in check order: the power flow of
-#: :func:`kljn.adversary.eve_pair_extractions`, then the spectra.
-PAIR_FAILURES = (
-    None,
-    (ModelMismatch, "power flow inconsistent with the equal-temperature model"),
-    (InconsistentObservables, "spectra must be positive"),
-    (InconsistentObservables, "negative discriminant: no two resistors at that temperature"),
-    (InconsistentObservables, "extracted a non-positive resistance"),
-)
-
-
-def eve_resistor_pairs_equal_temp(s_u, s_i, t: float, constants: PhysicalConstants = SI,
-                                  degeneracy_rtol: float = 1e-9):
-    """Unordered resistor pairs from arrays of wire spectra at a common
-    temperature, in one array pass: columns (low, high, degenerate,
-    failure), where failure is 0 or the :data:`PAIR_FAILURES` code (2 to
-    4) of the first check the lane fails.
-
-    Solved in Vieta form — the pair satisfies R1 + R2 = 4kT/s_i and
-    R1*R2 = s_u/s_i — which is algebraically identical to the closed
-    quadratic formula but stable for widely separated resistors.
-    """
-    s_u, s_i = np.asarray(s_u, dtype=float), np.asarray(s_i, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pair_sum = 4.0 * constants.k * t / s_i
-        pair_product = s_u / s_i
-        disc = pair_sum * pair_sum - 4.0 * pair_product
-        r1 = 0.5 * (pair_sum + np.sqrt(disc))
-        r2 = pair_product / r1
-        low, high = np.minimum(r1, r2), np.maximum(r1, r2)
-        degenerate = (high - low) <= degeneracy_rtol * high
-    failure = np.select([~((s_u > 0) & (s_i > 0)), disc < 0.0, ~(r1 > 0.0) | (r2 <= 0.0)],
-                        [2, 3, 4], 0)
-    return low, high, degenerate, failure
-
-
-def eve_resistor_pair_equal_temp(s_u: float, s_i: float, t: float,
-                                 constants: PhysicalConstants = SI,
-                                 degeneracy_rtol: float = 1e-9) -> ResistorPair:
-    """:func:`eve_resistor_pairs_equal_temp` of one pair of spectra;
-    raises its failure's error."""
-    *pair, failure = eve_resistor_pairs_equal_temp([s_u], [s_i], t, constants,
-                                                   degeneracy_rtol)
-    if failure[0]:
-        error_class, reason = PAIR_FAILURES[failure[0]]
-        raise error_class(f"{reason}, got (s_u, s_i) = ({s_u}, {s_i}) at T = {t}")
-    return ResistorPair(*(values[0].item() for values in pair))
+    return alpha, beta, residual, failure
 
 
 def vmg_matching_residual(r_al: float, r_ah: float, r_bl: float, r_bh: float,

@@ -23,7 +23,7 @@ from kljn import (
     SI,
     analytic_observables,
     eve_guess_session,
-    eve_resistor_pair_equal_temp,
+    eve_pair_extraction,
     eve_rrrt_solution_family,
     recover_partner,
     run_session,
@@ -34,7 +34,7 @@ from kljn.physics import (
     estimate_observable_arrays,
     synthesize_traces,
 )
-from kljn.resolver import vmg_matching_residual
+from kljn.resolver import recover_partner_arrays, vmg_matching_residual
 from kljn.protocol import STATUS_SECURE
 
 
@@ -151,30 +151,29 @@ def test_criterion_3_consistency_identity():
 
 def test_criterion_4_recovery_round_trip():
     """reduce -> recover reproduces (alpha, beta) to 1e-9 for 1e5 draws;
-    quadratic route agrees with the elimination oracle."""
+    quadratic route agrees with the elimination oracle, which runs as
+    the session's one array pass over the same reduced triples."""
     rng = np.random.default_rng(104)
     n = 100_000
     alphas = np.exp(rng.uniform(np.log(0.1), np.log(10), n))
     betas = np.exp(rng.uniform(np.log(0.1), np.log(10), n))
-    worst_round_trip = 0.0
-    worst_route_gap = 0.0
-    for alpha, beta in zip(alphas, betas):
-        reduced = ReducedObservables(*exact_reduced(alpha, beta))
-        quad = recover_partner(reduced, 1e-6, "quadratic")
-        elim = recover_partner(reduced, 1e-6, "elimination")
-        worst_round_trip = max(worst_round_trip,
-                               abs(quad.alpha - alpha) / alpha,
-                               abs(quad.beta - beta) / beta,
-                               abs(elim.alpha - alpha) / alpha,
-                               abs(elim.beta - beta) / beta)
-        worst_route_gap = max(worst_route_gap,
-                              abs(quad.alpha - elim.alpha) / elim.alpha,
-                              abs(quad.beta - elim.beta) / elim.beta)
-    ok = worst_round_trip < 1e-9 and worst_route_gap < 1e-9
+    reduced = [ReducedObservables(*exact_reduced(alpha, beta))
+               for alpha, beta in zip(alphas, betas)]
+    quad = [recover_partner(r, 1e-6, "quadratic") for r in reduced]
+    quad_alpha, quad_beta = np.array([(q.alpha, q.beta) for q in quad]).T
+    elim_alpha, elim_beta, _, failure = recover_partner_arrays(
+        *np.array([(r.gamma, r.phi, r.delta) for r in reduced]).T, 1e-6)
+    worst_round_trip = max(np.max(np.abs(quad_alpha - alphas) / alphas),
+                           np.max(np.abs(quad_beta - betas) / betas),
+                           np.max(np.abs(elim_alpha - alphas) / alphas),
+                           np.max(np.abs(elim_beta - betas) / betas))
+    worst_route_gap = max(np.max(np.abs(quad_alpha - elim_alpha) / elim_alpha),
+                          np.max(np.abs(quad_beta - elim_beta) / elim_beta))
+    ok = not failure.any() and worst_round_trip < 1e-9 and worst_route_gap < 1e-9
     _verdict(4, "recovery round-trip", ok,
              f"max round-trip error {worst_round_trip:.2e} and max "
              f"route disagreement {worst_route_gap:.2e} over 1e5 draws "
-             f"(threshold 1e-9)")
+             f"(threshold 1e-9); elimination failures: {np.count_nonzero(failure)}")
 
 
 def test_criterion_5_classic_claims():
@@ -311,8 +310,8 @@ def test_criterion_9_pair_extraction_round_trip():
         b = PartyState(float(r2), 300.0)
         fwd = analytic_observables(a, b, band, SI)
         rev = analytic_observables(b, a, band, SI)
-        pair = eve_resistor_pair_equal_temp(fwd.s_u, fwd.s_i, 300.0, SI)
-        swapped = eve_resistor_pair_equal_temp(rev.s_u, rev.s_i, 300.0, SI)
+        pair = eve_pair_extraction(EveView(fwd, band.bandwidth_hz), 300.0, SI)
+        swapped = eve_pair_extraction(EveView(rev, band.bandwidth_hz), 300.0, SI)
         lo, hi = sorted((r1, r2))
         worst = max(worst, abs(pair.low - lo) / lo, abs(pair.high - hi) / hi)
         ok_unordered &= (pair.low, pair.high) == (swapped.low, swapped.high)

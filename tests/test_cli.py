@@ -1,18 +1,20 @@
 """End-to-end command-line tests: exit codes, outputs, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kljn import NORMALIZED, adversary, cli, lookup, physics, protocol, report, resolver
+from kljn import NORMALIZED, adversary, cli, lookup, physics, protocol, report
 from kljn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from kljn.config import load_config
 from kljn.errors import InconsistentObservables, KljnError, ModelMismatch
@@ -326,7 +328,7 @@ class TestAttack:
     def test_pair_rows_empty_only_the_failing_lane(self, tmp_path, code, triple):
         # a failing lane between two fitted pairs gets empty cells, its
         # neighbours the pairs the one-lane wrapper extracts alone, and the
-        # wrappers raise the error class of the lane's code
+        # wrapper raises the error class of the lane's code
         config = load_config(config_file(tmp_path, variant="rr-kljn", r_range=[1000.0, 2000.0],
                                          r_levels=4, t_eff=300.0))[0]
         fitted = [np.array(column) for column in physics.analytic_observable_arrays(
@@ -351,13 +353,28 @@ class TestAttack:
             f"3,{pairs[0].low!r},{pairs[0].high!r},0\n", "8,,,\n",
             f"12,{pairs[1].low!r},{pairs[1].high!r},0\n"])
         error = ModelMismatch if code == 1 else InconsistentObservables
-        assert resolver.PAIR_FAILURES[code][0] is error
+        assert adversary.PAIR_FAILURES[code][0] is error
         with pytest.raises(error):
             adversary.eve_pair_extraction(adversary.EveView(
                 physics.WireObservables(*triple), 1.0), 300.0, NORMALIZED, tolerance)
-        if code > 1:
-            with pytest.raises(error):
-                resolver.eve_resistor_pair_equal_temp(*triple[:2], 300.0, NORMALIZED)
+
+    @pytest.mark.parametrize("fields, digest", [
+        (dict(bits=200, r_levels=64),
+         "3d47142c94f8c7eabb2d5a3a2e96ca5fb8d13c95003c751b268d974a1a84498a"),
+        (dict(bits=60, r_levels=16, samples_per_bit=1024, mode="sampled",
+              estimator_segments=16),
+         "4fdb1b3954da3dcdcaba28a45c9bd98878cfe532b3a79f789e5e3952acd6b42d"),
+    ], ids=["analytic", "sampled"])
+    def test_rr_attack_csv_is_frozen(self, tmp_path, fields, digest):
+        # frozen regression digests of the one CLI path through Eve's pair
+        # pass; 14 of the sampled session's secure bits get empty cells
+        cfg = config_file(tmp_path, variant="rr-kljn", r_range=[1000.0, 2000.0],
+                          t_eff=300.0, **fields)
+        out = tmp_path / "attack.csv"
+        assert main(["attack", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        data = out.read_bytes()
+        assert data.count(b",,,\n") == (14 if fields.get("mode") else 0)
+        assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize("command, fields, floats", [
         ("simulate", dict(variant="classic-kljn", r_low=1000, r_high=2000.0, t_eff=300),
@@ -728,6 +745,42 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "sample rate" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fields, commands", [
+        pytest.param({"r_low": 1e150, "r_high": 2e150}, ["simulate", "attack"],
+                     id="classic-overflow"),
+        pytest.param({"r_low": 1e-160, "r_high": 2e-160}, ["simulate", "attack"],
+                     id="classic-underflow"),
+        pytest.param({"t_eff": 1e305}, ["simulate", "attack"], id="classic-hot"),
+        pytest.param({"variant": "rr-kljn", "r_range": [1e150, 2e150], "r_levels": 16},
+                     ["simulate", "attack", "table"], id="rr-overflow"),
+        pytest.param({"variant": "vmg-kljn",
+                      "vmg_resistors": [1000e150, 2000e150, 1200e150, 2500e150]},
+                     ["simulate", "attack"], id="vmg-overflow"),
+    ])
+    def test_wire_past_the_float_range_exits_2(self, tmp_path, capsys, fields, commands):
+        # observables that overflow or underflow would fail every bit; the
+        # config is refused before any float warning reaches stderr
+        cfg = config_file(tmp_path, **{"variant": "classic-kljn", "r_low": 1000.0,
+                                       "r_high": 2000.0, "t_eff": 300.0, **fields})
+        for command in commands:
+            out = tmp_path / f"{command}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+            assert "float range" in captured.err
+
+    def test_subnormal_wire_still_runs(self, tmp_path, capsys):
+        # SI units at 1e-290 K: s_u is about 5e-311, subnormal but positive
+        cfg = config_file(tmp_path, variant="classic-kljn", r_low=1000.0, r_high=2000.0,
+                          t_eff=1e-290, bits=20, normalized_units=False)
+        for command in ("simulate", "attack"):
+            assert main([command, "--config", cfg]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert "secure=9 " in captured.out and captured.err == ""
 
     def test_negative_seed_flag_exits_2(self, classic_cfg, capsys):
         assert main(["simulate", "--config", classic_cfg, "--seed", "-1",

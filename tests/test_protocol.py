@@ -1055,8 +1055,7 @@ class TestBatchEngine:
         def scalar_route(*args, **kwargs):
             raise AssertionError("the session path called a scalar recovery route")
 
-        for name in ("recover_partner", "_recover_by_elimination",
-                     "_recover_by_quadratic"):
+        for name in ("recover_partner", "_recover_by_quadratic"):
             monkeypatch.setattr(resolver, name, scalar_route)
         report = run_session(make(bits=12, **(SMALL_SAMPLED if mode == "sampled"
                                               else {})))

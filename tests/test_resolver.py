@@ -2,7 +2,9 @@
 session's array route, the equal-temperature pair extraction, and the
 temperature-matching solve."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from kljn import (
     BandConfig,
+    EveView,
     InadmissibleTemperatures,
     InconsistentObservables,
     NORMALIZED,
@@ -19,14 +22,15 @@ from kljn import (
     SI,
     WireObservables,
     analytic_observables,
-    eve_resistor_pair_equal_temp,
+    eve_pair_extraction,
     recover_partner,
     reduce_observables,
     solve_vmg_temperatures,
 )
+from kljn import adversary, resolver
+from kljn.adversary import eve_pair_extractions
 from kljn.resolver import (
     RECOVERY_FAILURES,
-    eve_resistor_pairs_equal_temp,
     equation_residual,
     recover_partner_arrays,
     reduce_observable_arrays,
@@ -151,22 +155,26 @@ def recover_from_wire(alice, bob, tolerance=1e-6):
     the array route."""
     s_u, s_i, p_ab = (np.array([v]) for v in analytic_observables(alice, bob, BAND,
                                                                    NORMALIZED))
-    return recover_partner_arrays(*reduce_observable_arrays(
+    alpha, beta, _, failure = recover_partner_arrays(*reduce_observable_arrays(
         s_u, s_i, p_ab, alice.resistance, alice.temperature, 1.0, 1.0), tolerance)
+    return alpha, beta, failure
 
 
 class TestRecoverPartnerArrays:
     def test_matches_scalar_elimination(self):
+        # the scalar elimination is one lane of the array route, bit for bit
         rng = np.random.default_rng(7)
         alpha, beta = np.exp(rng.uniform(np.log(0.1), np.log(10), (2, 2000)))
         reduced = [exact_reduced(a, b) for a, b in zip(alpha, beta)]
-        got_alpha, got_beta, failure = recover_partner_arrays(
+        lanes = recover_partner_arrays(
             *(np.array([getattr(r, name) for r in reduced])
               for name in ("gamma", "phi", "delta")), 1e-9)
-        assert not failure.any()
+        assert not lanes[3].any()
         scalar = [recover_partner(r, 1e-9, "elimination") for r in reduced]
-        np.testing.assert_allclose(got_alpha, [rec.alpha for rec in scalar], rtol=1e-12)
-        np.testing.assert_allclose(got_beta, [rec.beta for rec in scalar], rtol=1e-12)
+        assert [(rec.alpha, rec.beta, rec.residual) for rec in scalar] == list(
+            zip(*(values.tolist() for values in lanes[:3])))
+        assert all(type(value) is float for rec in scalar
+                   for value in (rec.alpha, rec.beta, rec.residual))
 
     @pytest.mark.parametrize("triple, tolerance, error", [
         ((1.0, 0.3, 1.0), 1e-6, InconsistentObservables),  # identity violated
@@ -180,7 +188,7 @@ class TestRecoverPartnerArrays:
         # a good lane next to the failing one is unaffected
         good = exact_reduced(2.0, 3.0)
         lanes = zip(triple, (good.gamma, good.phi, good.delta))
-        _, _, failure = recover_partner_arrays(*map(np.array, lanes), tolerance)
+        *_, failure = recover_partner_arrays(*map(np.array, lanes), tolerance)
         assert failure[1] == 0 and RECOVERY_FAILURES[failure[0]][0] is error
 
 
@@ -210,10 +218,16 @@ class TestEqualTemperatureRecovery:
         obs = analytic_observables(PartyState(1000.0, 300.0),
                                    PartyState(2000.0, 300.0), BAND, NORMALIZED)
         s_i = np.array([0.0, 4 * 300.0 / 500.0])
-        _, _, failure = recover_partner_arrays(*reduce_observable_arrays(
+        *_, failure = recover_partner_arrays(*reduce_observable_arrays(
             obs.s_u, s_i, obs.p_ab, 1000.0, 300.0, 1.0, 1.0), 1e-6)
         assert [RECOVERY_FAILURES[code][0] for code in failure] == [
             InconsistentObservables] * 2
+
+
+def extract_pair(obs):
+    """Eve's pair at 300 K from the spectra of `obs`, with no power flow."""
+    return eve_pair_extraction(EveView(WireObservables(obs.s_u, obs.s_i, 0.0), 1.0), 300.0,
+                               NORMALIZED)
 
 
 class TestEvePairExtraction:
@@ -221,7 +235,7 @@ class TestEvePairExtraction:
         a = PartyState(1000.0, 300.0)
         b = PartyState(2000.0, 300.0)
         obs = analytic_observables(a, b, BAND, NORMALIZED)
-        pair = eve_resistor_pair_equal_temp(obs.s_u, obs.s_i, 300.0, NORMALIZED)
+        pair = extract_pair(obs)
         assert pair.low == pytest.approx(1000.0, rel=1e-12)
         assert pair.high == pytest.approx(2000.0, rel=1e-12)
         assert not pair.degenerate
@@ -229,7 +243,7 @@ class TestEvePairExtraction:
     def test_identical_resistors_flagged_degenerate(self):
         a = PartyState(1234.0, 300.0)
         obs = analytic_observables(a, a, BAND, NORMALIZED)
-        pair = eve_resistor_pair_equal_temp(obs.s_u, obs.s_i, 300.0, NORMALIZED)
+        pair = extract_pair(obs)
         assert pair.degenerate
         assert pair.low == pytest.approx(1234.0, rel=1e-6)
 
@@ -238,8 +252,8 @@ class TestEvePairExtraction:
         b = PartyState(9000.0, 300.0)
         ab = analytic_observables(a, b, BAND, NORMALIZED)
         ba = analytic_observables(b, a, BAND, NORMALIZED)
-        pair_ab = eve_resistor_pair_equal_temp(ab.s_u, ab.s_i, 300.0, NORMALIZED)
-        pair_ba = eve_resistor_pair_equal_temp(ba.s_u, ba.s_i, 300.0, NORMALIZED)
+        pair_ab = extract_pair(ab)
+        pair_ba = extract_pair(ba)
         assert (pair_ab.low, pair_ab.high) == (pair_ba.low, pair_ba.high)
 
     def test_round_trip_randomized(self):
@@ -249,8 +263,7 @@ class TestEvePairExtraction:
             a = PartyState(float(r1), 300.0)
             b = PartyState(float(r2), 300.0)
             obs = analytic_observables(a, b, BAND, NORMALIZED)
-            pair = eve_resistor_pair_equal_temp(obs.s_u, obs.s_i, 300.0,
-                                                NORMALIZED)
+            pair = extract_pair(obs)
             lo, hi = sorted((r1, r2))
             assert pair.low == pytest.approx(lo, rel=1e-10)
             assert pair.high == pytest.approx(hi, rel=1e-10)
@@ -278,8 +291,9 @@ class TestEvePairExtraction:
             low, high = sorted((r1, r2))
             return repr(low), repr(high), (high - low) <= 1e-9 * high
 
-        low, high, degenerate, failure = eve_resistor_pairs_equal_temp(
-            [s_u for s_u, _ in spectra], [s_i for _, s_i in spectra], t, constants)
+        low, high, degenerate, failure = eve_pair_extractions(
+            [[s_u for s_u, _ in spectra], [s_i for _, s_i in spectra], [0.0] * len(spectra)],
+            1.0, t, constants)
         got = [code or (repr(lo), repr(hi), deg) for lo, hi, deg, code in zip(
             low.tolist(), high.tolist(), degenerate.tolist(), failure.tolist())]
         assert got == [scalar(*lane) for lane in spectra]
@@ -287,7 +301,7 @@ class TestEvePairExtraction:
     def test_negative_discriminant_rejected(self):
         # s_u too large for the implied resistance sum
         with pytest.raises(InconsistentObservables):
-            eve_resistor_pair_equal_temp(1e12, 0.4, 300.0, NORMALIZED)
+            extract_pair(WireObservables(1e12, 0.4, 0.0))
 
 
 class TestVmgTemperatures:
@@ -344,3 +358,20 @@ class TestVmgTemperatures:
             temps = solve_vmg_temperatures(r_al, r_ah, r_bl, r_bh, 300.0,
                                            NORMALIZED)
             assert min(temps.t_ah, temps.t_bl, temps.t_bh) > 0.0
+
+
+class TestModuleBoundaries:
+    """Each inference has one implementation: Eve's pair extraction lives
+    in `adversary`, the elimination route only as the array pass."""
+
+    def test_adversary_imports_nothing_from_resolver(self):
+        # `from .resolver import x`, `from . import resolver`, `import kljn.resolver`
+        imported = [name for node in ast.walk(ast.parse(Path(adversary.__file__).read_text()))
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for name in [getattr(node, "module", None) or ""]
+                    + [alias.name for alias in node.names]]
+        assert imported and not [name for name in imported if "resolver" in name.split(".")]
+
+    def test_resolver_has_no_eve_names_or_scalar_elimination(self):
+        assert not [name for name in vars(resolver) if name.startswith("eve_")]
+        assert not hasattr(resolver, "_recover_by_elimination")
