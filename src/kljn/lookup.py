@@ -27,7 +27,9 @@ runs once per distinct drawn cell, so its work grows with the (pair,
 T_A) rows of those cells (1.8 million for the 608 distinct cells, 10.7
 million members, of 1000 bits at width 0.1 and 64 levels), not with
 the bit count.  It runs in pieces of about `_CENSUS_PIECE` values, so
-its memory is bounded whatever the bit count and cell size.  Only the
+its memory is bounded whatever the bit count and cell size, and takes
+the distinct cells in chunks of `_CENSUS_PIECE // levels`, one
+`_run_parts` pass over the chunks (one chunk runs inline).  Only the
 drawn keys must lie in the 21-bit key range: a candidate outside it
 cannot share a drawn cell and is dropped.
 
@@ -50,10 +52,10 @@ too-narrow-width `ConfigError` checks the mirrors' indices too, so it
 fires for exactly the grids where some setting's index leaves the key
 range.
 
-The table build, sampled sessions (`protocol`) and the table dump
-(`report`) run on the package's one thread runner, `_run_parts`, on up
-to `_pool_width` parts, one per CPU the process may run on; its results
-do not depend on the part count.
+The table build, the cell census, sampled sessions (`protocol`) and
+the table dump (`report`) run on the package's one thread runner,
+`_run_parts`, on up to `_pool_width` parts, one per CPU the process may
+run on; its results do not depend on the part count.
 
 The build keys its blocks in one pass of no more parts than leave each
 block `_MIN_BLOCK_SETTINGS`, which share the `_BLOCK_SETTINGS` settings
@@ -139,10 +141,11 @@ _FOLD_CELLS = 1 << 15
 
 #: Values per piece of the census: candidate settings, (pair, T_A) rows
 #: or (cell, R_A) bounds.  Its working arrays hold about one piece per
-#: stage, so the piece sets its memory: a width-0.1, 64-level, 1000-bit
-#: session peaked at 44 MB of process RSS with 2^14, 74 MB with 2^16
-#: and 422 MB with 2^20 (the table's session: 99 MB).  2^16 was about
-#: 20 % faster at width 0.01, a few ms per 1000 bits at 64 levels.
+#: stage and part, so the piece sets its memory: a width-0.1, 64-level,
+#: 1000-bit session peaked at 44 MB of process RSS with 2^14 on one
+#: part and 55 MB on two (one part: 74 MB with 2^16, 422 MB with 2^20;
+#: the table's session: 99 MB).  2^16 was about 20 % faster at width
+#: 0.01, a few ms per 1000 bits at 64 levels.
 _CENSUS_PIECE = 1 << 14
 
 #: Relative widening of a cell's box against rounding in the census.
@@ -329,7 +332,7 @@ def _member_counts(r_grid, t_grid, bandwidth_hz, k, rel_width, p_scale, keys):
         slot = 3 * cell + _block_bits(ra, rb) + 1
         # per pair the box bounds T_A through (s_i, q) and (s_u, q) with
         # T_B eliminated
-        (u_l, i_l, q_l), (u_h, i_h, q_h) = (side[:, cell] for side in outer)
+        (u_l, i_l, q_l), (u_h, i_h, q_h) = (side.take(cell, axis=1) for side in outer)
         ta_lo, ta_hi = _widen(
             np.maximum(ra * i_l - q_h, (u_l - ra * q_h) / rb) * (ra + rb) / (k4 * ra),
             np.minimum(ra * i_h - q_l, (u_h - ra * q_l) / rb) * (ra + rb) / (k4 * ra))
@@ -339,17 +342,18 @@ def _member_counts(r_grid, t_grid, bandwidth_hz, k, rel_width, p_scale, keys):
         slope = d / (ra * rb)
         scale = np.array([slope / ra, d / rb, slope])
         gradient = np.array([-rb / ra, -ra / rb, np.ones(len(ra))])
-        out_low, out_high, in_low, in_high = (side[:, cell] * scale
+        out_low, out_high, in_low, in_high = (side.take(cell, axis=1) * scale
                                               for side in (*outer, *inner))
         for row, j_ta in _pieces(np.searchsorted(t_grid, ta_lo, "left"),
                                  np.searchsorted(t_grid, ta_hi, "right")):
             ta = t_grid[j_ta]
-            step = gradient[:, row] * ta
-            tb_lo, tb_hi = _widen(*_extremes(out_low[:, row], out_high[:, row], step))
+            step = gradient.take(row, axis=1) * ta
+            tb_lo, tb_hi = _widen(*_extremes(out_low.take(row, axis=1),
+                                             out_high.take(row, axis=1), step))
             start = np.searchsorted(t_grid, tb_lo, "left")
             stop = np.searchsorted(t_grid, tb_hi, "right")
-            tb_lo, tb_hi = _widen(*_extremes(in_low[:, row], in_high[:, row], step),
-                                  -_MARGIN)
+            tb_lo, tb_hi = _widen(*_extremes(in_low.take(row, axis=1),
+                                             in_high.take(row, axis=1), step), -_MARGIN)
             sure_start = np.clip(np.searchsorted(t_grid, tb_lo, "left"), start, stop)
             sure_stop = np.clip(np.searchsorted(t_grid, tb_hi, "right"), sure_start, stop)
             counts += np.bincount(slot[row], sure_stop - sure_start,
@@ -384,10 +388,10 @@ def cell_census(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
         _block_keys(*drawn, bandwidth_hz, k, rel_cell_width, p_scale),
         return_inverse=True)
     chunk = max(1, _CENSUS_PIECE // len(r_grid))
-    counts = np.concatenate([
-        _member_counts(r_grid, t_grid, bandwidth_hz, k, rel_cell_width, p_scale,
-                       cells[start:start + chunk])
-        for start in range(0, len(cells), chunk)])
+    counts = np.concatenate(_run_parts(
+        _pool_width(), range(0, len(cells), chunk),
+        lambda p, start: _member_counts(r_grid, t_grid, bandwidth_hz, k, rel_cell_width,
+                                        p_scale, cells[start:start + chunk])))
     singular = (counts > 0).sum(axis=1) == 1
     return singular[drawn_cell], counts.sum(axis=1)[drawn_cell]
 

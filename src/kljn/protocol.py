@@ -35,7 +35,8 @@ each part's generators' seeded states are one more ``_streams`` pass,
 set in turn on one reused generator per part),
 both recoveries, bits, the singularity verdict and the statuses are
 array operations; an rrrt session's verdict comes from the cell census
-(``lookup.cell_census``), so sessions build no look-up table.  The pass
+(``lookup.cell_census``, whose chunks of distinct drawn cells run on
+``lookup._run_parts``), so sessions build no look-up table.  The pass
 returns its arrays as a columnar :class:`SessionReport`, which builds a
 bit's :class:`BitOutcome` only when asked; :func:`run_bit` is that pass
 on one index.
@@ -486,8 +487,7 @@ def _run_bits(config: ProtocolConfig, indices) -> SessionReport:
         grids = [grid] * 2
         states = [dict(zip(drawn.tolist(), starmap(PartyState, grid[drawn].tolist())))] * 2
     else:
-        with np.errstate(all="ignore"):  # the check reports a solve past the float range
-            states = party_states(config)
+        states = party_states(config)
         grids = [np.array([(s.resistance, s.temperature) for s in party]) for party in states]
     _check_wire_range(config, grids if config.variant in BINARY_VARIANTS else None)
     (r_a, t_a), (r_b, t_b) = (grid[level].T for grid, level in zip(grids, levels))

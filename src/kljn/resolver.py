@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     AmbiguousRecovery,
+    ConfigError,
     InadmissibleTemperatures,
     InconsistentObservables,
     NoPositiveRoot,
@@ -298,9 +299,10 @@ def vmg_matching_residual(r_al: float, r_ah: float, r_bl: float, r_bh: float,
     """Max relative mismatch of the LH vs HL observable triples."""
     lh = analytic_observable_arrays(r_al, t_al, r_bh, temps.t_bh, 1.0, constants.k)
     hl = analytic_observable_arrays(r_ah, temps.t_ah, r_bl, temps.t_bl, 1.0, constants.k)
-    return float(max(0.0, *relative_errors(lh, hl)))
+    return float(np.max(relative_errors(lh, hl)))  # np.max keeps a NaN mismatch
 
 
+@np.errstate(all="ignore")  # a system past the float range solves to inf or NaN
 def solve_vmg_temperatures(r_al: float, r_ah: float, r_bl: float, r_bh: float,
                            t_al: float,
                            constants: PhysicalConstants = SI) -> VmgTemperatures:
@@ -310,12 +312,17 @@ def solve_vmg_temperatures(r_al: float, r_ah: float, r_bl: float, r_bh: float,
     three matching conditions form a 3x3 linear system in
     (T_AH, T_BL, T_BH).  The LH pair is (R_AL, R_BH), the HL pair is
     (R_AH, R_BL).  The Boltzmann factor cancels from every equation.
+    A system past the float range has no finite solution, which raises
+    `ConfigError`.
     """
     for name, r in (("r_al", r_al), ("r_ah", r_ah), ("r_bl", r_bl), ("r_bh", r_bh)):
         if not r > 0:
             raise ValueError(f"{name} must be positive, got {r}")
     if not t_al > 0:
         raise ValueError(f"t_al must be positive, got {t_al}")
+    # numpy scalars square with the same `pow` as Python floats, but past
+    # the float range give inf or NaN where a Python float's ** raises
+    r_al, r_ah, r_bl, r_bh, t_al = map(np.float64, (r_al, r_ah, r_bl, r_bh, t_al))
     s_lh = (r_al + r_bh) ** 2
     s_hl = (r_ah + r_bl) ** 2
     # unknown order: (t_ah, t_bl, t_bh); rows: s_u, s_i, p matching
@@ -347,6 +354,10 @@ def solve_vmg_temperatures(r_al: float, r_ah: float, r_bl: float, r_bh: float,
             f"resistor configuration ({r_al}, {r_ah}, {r_bl}, {r_bh}) admits "
             f"no unique temperature solution") from exc
     t_ah, t_bl, t_bh = (float(v) for v in solution)
+    if not all(map(math.isfinite, (t_ah, t_bl, t_bh))):
+        raise ConfigError(
+            f"resistor configuration ({r_al}, {r_ah}, {r_bl}, {r_bh}) at t_al={t_al} "
+            f"puts the temperature matching out of float range")
     if min(t_ah, t_bl, t_bh) <= 0.0:
         raise InadmissibleTemperatures(
             f"matching requires non-positive temperatures "

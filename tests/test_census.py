@@ -2,6 +2,7 @@
 rrrt session path, and the sessions it lets run without a table."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -222,11 +223,14 @@ def test_fine_grid_session_runs_past_the_table_budget(tmp_path):
     assert main(["table", "--config", path, "--quiet"]) == EXIT_RUNTIME
 
 
-@pytest.mark.parametrize("cfg", [
+WIDE_CELLS = [
     rrrt_config(r_levels=16, t_levels=16, degeneracy_tolerance=0.3),
     rrrt_config(r_levels=32, t_levels=32, degeneracy_tolerance=0.1),
     rr_config(r_levels=64, degeneracy_tolerance=0.5),
-], ids=["rrrt-16-w0.3", "rrrt-32-w0.1", "rr-64-w0.5"])
+]
+
+
+@pytest.mark.parametrize("cfg", WIDE_CELLS, ids=["rrrt-16-w0.3", "rrrt-32-w0.1", "rr-64-w0.5"])
 def test_census_matches_the_table_on_wide_cells(cfg):
     # the median setting shares its cell with over 1000 others, so the
     # census runs few distinct cells whose candidates span many pieces
@@ -242,6 +246,42 @@ def test_census_pieces_do_not_change_the_verdict(monkeypatch):
     table = build_lookup_table(cfg)
     monkeypatch.setattr(lookup, "_CENSUS_PIECE", 7)
     assert_census_is_the_table(cfg, table, grid_settings(cfg), table.combo_cells)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("cfg, stride", [
+    (rrrt_config(r_levels=8, t_levels=6, degeneracy_tolerance=0.05), 1),
+    *((cfg, (cfg.r_levels * len(cfg.temperature_grid())) ** 2 // 64) for cfg in WIDE_CELLS),
+], ids=["rrrt-8x6-w0.05", "rrrt-16-w0.3", "rrrt-32-w0.1", "rr-64-w0.5"])
+def test_census_parts_do_not_change_the_verdict(cfg, stride, width, monkeypatch):
+    # pieces of 7 values make one cell per chunk, so the chunks spread
+    # over every part; every `stride`-th setting keeps the wide grids quick
+    table = build_lookup_table(cfg)
+    settings = [values[::stride] for values in grid_settings(cfg)]
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    monkeypatch.setattr(lookup, "_CENSUS_PIECE", 7)
+    monkeypatch.setattr(lookup, "_pool_width", lambda: width)
+    assert_census_is_the_table(cfg, table, settings, table.combo_cells[::stride])
+    assert len(started) == width - 1
+
+
+def test_census_of_one_chunk_starts_no_thread(monkeypatch):
+    # the size of the sessions benchmark's rrrt session: 200 bits at 16
+    # levels draw at most 200 cells, one chunk of 2^14 // 16 cells
+    cfg = rrrt_config(bits=200, master_seed=7, degeneracy_tolerance=0.01)
+    settings = drawn_settings(cfg)
+
+    def no_thread(thread):
+        raise AssertionError(f"a one-chunk census started {thread}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr(lookup, "_pool_width", lambda: 2)
+    assert lookup._CENSUS_PIECE // cfg.r_levels >= cfg.bits
+    singular, sizes = census(cfg, settings)
+    assert len(sizes) == cfg.bits and (sizes > 0).all()
 
 
 def test_keys_outside_the_key_range_raise_or_drop():

@@ -773,6 +773,25 @@ class TestErrorPaths:
             assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
             assert "float range" in captured.err
 
+    @pytest.mark.parametrize("command", ["vmg-solve", "simulate", "attack"])
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e-170],
+                             ids=["solve-to-nan", "square-overflows", "square-underflows"])
+    def test_vmg_matching_past_the_float_range_exits_2(self, tmp_path, capsys, scale,
+                                                       command):
+        # the matching system's squares overflow (a Python float's ** would
+        # raise) or underflow to 0, or its entries overflow and the solve
+        # gives NaN temperatures: each is refused, whatever the command
+        cfg = config_file(tmp_path, variant="vmg-kljn", t_eff=300.0, vmg_resistors=[
+            r * scale for r in (1000.0, 2000.0, 1200.0, 2500.0)])
+        out = tmp_path / f"{command}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert "float range" in captured.err
+
     def test_subnormal_wire_still_runs(self, tmp_path, capsys):
         # SI units at 1e-290 K: s_u is about 5e-311, subnormal but positive
         cfg = config_file(tmp_path, variant="classic-kljn", r_low=1000.0, r_high=2000.0,
