@@ -239,8 +239,7 @@ def cmd_table(args) -> int:
         rows = (np.arange(table.n_cells, dtype=np.min_scalar_type(table.n_cells)),
                 table.cell_sizes, table.cell_singular)
         if with_members:
-            rows += ([";".join(map(str, members.tolist()))
-                      for members in table.all_cell_members()],)
+            rows += ([";".join(map(str, members)) for members in table.all_cell_members()],)
         summary = {
             "schema": "kljn-table-csv-1",
             "variant": config.variant,

@@ -46,8 +46,9 @@ a setting keyed (u, i, n) with parity e lies in cell (u, i, -n - e),
 its bit sign(R_B - R_A) negated.  So the pairs R_A < R_B with a
 symmetric prefactor are enumerated once, under uint64 keys
 (key << 1) | e, and the diagonal and both orientations of the other
-pairs are enumerated as they are.  The mirror keeps (u, i), so the
-images are added within slabs of whole (u, i) groups.  The
+pairs are enumerated as they are.  The mirror keeps (u, i) and maps
+the low bits r = 2 (n + 2^20) + e of a refined key to 2^22 - r, so the
+images are made elementwise within slabs of whole (u, i) groups.  The
 too-narrow-width `ConfigError` checks the mirrors' indices too, so it
 fires for exactly the grids where some setting's index leaves the key
 range.
@@ -74,22 +75,23 @@ array, only its runs and the broadcast temporaries of
 levels).  The fold cuts every run at the same (u, i) group starts, one
 at every `_FOLD_CELLS`-th key of each run, so a slab takes up to about
 `_FOLD_CELLS` keys from each run, and folds the slabs in a second pass:
-per slab it adds the image of each mirrored slice (`_image`), gives
-every entry the mask bit 1 + bit, drops the parity bit and groups
-everything once.  The calling thread frees the runs, then concatenates
-the slabs' cells.  A helper's arena so gets one slab's temporaries at a
-time (a median of 3 MB, at most 14 MB, at 64 levels and width 0.01) and
-its share of the slabs' cells, not a merge of the whole table, which
-left 62-64 MB in a helper's arena when tried.  Within each
-kind of pair the blocks take the pairs in order of R_A + R_B, which
-sets s_i, so a block's cells recur little in other blocks: at 64 levels
-and width 0.01 the kept runs hold 1.40 million entries for 1.09 million
-distinct refined keys with one thread, 1.71 million with two, against
-2.48 million entries in pair order.  Working memory is the kept runs,
-25 bytes per setting in flight and one slab per part, rather than
-levels^4 settings.  The per-setting cell array `combo_cells` exists
-only on demand: `cell_indices` computes it block by block over the
-Alice settings when it is first asked for.
+per slab it concatenates every run's slice, then every mirrored run's
+slice again, maps that second part to its images in place, gives every
+entry the mask bit 1 + bit (1 - bit for an image), drops the parity
+bit and groups everything in one sort.  The calling thread frees the
+runs, then concatenates the slabs' cells.  A helper's arena so gets one
+slab's temporaries at a time (a median of 2.8 MB, at most 10.9 MB, at
+64 levels and width 0.01) and its share of the slabs' cells, not a
+merge of the whole table, which left 62-64 MB in a helper's arena when
+tried.  Within each kind of pair the blocks take the pairs in order of
+R_A + R_B, which sets s_i, so a block's cells recur little in other
+blocks: at 64 levels and width 0.01 the kept runs hold 1.40 million
+entries for 1.09 million distinct refined keys with one thread, 1.71
+million with two, against 2.48 million entries in pair order.  Working
+memory is the kept runs, 25 bytes per setting in flight and one slab
+per part, rather than levels^4 settings.  The per-setting cell array
+`combo_cells` exists only on demand: `cell_indices` computes it block
+by block over the Alice settings when it is first asked for.
 """
 
 from __future__ import annotations
@@ -131,12 +133,13 @@ _LOW_BITS = _KEY_BITS + 1
 #: Refined keys between the fold's cuts in each run: every run is cut at
 #: every `_FOLD_CELLS`-th of its keys, moved back to the start of its
 #: (s_u, s_i) group, so a slab takes up to about `_FOLD_CELLS` keys from
-#: each run, not in all (at 64 levels and width 0.01, a median of 56 k
-#: entries and at most 245 k, images included).  At 64 levels, width
-#: 0.01 and two threads, 2^15 lowered the fold's traced peak from 50 to
-#: 40 MB against 2^16, and the `rrrt-table` benchmark's peak RSS from
-#: 114.9 to 110.9 MB (the one-thread build with 2^16: 114.8 MB), at the
-#: same speed; 2^14 and 2^17 were slower.
+#: each run, not in all (at 64 levels and width 0.01, a median of 55 k
+#: entries and at most 216 k, images included, whose temporaries peak at
+#: a median of 2.8 MB and at most 10.9 MB under tracemalloc).  At 64
+#: levels, width 0.01 and two threads, 2^15 lowered the fold's traced
+#: peak from 50 to 40 MB against 2^16, and the `rrrt-table` benchmark's
+#: peak RSS from 114.9 to 110.9 MB (the one-thread build with 2^16:
+#: 114.8 MB), at the same speed; 2^14 and 2^17 were slower.
 _FOLD_CELLS = 1 << 15
 
 #: Values per piece of the census: candidate settings, (pair, T_A) rows
@@ -235,8 +238,10 @@ def _starts(keys: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 def _group(keys: np.ndarray, counts: np.ndarray, masks: np.ndarray):
     """Sorted unique keys with the summed counts and OR-ed bit masks of
-    their entries.  The inputs are concatenated sorted runs, which the
-    stable sort merges run by run instead of sorting afresh."""
+    their entries, in one stable sort, which merges the inputs' sorted
+    runs instead of sorting afresh.  The sums and ORs do not depend on
+    the entries' order, so the fold's images, each (s_u, s_i) group in
+    reverse, need not be sorted first."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = _starts(keys, np.empty(len(keys), dtype=bool))
@@ -451,11 +456,13 @@ class LookupTable:
                            f"is it on the configured grids?")
         return pos
 
-    def all_cell_members(self) -> list[np.ndarray]:
+    def all_cell_members(self) -> list[list[int]]:
         """Indices of the enumerated settings in each cell (row-major over
-        (r_a, t_a, r_b, t_b) grid levels), in cell order, from one sort."""
-        order = np.argsort(self.combo_cells, kind="stable")
-        return np.split(order, np.cumsum(self.cell_sizes)[:-1])
+        (r_a, t_a, r_b, t_b) grid levels), in cell order, from one sort
+        and one `tolist`."""
+        order = np.argsort(self.combo_cells, kind="stable").tolist()
+        ends = np.cumsum(self.cell_sizes).tolist()
+        return [order[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _pair_blocks(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
@@ -489,22 +496,6 @@ def _pair_blocks(r_grid: np.ndarray, t_grid: np.ndarray, bandwidth_hz: float,
                    t_grid, mirrored, bit)
 
 
-def _image(keys: np.ndarray, counts: np.ndarray, bit: int):
-    """The A<->B mirror image (keys, counts, bit) of a sorted refined
-    run: the mirror (-n - e, e) of the low bits r = 2 (n + 2^20) + e is
-    2^22 - r, falling with r, so each (s_u, s_i) group is taken in
-    reverse and the image is sorted too; the bit is negated."""
-    group = keys >> _LOW_BITS
-    ends = np.append(np.flatnonzero(group[1:] != group[:-1]) + 1, len(keys))
-    sizes = np.diff(ends, prepend=0)
-    order = np.repeat(2 * ends - sizes - 1, sizes) - np.arange(len(keys))
-    image = keys[order]
-    low = image & ((1 << _LOW_BITS) - 1)
-    image -= low
-    image += (1 << _LOW_BITS) - low
-    return image, counts[order], -bit
-
-
 def _fold(runs: list):
     """Coarse cells (keys, sizes, masks) of the sorted refined (key,
     count, mirrored, bit) runs, the mirrored ones with their mirror
@@ -512,8 +503,12 @@ def _fold(runs: list):
     among its settings.  Every run is cut at the same starts of (s_u,
     s_i) groups, one at every _FOLD_CELLS-th key of each run, so a slab
     takes up to about _FOLD_CELLS keys from each run; one `_run_parts`
-    pass folds the slabs.  The fold empties `runs`, so the runs are
-    freed before the slabs' cells are concatenated in slab order."""
+    pass folds the slabs.  A slab is one array of every run's slice and
+    then every mirrored run's slice again, that second part mapped in
+    place to its images, the low bits r to 2^22 - r, each entry masked
+    by its run's bit, negated for an image; one `_group` call groups it.
+    The fold empties `runs`, so the runs are freed before the slabs'
+    cells are concatenated in slab order."""
     # sorted in place and deduplicated by hand: np.unique would import numpy.ma
     cuts = np.concatenate([keys[_FOLD_CELLS::_FOLD_CELLS] for keys, *_ in runs])
     cuts >>= _LOW_BITS
@@ -524,14 +519,22 @@ def _fold(runs: list):
                       for keys, *_ in runs])
 
     def fold(p, slab):
-        slices = [(keys[lo:hi], counts[lo:hi], bit) for (keys, counts, _, bit), lo, hi
+        slices = [(keys[lo:hi], counts[lo:hi], 1 << (1 + bit))
+                  for (keys, counts, _, bit), lo, hi
                   in zip(runs, edges[:, slab], edges[:, slab + 1])]
-        slices += [_image(*piece) for piece, (_, _, mirrored, _) in zip(slices, runs)
-                   if mirrored]
-        keys, counts, bits = zip(*slices)
-        masks = np.repeat(np.array([1 << (1 + bit) for bit in bits], dtype=np.int8),
-                          [len(piece) for piece in keys])
-        return _group(np.concatenate(keys) >> 1, np.concatenate(counts), masks)
+        # every mirrored slice again, for its images, masked by the negated bit
+        images = [(keys, counts, 1 << (1 - bit))
+                  for (keys, counts, _), (*_, mirrored, bit) in zip(slices, runs) if mirrored]
+        keys, counts, masks = zip(*slices, *images)
+        sizes = list(map(len, keys))
+        keys = np.concatenate(keys)
+        image = keys[sum(sizes[:len(slices)]):]  # low bits r to 2^22 - r
+        low = image & ((1 << _LOW_BITS) - 1)
+        image -= low
+        image += np.subtract(1 << _LOW_BITS, low, out=low)
+        keys >>= 1
+        return _group(keys, np.concatenate(counts),
+                      np.repeat(np.array(masks, dtype=np.int8), sizes))
 
     slabs = _run_parts(_pool_width(), range(len(cuts) + 1), fold)
     runs.clear()

@@ -14,8 +14,9 @@ or None for an empty cell) as they are.  A piece of integer and bool
 columns is one text, written once all are formatted (10.1 MB of text
 at 64 levels); a piece with other columns formats each distinct value
 of a column once (a float per bit pattern), holds the cells and joins
-each line as it is written.  ``csv.writer`` itself writes only the
-header and quotes the text cells that need it.
+each line as it is written; a text column is checked for cells to
+quote once, as a whole.  ``csv.writer`` itself writes only the header
+and quotes the text cells that need it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,10 @@ def _int_piece(columns) -> str:
 
     Each column gets a sign slot (when it holds a negative value) and
     right-aligned digit slots as wide as its largest magnitude; a keep
-    mask drops the unused sign slots and the leading zeros.
+    mask drops the unused sign slots and the leading zeros.  Each digit
+    is m - 10 (m // 10): numpy divides by a constant far faster than
+    np.divmod does, and faster still on uint32, which the magnitudes
+    take when the largest is below 2^32.
     """
     rows = len(columns[0])
     comma, everywhere = np.full(rows, ord(","), np.uint8), np.ones(rows, bool)
@@ -72,11 +76,18 @@ def _int_piece(columns) -> str:
         if minus.any():
             text.append(np.full(rows, ord("-"), np.uint8))
             keep.append(minus)
+        largest = magnitude.max(initial=0)
+        if largest < 1 << 32:
+            magnitude = magnitude.astype(np.uint32)
         digits = []  # units first
-        for place in range(len(str(magnitude.max(initial=0)))):
+        for place in range(len(str(largest))):
             digits.append(magnitude != 0 if place else everywhere)
-            magnitude, digit = np.divmod(magnitude, 10)
-            digits.append(digit.astype(np.uint8) + np.uint8(ord("0")))
+            tens = magnitude // 10
+            magnitude -= tens * 10
+            digit = magnitude.astype(np.uint8)
+            digit += ord("0")
+            digits.append(digit)
+            magnitude = tens
         text.extend(digits[-1::-2])
         keep.extend(digits[-2::-2])
         text.append(comma)
@@ -99,7 +110,9 @@ def _cells(values) -> list[str]:
     """The cells of one column, each distinct value formatted once: a
     float64 array's by repr, per bit pattern (so -0.0 keeps its own),
     an integer or bool array's by :func:`_int_piece`, and any other
-    sequence's str or None values by :func:`_text`."""
+    sequence's str or None values as they are (None as an empty cell),
+    or by :func:`_text` when one check of the whole column finds a cell
+    that csv.writer may quote."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "fbiu":
         floats = values.dtype.kind == "f"
         patterns, inverse = np.unique(values.view(np.int64) if floats else values,
@@ -107,6 +120,8 @@ def _cells(values) -> list[str]:
         texts = (map(float.__repr__, patterns.view(np.float64).tolist()) if floats
                  else _int_piece([patterns]).split("\n")[:-1])
         return np.array(list(texts), dtype=object)[inverse].tolist()
+    if not _QUOTED.search("".join(filter(None, values))):
+        return [value or "" for value in values]
     texts = {value: _text(value) for value in set(values)}
     return list(map(texts.__getitem__, values))
 

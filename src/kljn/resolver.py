@@ -312,8 +312,9 @@ def solve_vmg_temperatures(r_al: float, r_ah: float, r_bl: float, r_bh: float,
     three matching conditions form a 3x3 linear system in
     (T_AH, T_BL, T_BH).  The LH pair is (R_AL, R_BH), the HL pair is
     (R_AH, R_BL).  The Boltzmann factor cancels from every equation.
-    A system past the float range has no finite solution, which raises
-    `ConfigError`.
+    A system past the float range raises `ConfigError`: one with an
+    entry that underflowed to zero or a subnormal, or one with no finite
+    solution.
     """
     for name, r in (("r_al", r_al), ("r_ah", r_ah), ("r_bl", r_bl), ("r_bh", r_bh)):
         if not r > 0:
@@ -336,6 +337,13 @@ def solve_vmg_temperatures(r_al: float, r_ah: float, r_bl: float, r_bh: float,
         -t_al * r_al / s_lh,
         t_al * r_al * r_bh / s_lh,
     ])
+    out_of_range = ConfigError(
+        f"resistor configuration ({r_al}, {r_ah}, {r_bl}, {r_bh}) at t_al={t_al} "
+        f"puts the temperature matching out of float range")
+    # every exact entry is nonzero, so a zero or subnormal one underflowed
+    if (np.abs(np.append(matrix, rhs)) < np.finfo(np.float64).tiny).any():
+        raise out_of_range
+
     def mismatch(candidate: np.ndarray) -> float:
         temps = VmgTemperatures(*(float(v) for v in candidate))
         return vmg_matching_residual(r_al, r_ah, r_bl, r_bh, t_al, temps,
@@ -355,9 +363,7 @@ def solve_vmg_temperatures(r_al: float, r_ah: float, r_bl: float, r_bh: float,
             f"no unique temperature solution") from exc
     t_ah, t_bl, t_bh = (float(v) for v in solution)
     if not all(map(math.isfinite, (t_ah, t_bl, t_bh))):
-        raise ConfigError(
-            f"resistor configuration ({r_al}, {r_ah}, {r_bl}, {r_bh}) at t_al={t_al} "
-            f"puts the temperature matching out of float range")
+        raise out_of_range
     if min(t_ah, t_bl, t_bh) <= 0.0:
         raise InadmissibleTemperatures(
             f"matching requires non-positive temperatures "

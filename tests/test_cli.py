@@ -774,13 +774,15 @@ class TestErrorPaths:
             assert "float range" in captured.err
 
     @pytest.mark.parametrize("command", ["vmg-solve", "simulate", "attack"])
-    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e-170],
-                             ids=["solve-to-nan", "square-overflows", "square-underflows"])
+    @pytest.mark.parametrize("scale", [1e150, 1e155, 1e-170, 1e-155],
+                             ids=["solve-to-nan", "square-overflows", "square-underflows",
+                                  "entries-underflow"])
     def test_vmg_matching_past_the_float_range_exits_2(self, tmp_path, capsys, scale,
                                                        command):
         # the matching system's squares overflow (a Python float's ** would
-        # raise) or underflow to 0, or its entries overflow and the solve
-        # gives NaN temperatures: each is refused, whatever the command
+        # raise) or underflow to 0, its entries overflow and the solve
+        # gives NaN temperatures, or its entries underflow to 0 and the
+        # system would look singular: each is refused, whatever the command
         cfg = config_file(tmp_path, variant="vmg-kljn", t_eff=300.0, vmg_resistors=[
             r * scale for r in (1000.0, 2000.0, 1200.0, 2500.0)])
         out = tmp_path / f"{command}.csv"

@@ -493,33 +493,59 @@ class TestStreamedBuild:
         monkeypatch.setattr(lookup, "_pool_width", lambda: 1)
         monkeypatch.setattr(lookup, "_BLOCK_SETTINGS", 5 * 64)
         monkeypatch.setattr(lookup, "_FOLD_CELLS", 50)
-        block_cells, slabs = [], [[]]
-        block_keys, image, group = lookup._block_keys, lookup._image, lookup._group
+        block_cells, runs, slabs = [], [], []
+        block_keys, fold, group = lookup._block_keys, lookup._fold, lookup._group
 
         def spied_block_keys(*args, **kwargs):
             keys = block_keys(*args, **kwargs)
             block_cells.append(np.unique(keys >> 1))
             return keys
 
-        def spied_image(keys, counts, bit):
-            slabs[-1].append(len(keys))
-            return image(keys, counts, bit)
+        def spied_fold(kept):
+            runs.extend((keys.copy(), counts.copy(), mirrored, bit)
+                        for keys, counts, mirrored, bit in kept)
+            return fold(kept)
 
         def spied_group(keys, counts, masks):
-            slabs.append([])
+            slabs.append((keys.copy(), counts.copy(), masks.copy()))
             return group(keys, counts, masks)
 
         monkeypatch.setattr(lookup, "_block_keys", spied_block_keys)
         build_lookup_table(rrrt_config(r_levels=8, t_levels=8, degeneracy_tolerance=0.3))
         _, blocks_per_cell = np.unique(np.concatenate(block_cells), return_counts=True)
         assert len(block_cells) == 8 and blocks_per_cell.max() == 6
-        # each slab images its 7 mirrored slices, then groups everything
-        monkeypatch.setattr(lookup, "_image", spied_image)
+        # each slab groups one slice of every run, masked 1 << (1 + bit),
+        # and the mirror image of every mirrored slice, masked 1 << (1 - bit)
+        monkeypatch.setattr(lookup, "_fold", spied_fold)
         monkeypatch.setattr(lookup, "_group", spied_group)
         build_lookup_table(rrrt_config(r_levels=10, t_levels=7, band=BAND_1K))
-        slabs = slabs[:-1]
-        assert len(slabs) > 1 and all(len(slab) == 7 for slab in slabs)
-        assert [0] * 7 in slabs
+        assert sum(mirrored for *_, mirrored, _ in runs) == 7 and len(slabs) > 1
+
+        def entries(keys, counts, masks):
+            order = np.lexsort((masks, counts, keys))
+            return keys[order].tolist(), counts[order].tolist(), masks[order].tolist()
+
+        mirrored_sizes = []
+        for keys, counts, masks in slabs:
+            # a slab holds whole (s_u, s_i) groups, between two of the cuts
+            low, high = keys.min() >> 21, keys.max() >> 21
+            expected = []
+            for run_keys, run_counts, mirrored, bit in runs:
+                inside = ((run_keys >> 22) >= low) & ((run_keys >> 22) <= high)
+                refined, size = run_keys[inside], run_counts[inside]
+                expected.append((refined >> 1, size, np.full(len(size), 1 << (1 + bit))))
+                if mirrored:
+                    mirrored_sizes.append(len(size))
+                    # (n, e) of the power index mirrors to (-n - e, e)
+                    parity = refined & 1
+                    n = ((refined >> 1) & ((1 << 21) - 1)).astype(np.int64) - (1 << 20)
+                    image_n = (-n - parity.astype(np.int64) + (1 << 20)).astype(np.uint64)
+                    image = ((refined >> 22) << 21) | image_n
+                    expected.append((image, size, np.full(len(size), 1 << (1 - bit))))
+            assert entries(keys, counts, masks) == entries(
+                *(np.concatenate(column) for column in zip(*expected)))
+        # some slab takes nothing from any mirrored run
+        assert [0] * 7 in [mirrored_sizes[j:j + 7] for j in range(0, len(mirrored_sizes), 7)]
 
     def test_mirror_of_the_lowest_power_index_leaves_the_key_range(self):
         # k = 1, R_A = R_B = 1: s_u = s_i = T_A + T_B = 1.5 and p = T_B - T_A

@@ -168,7 +168,12 @@ class TestIntegerRows:
         np.array([[2 ** 64 - 1], [0], [10 ** 19]], dtype=np.uint64),
         np.array([[-5], [40], [-300]], dtype=np.int16),
         np.zeros((0, 3), dtype=np.int64),
-    ], ids=["int64-extremes", "uint64-one-column", "int16-negative", "no-rows"])
+        # magnitudes up to 2^32 - 1 are formatted as uint32, larger as uint64
+        np.array([[2 ** 32 - 1, -(2 ** 32 - 1), 2 ** 32, -(2 ** 32)],
+                  [10, -9, 0, 1]], dtype=np.int64),
+        np.array([[2 ** 32 - 1], [0], [10 ** 9]], dtype=np.uint64),
+    ], ids=["int64-extremes", "uint64-one-column", "int16-negative", "no-rows",
+            "int64-at-the-uint32-switch", "uint64-largest-fits-uint32"])
     def test_edge_cases(self, matrix, tmp_path):
         assert written(tmp_path, "columns.csv", tuple(matrix.T)) == by_csv_writer(
             tuple(matrix.T), matrix.tolist())

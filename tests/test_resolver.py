@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from kljn import (
     BandConfig,
+    ConfigError,
     EveView,
     InadmissibleTemperatures,
     InconsistentObservables,
@@ -20,6 +21,7 @@ from kljn import (
     PartyState,
     ReducedObservables,
     SI,
+    SingularSystem,
     WireObservables,
     analytic_observables,
     eve_pair_extraction,
@@ -324,6 +326,16 @@ class TestVmgTemperatures:
         residual = vmg_matching_residual(1000.0, 2000.0, 3000.0, 4000.0,
                                          300.0, temps, NORMALIZED)
         assert residual < 1e-12
+
+    @pytest.mark.parametrize("resistors, error, message", [
+        # the determinant is proportional to r_ah - r_al
+        ((1000.0, 1000.0, 1200.0, 2500.0), SingularSystem, "no unique"),
+        # products like r_bl^2 r_ah underflow to 0, which only looks singular
+        ((1e-152, 2e-152, 1.2e-152, 2.5e-152), ConfigError, "float range"),
+    ], ids=["singular", "entries-underflow"])
+    def test_singular_or_underflowed_system(self, resistors, error, message):
+        with pytest.raises(error, match=message):
+            solve_vmg_temperatures(*resistors, 300.0, NORMALIZED)
 
     def test_matching_holds_for_random_admissible_quadruples(self):
         # unsorted draws so roughly half the configurations demand a
