@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+from ._streams import bit_seed
 from .adversary import (
     EveView,
     GuessRecord,
@@ -40,7 +41,6 @@ from .protocol import (
     BitOutcome,
     ProtocolConfig,
     SessionReport,
-    bit_seed,
     build_lookup_table,
     run_bit,
     run_session,

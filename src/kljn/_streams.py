@@ -1,9 +1,12 @@
 """numpy's per-bit random streams, run as one array pass over bit indices.
 
-Bit i of a session draws its party states from
-``default_rng(SeedSequence(master_seed, spawn_key=(i, 0)))`` and, in
-sampled mode, its noise from the same chain with the purpose word 1 in
-place of 0.  This module reproduces that chain for many indices at once:
+Every random choice of a session flows from its master seed through
+:func:`bit_seed`, the one place that seeds a bit's stream: bit i draws
+its party states from ``default_rng(bit_seed(master_seed, i))`` and, in
+sampled mode, its noise from ``default_rng(bit_seed(master_seed, i,
+purpose=1))``, so bit periods are mutually independent and may be
+evaluated in any order.  This module reproduces that chain for many
+indices at once:
 
 * ``SeedSequence`` hashes 32-bit words with data-independent mixing
   constants.  The words are the master seed's, padded to the pool size
@@ -22,10 +25,12 @@ place of 0.  This module reproduces that chain for many indices at once:
 caller that sets it on one reused ``Generator`` and draws from it with
 numpy (the noise normals).
 
-A lane is not reproduced when its index is outside [0, 2**32) and so
-hashes as another number of words, or, for the draws, when Lemire's
-method rejects one of its words (it would consume more of the stream).
-Those lanes are left for the caller to draw with numpy itself.
+The array pass does not reproduce a lane whose index is outside
+[0, 2**32), and so hashes as another number of words, or, for the
+draws, a lane where Lemire's method rejects a word (it would consume
+more of the stream).  Both functions seed those lanes from
+:func:`bit_seed` and draw them with numpy, so every lane they return is
+numpy's own.
 """
 
 from __future__ import annotations
@@ -129,8 +134,9 @@ def _lanes(master_seed, indices, purpose: int):
     """`indices` as an integer array and each lane's PCG64 (state, inc),
     as 32-bit limbs least significant first, right after seeding from
     ``SeedSequence(master_seed, spawn_key=(i, purpose))``, with the mask
-    of lanes reproduced.  No lane is reproduced for a negative master
-    seed, a purpose beyond one word or indices of no integer dtype."""
+    of lanes reproduced.  No lane is reproduced (state and inc are None)
+    for a negative master seed, a purpose beyond one word or indices of
+    no integer dtype."""
     index = np.asarray(indices)
     master_seed, purpose = operator.index(master_seed), operator.index(purpose)
     if (len(index) == 0 or index.dtype.kind not in "iu" or master_seed < 0
@@ -150,41 +156,52 @@ def _ints(limbs) -> list[int]:
     return [(h << 64) | lo for h, lo in zip(high.tolist(), low.tolist())]
 
 
-def pcg64_states(master_seed: int, indices, purpose: int) -> list:
-    """``default_rng(SeedSequence(master_seed, spawn_key=(i, purpose)))
-    .bit_generator.state`` for each i of `indices`, or None for a lane
-    that must be seeded with numpy."""
+def bit_seed(master_seed: int, bit_index: int, purpose: int = 0) -> np.random.SeedSequence:
+    """Independent seed stream per (session, bit, purpose)."""
+    return np.random.SeedSequence(entropy=master_seed,
+                                  spawn_key=(bit_index, purpose))
+
+
+def _numpy_lanes(master_seed: int, index: np.ndarray, exact: np.ndarray, purpose: int):
+    """(lane, its own numpy generator) for each lane outside `exact`."""
+    for j in np.flatnonzero(~exact).tolist():
+        yield j, np.random.default_rng(
+            bit_seed(master_seed, operator.index(index[j]), purpose))
+
+
+def pcg64_states(master_seed: int, indices, purpose: int) -> list[dict]:
+    """``default_rng(bit_seed(master_seed, i, purpose)).bit_generator.state``
+    for each i of `indices`."""
     index, state, inc, exact = _lanes(master_seed, indices, purpose)
-    if state is None:
-        return [None] * len(index)
-    return [{"bit_generator": "PCG64", "state": {"state": s, "inc": c},
-             "has_uint32": 0, "uinteger": 0} if ok else None
-            for s, c, ok in zip(_ints(state), _ints(inc), exact.tolist())]
+    states = [None] * len(index) if state is None else [
+        {"bit_generator": "PCG64", "state": {"state": s, "inc": c},
+         "has_uint32": 0, "uinteger": 0} for s, c in zip(_ints(state), _ints(inc))]
+    for j, rng in _numpy_lanes(master_seed, index, exact, purpose):
+        states[j] = rng.bit_generator.state
+    return states
 
 
-def bounded_integers(master_seed: int, indices, bounds) -> tuple[np.ndarray, np.ndarray]:
+def bounded_integers(master_seed: int, indices, bounds) -> np.ndarray:
     """``[rng.integers(n) for n in bounds]`` for each i of `indices`, with
-    ``rng = default_rng(SeedSequence(master_seed, spawn_key=(i, 0)))``.
-
-    Returns an int64 array of shape (len(indices), len(bounds)) and a
-    mask of the lanes reproduced; the other lanes must be drawn with
-    numpy.
-    """
+    ``rng = default_rng(bit_seed(master_seed, i))``: an int64 array of
+    shape (len(indices), len(bounds))."""
     bounds = [operator.index(n) for n in bounds]
     index, state, inc, exact = _lanes(master_seed, indices, 0)
     draws = np.zeros((len(index), len(bounds)), dtype=np.int64)
     if state is None or not all(1 <= n <= _MASK32 for n in bounds):
-        return draws, np.zeros(len(index), dtype=bool)
-
-    uint32s = []  # next_uint32 in order: low half, then high half
-    for column, n in enumerate(bounds):
-        if n == 1:
-            continue
-        if not uint32s:
-            state = _step(state, inc)
-            output = _xsl_rr(state)
-            uint32s = [output >> 32, output & _MASK32]
-        scaled = uint32s.pop() * np.uint64(n)
-        exact &= (scaled & _MASK32) >= (2**32 - n) % n
-        draws[:, column] = scaled >> 32
-    return draws, exact
+        exact[:] = False
+    else:
+        uint32s = []  # next_uint32 in order: low half, then high half
+        for column, n in enumerate(bounds):
+            if n == 1:
+                continue
+            if not uint32s:
+                state = _step(state, inc)
+                output = _xsl_rr(state)
+                uint32s = [output >> 32, output & _MASK32]
+            scaled = uint32s.pop() * np.uint64(n)
+            exact &= (scaled & _MASK32) >= (2**32 - n) % n
+            draws[:, column] = scaled >> 32
+    for j, rng in _numpy_lanes(master_seed, index, exact, 0):
+        draws[j] = [rng.integers(n) for n in bounds]
+    return draws

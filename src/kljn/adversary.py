@@ -119,27 +119,23 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.99) -> tuple[f
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _binary_classes(config: ProtocolConfig) -> dict[str, WireObservables]:
-    """Analytic class centers {LL, HH, LH-or-HL} for a binary variant.
+#: Eve's classes of a binary variant's draws.  LH and HL coincide
+#: (exactly for classic, by temperature design for the four-resistor
+#: scheme), so they form a single irreducible class.
+_CLASSES = ("LL", "HH", "LH-or-HL")
 
-    LH and HL coincide (exactly for classic, by temperature design for
-    the four-resistor scheme), so they form a single irreducible class.
-    """
+
+def eve_nearest_classes(config: ProtocolConfig, observables) -> list[str]:
+    """Eve's class of each triple of the (s_u, s_i, p_ab) columns
+    `observables` of a binary variant, in one array pass: the nearest
+    analytic class centre by :func:`squared_relative_error`; of equals,
+    the first in `_CLASSES` order."""
     (a_low, a_high), (b_low, b_high) = party_states(config)
-    pairs = {"LL": (a_low, b_low), "HH": (a_high, b_high),
-             "LH-or-HL": (a_low, b_high)}
-    return {name: analytic_observables(a, b, config.band, config.constants)
-            for name, (a, b) in pairs.items()}
-
-
-def _nearest_classes(observables, classes: dict[str, WireObservables]) -> list[str]:
-    """Name of the nearest of `classes` for each triple of the (s_u, s_i,
-    p_ab) columns `observables`, by :func:`squared_relative_error`; of
-    equals, the first in `classes`' order."""
     columns = [np.asarray(column, dtype=float) for column in observables]
-    distances = [squared_relative_error(columns, centre) for centre in classes.values()]
-    names = list(classes)
-    return [names[k] for k in np.argmin(distances, axis=0).tolist()]
+    distances = [squared_relative_error(columns, analytic_observables(
+        a, b, config.band, config.constants))
+        for a, b in ((a_low, b_low), (a_high, b_high), (a_low, b_high))]
+    return [_CLASSES[k] for k in np.argmin(distances, axis=0).tolist()]
 
 
 class ResistorPair(NamedTuple):
@@ -313,8 +309,7 @@ def eve_guess_session(config: ProtocolConfig, strategy: str,
     secure = report.secure
     # quasi-continuum variants have no class model: no finite class set
     # distinguishes their secure draws
-    labels = (_nearest_classes([column[secure] for column in report.observables],
-                               _binary_classes(config))
+    labels = (eve_nearest_classes(config, [column[secure] for column in report.observables])
               if strategy == "nearest-class" and config.variant in BINARY_VARIANTS
               else [None] * np.count_nonzero(secure))
     guesses = [_CLASS_BITS.get(label) for label in labels]

@@ -29,10 +29,9 @@ import numpy as np
 
 from . import __version__
 from .adversary import (
-    _binary_classes,
-    _nearest_classes,
     default_assumed_grid,
     eve_guess_session,
+    eve_nearest_classes,
     eve_pair_extractions,
     eve_rrrt_solution_families,
 )
@@ -173,8 +172,7 @@ def _attack_rows(config: ProtocolConfig, extras: dict, indices, observables):
         owner = np.repeat(np.arange(len(indices)), np.maximum(sizes, 1))
         return _FAMILY_COLUMNS, (indices[owner], *_with_empty_cells(fields, sizes[owner] > 0))
     if config.variant == "vmg-kljn":  # every triple has a nearest class
-        return _CLASS_COLUMNS, (indices, _nearest_classes(observables,
-                                                          _binary_classes(config)))
+        return _CLASS_COLUMNS, (indices, eve_nearest_classes(config, observables))
     *pair, failure = eve_pair_extractions(
         observables, config.band.bandwidth_hz, config.t_eff, config.constants,
         config.effective_recovery_tolerance())

@@ -120,13 +120,9 @@ def load_config(path) -> tuple[ProtocolConfig, dict]:
         if key in raw and key not in ("variant", "bits", "master_seed", "mode"):
             kwargs[key] = raw[key]
     for tuple_key in ("vmg_resistors", "r_range", "t_range"):
-        if tuple_key in kwargs:
-            kwargs[tuple_key] = tuple(float(v) for v in kwargs[tuple_key])
-    if "vmg_resistors" in kwargs and len(kwargs["vmg_resistors"]) != 4:
-        raise ConfigError(f"{path}: vmg_resistors needs exactly 4 values")
-    for range_key in ("r_range", "t_range"):
-        if range_key in kwargs and len(kwargs[range_key]) != 2:
-            raise ConfigError(f"{path}: {range_key} needs exactly 2 values")
+        if tuple_key in kwargs:  # JSON integers as floats; `validate` refuses non-numbers
+            kwargs[tuple_key] = tuple(float(v) if type(v) is int else v
+                                      for v in kwargs[tuple_key])
 
     constants = NORMALIZED if raw.get("normalized_units") else SI
     try:

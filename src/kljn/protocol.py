@@ -20,23 +20,21 @@ from the wire (rr/rrrt: it holds H when that resistance is below its own).
 Views that differ give a ``KeyDisagreement``; otherwise Alice, the pre-agreed
 inverting party, and Bob share Bob's bit value (L -> 0, H -> 1).
 
-Every random choice flows from ``master_seed`` via per-bit seed
-sequences: bit i draws both parties' states from
+Every random choice flows from ``master_seed`` through the per-bit
+streams of ``_streams``: bit i draws both parties' states from
 ``bit_seed(master_seed, i)`` and, in sampled mode, its noise from
 ``bit_seed(master_seed, i, purpose=1)``, so bit periods are mutually
 independent and may be evaluated in any order.  A session is one batch
 pass: per-config state is computed once, the state draws of all bits
-are one array pass that is bit-identical to those per-bit streams
-(``_streams``; a bit it cannot reproduce is drawn from its own
-generator), then observables (sampled mode: contiguous parts of
-2^14-sample chunks, one per part of the thread runner
-``lookup._run_parts``, each in a workspace the calling thread makes;
-each part's generators' seeded states are one more ``_streams`` pass,
-set in turn on one reused generator per part),
-both recoveries, bits, the singularity verdict and the statuses are
-array operations; an rrrt session's verdict comes from the cell census
-(``lookup.cell_census``, whose chunks of distinct drawn cells run on
-``lookup._run_parts``), so sessions build no look-up table.  The pass
+are one ``_streams`` pass, then observables (sampled mode: the
+2^14-sample chunks are the items of the thread runner
+``lookup._run_parts``, each part with a workspace and a reused
+generator the calling thread makes, set in turn to each bit's noise
+state from one more ``_streams`` pass), both recoveries, bits, the
+singularity verdict and the statuses are array operations; an rrrt
+session's verdict comes from the cell census (``lookup.cell_census``,
+whose chunks of distinct drawn cells run on ``lookup._run_parts``), so
+sessions build no look-up table.  The pass
 returns its arrays as a columnar :class:`SessionReport`, which builds a
 bit's :class:`BitOutcome` only when asked; :func:`run_bit` is that pass
 on one index.
@@ -45,9 +43,10 @@ on one index.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, product, starmap
+from itertools import product, starmap
 from typing import Optional
 
 import numpy as np
@@ -131,6 +130,13 @@ class ProtocolConfig:
             raise ConfigError(f"estimator_segments {segments} must be >= 1 and, in "
                               f"sampled mode, leave >= 2 samples and an in-band "
                               f"periodogram bin per segment")
+        for name, size in (("vmg_resistors", 4), ("r_range", 2), ("t_range", 2)):
+            values = getattr(self, name)
+            if values is not None and not (
+                    isinstance(values, (tuple, list)) and len(values) == size
+                    and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                            for v in values)):
+                raise ConfigError(f"{name} needs exactly {size} numbers, got {values!r}")
         physical = {"r_low": self.r_low, "r_high": self.r_high, "t_eff": self.t_eff,
                     "recovery_tolerance": self.recovery_tolerance,
                     "degeneracy_tolerance": self.degeneracy_tolerance}
@@ -302,12 +308,6 @@ class SessionReport:
         return [self.outcome(j) for j in range(self.total_bits)]
 
 
-def bit_seed(master_seed: int, bit_index: int, purpose: int = 0) -> np.random.SeedSequence:
-    """Independent seed stream per (session, bit, purpose)."""
-    return np.random.SeedSequence(entropy=master_seed,
-                                  spawn_key=(bit_index, purpose))
-
-
 def party_states(config: ProtocolConfig) -> tuple[tuple[PartyState, ...],
                                                    tuple[PartyState, ...]]:
     """The (R, T) states Alice and Bob each draw from, by level.
@@ -348,32 +348,15 @@ def _check_wire_range(config: ProtocolConfig, grids=None):
                           f"range: s_u and s_i must be finite and positive, p_ab finite")
 
 
-def _level_counts(config: ProtocolConfig) -> tuple[int, int]:
-    """(resistance, temperature) levels each party draws from."""
+def _draw_levels(config: ProtocolConfig, indices: list[int]) -> np.ndarray:
+    """Each bit's state levels, shape (2, len(indices)), Alice's then
+    Bob's: on the bit's `bit_seed` stream each party draws its resistance
+    level, then its temperature level (a single level consumes no
+    randomness)."""
     n_r = config.r_levels if config.variant in QUASI_CONTINUUM_VARIANTS else 2
     n_t = config.t_levels if config.variant == "rrrt-kljn" else 1
-    return n_r, n_t
-
-
-def _draw(config: ProtocolConfig, rng: np.random.Generator) -> tuple[int, int]:
-    """(Alice's, Bob's) state level: each party draws its resistance level,
-    then its temperature level (a single level consumes no randomness)."""
-    n_r, n_t = _level_counts(config)
-    return (int(rng.integers(n_r)) * n_t + int(rng.integers(n_t)),
-            int(rng.integers(n_r)) * n_t + int(rng.integers(n_t)))
-
-
-def _draw_levels(config: ProtocolConfig, indices: list[int]) -> np.ndarray:
-    """`_draw` on each bit's `bit_seed` stream as one array pass: state
-    levels of shape (2, len(indices)), Alice's then Bob's.  Bits the pass
-    cannot reproduce run `_draw` itself."""
-    n_r, n_t = _level_counts(config)
-    draws, exact = bounded_integers(config.master_seed, indices, (n_r, n_t, n_r, n_t))
-    levels = draws[:, 0::2] * n_t + draws[:, 1::2]
-    for j in np.flatnonzero(~exact).tolist():
-        levels[j] = _draw(config, np.random.default_rng(
-            bit_seed(config.master_seed, indices[j])))
-    return levels.T
+    draws = bounded_integers(config.master_seed, indices, (n_r, n_t, n_r, n_t))
+    return (draws[:, 0::2] * n_t + draws[:, 1::2]).T
 
 
 def _high_bits(config: ProtocolConfig, r_a: np.ndarray, r_b: np.ndarray):
@@ -407,52 +390,45 @@ def build_lookup_table(config: ProtocolConfig) -> LookupTable:
 _CHUNK_SAMPLES = 1 << 14
 
 
-def _noise_generators(config: ProtocolConfig, indices: list[int]):
-    """Each bit's sampled-noise generator, ``default_rng(bit_seed(
-    master_seed, i, purpose=1))``, in order: one ``Generator`` per call,
-    reused and set to the seeded state `_streams` computes for each bit,
-    or the bit's own generator where that pass does not reach.  Draw from
-    each before taking the next; each thread makes its own call."""
-    rng = np.random.Generator(np.random.PCG64())
-    for i, state in zip(indices, pcg64_states(config.master_seed, indices, purpose=1)):
-        if state is None:
-            yield np.random.default_rng(bit_seed(config.master_seed, i, purpose=1))
-        else:
-            rng.bit_generator.state = state
-            yield rng
+def _noise_generators(rng: np.random.Generator, states):
+    """`rng`, set in turn to each of the PCG64 `states`: draw from it
+    before taking the next."""
+    for state in states:
+        rng.bit_generator.state = state
+        yield rng
 
 
 def _sampled_observables(config: ProtocolConfig, indices: list[int],
                          r_a, t_a, r_b, t_b):
     """Estimated (s_u, s_i, p_ab) arrays, chunk by chunk of bit periods.
 
-    The _CHUNK_SAMPLES-sample chunks are split into contiguous parts, one
-    per part of `lookup._run_parts`: one per CPU the process may use
-    (`lookup._pool_width`), but no more than there are chunks.  The
-    calling thread allocates each part's workspace, so no trace lands in
-    a helper's malloc arena; each part draws from its own generators.
-    Each row's arithmetic does not depend on the split, so neither do the
-    results.  A session of one chunk starts no thread."""
+    The _CHUNK_SAMPLES-sample chunks are the items of `lookup._run_parts`,
+    on one part per CPU the process may use (`lookup._pool_width`).  The
+    calling thread makes each part's workspace, so no trace lands in a
+    helper's malloc arena, and each part's generator, which it sets to
+    each bit's noise state in turn.  Each row's arithmetic does not
+    depend on the parts, so neither do the results.  A session of one
+    chunk starts no thread."""
     step = max(1, _CHUNK_SAMPLES // config.band.samples_per_bit)
-    n_chunks = -(-len(indices) // step)
-    width = max(1, min(lookup._pool_width(), n_chunks))
-    bounds = [step * (n_chunks * p // width) for p in range(width)] + [len(indices)]
-    works = [TraceWorkspace(min(step, bounds[p + 1] - bounds[p]), config.band,
+    chunks = range(0, len(indices), step)
+    width = max(1, min(lookup._pool_width(), len(chunks)))
+    # part p's first chunk, p * step onwards, is its largest
+    works = [TraceWorkspace(min(step, len(indices) - p * step), config.band,
                             config.estimator_segments) for p in range(width)]
+    rngs = [np.random.Generator(np.random.PCG64()) for _ in range(width)]
+    states = pcg64_states(config.master_seed, indices, purpose=1)
     observables = np.empty((3, len(indices)))
 
-    def run(p, _):
-        """Part p's columns of `observables`."""
-        generators = _noise_generators(config, indices[bounds[p]:bounds[p + 1]])
-        for start in range(bounds[p], bounds[p + 1], step):
-            rows = slice(start, start + step)
-            traces = synthesize_traces(r_a[rows], t_a[rows], r_b[rows], t_b[rows],
-                                       config.band, islice(generators, step),
-                                       config.constants, works[p])
-            observables[:, rows] = estimate_observable_arrays(
-                *traces, config.band, config.estimator_segments, works[p])
+    def run(p, start):
+        """Chunk `start`'s columns of `observables`."""
+        rows = slice(start, start + step)
+        traces = synthesize_traces(r_a[rows], t_a[rows], r_b[rows], t_b[rows], config.band,
+                                   _noise_generators(rngs[p], states[rows]),
+                                   config.constants, works[p])
+        observables[:, rows] = estimate_observable_arrays(
+            *traces, config.band, config.estimator_segments, works[p])
 
-    lookup._run_parts(width, range(width), run)
+    lookup._run_parts(width, chunks, run)
     return observables
 
 

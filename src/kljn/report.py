@@ -59,9 +59,10 @@ def _int_piece(columns) -> str:
     ``csv.writer`` writes their ``str(int)`` cells: joined by ',', each
     row ended by '\\n'.
 
-    Each column gets a sign slot (when it holds a negative value) and
-    right-aligned digit slots as wide as its largest magnitude; a keep
-    mask drops the unused sign slots and the leading zeros.  Each digit
+    Each column gets a sign slot (when it is signed and holds a negative
+    value) and right-aligned digit slots as wide as its largest
+    magnitude; a keep mask drops the unused sign slots and the leading
+    zeros.  Each digit
     is m - 10 (m // 10): numpy divides by a constant far faster than
     np.divmod does, and faster still on uint32, which the magnitudes
     take when the largest is below 2^32.
@@ -70,12 +71,13 @@ def _int_piece(columns) -> str:
     comma, everywhere = np.full(rows, ord(","), np.uint8), np.ones(rows, bool)
     text, keep = [], []  # one slot per character column, left to right
     for values in columns:
-        minus = values < 0
         magnitude = values.astype(np.uint64)  # two's complement: exact for int64's minimum
-        np.negative(magnitude, out=magnitude, where=minus)
-        if minus.any():
-            text.append(np.full(rows, ord("-"), np.uint8))
-            keep.append(minus)
+        if values.dtype.kind == "i":  # unsigned and bool columns have no sign
+            minus = values < 0
+            np.negative(magnitude, out=magnitude, where=minus)
+            if minus.any():
+                text.append(np.full(rows, ord("-"), np.uint8))
+                keep.append(minus)
         largest = magnitude.max(initial=0)
         if largest < 1 << 32:
             magnitude = magnitude.astype(np.uint32)

@@ -23,21 +23,19 @@ from kljn import (
     wilson_interval,
 )
 from kljn.adversary import (
-    _binary_classes,
-    _nearest_classes,
     default_assumed_grid,
+    eve_nearest_classes,
     eve_rrrt_solution_families,
 )
 from kljn.physics import analytic_observable_arrays, squared_relative_error
-from kljn.protocol import BINARY_VARIANTS, STATUS_SECURE
+from kljn.protocol import BINARY_VARIANTS, STATUS_SECURE, party_states
 
 BAND = BandConfig(bandwidth_hz=1.0, sample_rate_hz=4.0, samples_per_bit=4096)
 R_LOW, R_HIGH, T_EFF = 1000.0, 2000.0, 300.0
 
 
 def nearest_class(view: EveView, config: ProtocolConfig) -> str:
-    return _nearest_classes([[value] for value in view.observables],
-                            _binary_classes(config))[0]
+    return eve_nearest_classes(config, [[value] for value in view.observables])[0]
 
 
 def view_for(alice: PartyState, bob: PartyState) -> EveView:
@@ -282,13 +280,17 @@ class TestGuessSession:
         report = run_session(cfg)
         secure = [o for o in report.outcomes if o.status == STATUS_SECURE]
         binary = cfg.variant in BINARY_VARIANTS
-        classes = _binary_classes(cfg) if binary else None
+        if binary:  # the class centres, LH and HL as one class
+            (a_low, a_high), (b_low, b_high) = party_states(cfg)
+            classes = {name: analytic_observables(a, b, cfg.band, cfg.constants)
+                       for name, (a, b) in {"LL": (a_low, b_low), "HH": (a_high, b_high),
+                                            "LH-or-HL": (a_low, b_high)}.items()}
         # the scalar classifier: min over the class centres in their order
         labels = [min(classes, key=lambda name: squared_relative_error(
             o.observables, classes[name])) for o in secure] if binary else None
         if binary:
             columns = list(zip(*(o.observables for o in secure)))
-            assert _nearest_classes(columns, classes) == labels
+            assert eve_nearest_classes(cfg, columns) == labels
         for strategy in ("random", "nearest-class"):
             # the per-bit replay: a class bit, else one scalar coin per bit
             rng = np.random.default_rng(

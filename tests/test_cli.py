@@ -124,17 +124,19 @@ class TestSimulate:
                              ids=["calling-thread", "helper"])
     def test_first_failing_sampled_part_raises_after_the_join(
             self, tmp_path, capsys, monkeypatch, failing, first):
-        # 40 bits of 4096 samples, one to a chunk, on three threads: parts
-        # from bits 0 (the calling thread's), 13 and 26.  Part 2 fails
-        # first, but part `first`'s error is the one raised
+        # 40 bits of 4096 samples, one to a chunk, on three threads: part p
+        # (part 0 the calling thread's) takes bits p, p + 3, ...  Part 2
+        # fails first, but part `first`'s error is the one raised
         monkeypatch.setattr(lookup, "_pool_width", lambda: 3)
         monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", 4096)
         part_of, part_2_failed = {}, threading.Event()
-        noise_generators, synthesize = protocol._noise_generators, protocol.synthesize_traces
+        run_parts, synthesize = lookup._run_parts, protocol.synthesize_traces
 
-        def recorded_noise_generators(config, indices):
-            part_of[threading.current_thread()] = {0: 0, 13: 1, 26: 2}[indices[0]]
-            return noise_generators(config, indices)
+        def recorded_run_parts(width, items, task):
+            def recorded_task(p, item):
+                part_of[threading.current_thread()] = p
+                return task(p, item)
+            return run_parts(width, items, recorded_task)
 
         def failing_synthesize(*args, **kwargs):
             part = part_of[threading.current_thread()]
@@ -146,7 +148,7 @@ class TestSimulate:
                 raise KljnError(f"part {part} failed")
             return synthesize(*args, **kwargs)
 
-        monkeypatch.setattr(protocol, "_noise_generators", recorded_noise_generators)
+        monkeypatch.setattr(lookup, "_run_parts", recorded_run_parts)
         monkeypatch.setattr(protocol, "synthesize_traces", failing_synthesize)
         cfg = config_file(tmp_path, variant="classic-kljn", r_low=1000.0,
                           r_high=2000.0, t_eff=300.0, mode="sampled",
@@ -724,6 +726,15 @@ class TestErrorPaths:
                         "r_levels": 4, "t_range": [200.0, 400.0], "t_levels": 4,
                         "max_combinations": budget}, "max_combinations",
                        id=f"max_combinations-{budget}") for budget in (0, -1)),
+        # list elements must be JSON numbers, bool excluded, and as many as the key takes
+        *(pytest.param({"variant": "rr-kljn", "r_range": [value, 2000.0], "r_levels": 4},
+                       "r_range", id=f"r_range-{label}")
+          for label, value in (("string", "a"), ("null", None), ("bool", True),
+                               ("numeric-string", "1000"))),
+        pytest.param({"variant": "rrrt-kljn", "r_range": [1000.0, 2000.0], "r_levels": 4,
+                      "t_range": ["a", 400.0], "t_levels": 4}, "t_range", id="string-t_range"),
+        pytest.param({"variant": "vmg-kljn", "vmg_resistors": [1000, 2000, "x", 2500]},
+                     "vmg_resistors", id="string-vmg_resistors"),
     ])
     def test_bad_physical_input_exits_2(self, tmp_path, capsys, fields, name):
         # json writes nan and inf as the NaN / Infinity tokens it also reads

@@ -102,6 +102,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             rr_config(r_range=(0.0, 1000.0))
 
+    @pytest.mark.parametrize("make, fields", [
+        (rr_config, dict(r_range=(1000.0, 2000.0, 3000.0))),
+        (rr_config, dict(r_range=(True, 2000.0))),
+        (vmg_config, dict(vmg_resistors=(1000.0, 2000.0, 3000.0))),
+        (vmg_config, dict(vmg_resistors=(1000.0, 2000.0, None, 4000.0))),
+        (rrrt_config, dict(t_range=("a", 400.0))),
+        (rrrt_config, dict(t_range=400.0)),
+    ], ids=["three-r_range", "bool-r_range", "three-vmg_resistors", "none-vmg_resistors",
+            "string-t_range", "scalar-t_range"])
+    def test_tuple_keys_need_their_count_of_numbers(self, make, fields):
+        with pytest.raises(ConfigError, match=next(iter(fields))):
+            make(**fields)
+        # integers and numpy floats are numbers
+        assert make(r_range=(1000, np.float64(2000.0))).r_range == (1000, 2000.0)
+
     def test_bad_mode(self):
         with pytest.raises(ConfigError):
             classic_config(mode="oracle")
@@ -973,17 +988,17 @@ class TestBatchEngine:
     @pytest.mark.parametrize("bits, split", [
         # width: each part's chunk sizes, the calling thread's first; each
         # thread holds 3 bit periods, and a helper thread runs each other part
-        (20, {1: [[3, 3, 3, 3, 3, 3, 2]], 2: [[3, 3, 3], [3, 3, 3, 2]],
-              3: [[3, 3], [3, 3], [3, 3, 2]]}),
-        (10, {1: [[3, 3, 3, 1]], 2: [[3, 3], [3, 1]], 3: [[3], [3], [3, 1]]}),
-        (7, {1: [[3, 3, 1]], 2: [[3], [3, 1]], 3: [[3], [3], [1]]}),
+        (20, {1: [[3, 3, 3, 3, 3, 3, 2]], 2: [[3, 3, 3, 2], [3, 3, 3]],
+              3: [[3, 3, 2], [3, 3], [3, 3]]}),
+        (10, {1: [[3, 3, 3, 1]], 2: [[3, 3], [3, 1]], 3: [[3, 1], [3], [3]]}),
+        (7, {1: [[3, 3, 1]], 2: [[3, 1], [3]], 3: [[3], [3], [1]]}),
         (3, {1: [[3]], 2: [[3]], 3: [[3]]}),
         (0, {1: [[]], 2: [[]], 3: [[]]}),
     ], ids=["three-parts", "ragged", "one-chunk-part", "one-chunk", "empty"])
     def test_widths_give_identical_outcomes(self, make, bits, split, monkeypatch):
-        # contiguous parts of chunks, one per thread: 20 bits at width 3 run
-        # as parts of 2, 2 and 3 chunks; 7 bits at width 2 as a part of one
-        # chunk and one of two
+        # the chunks are the thread runner's items, part p taking chunks p,
+        # p + width, ...: 20 bits at width 3 run as parts of 3, 2 and 2
+        # chunks; 7 bits at width 2 as a part of two chunks and one of one
         monkeypatch.setattr(protocol, "_CHUNK_SAMPLES", 3 * 1000 + 5)
         rows, started = {}, []
         synthesize, start = protocol.synthesize_traces, threading.Thread.start
@@ -997,8 +1012,7 @@ class TestBatchEngine:
             monkeypatch.setattr(lookup, "_pool_width", lambda: width)
             outcomes.append([repr(o) for o in run_session(cfg).outcomes])
             assert rows.pop(threading.current_thread(), []) == parts[0]
-            assert sorted(rows.values()) == sorted(parts[1:])
-            assert len(started) == len(parts[1:])
+            assert [rows.get(helper, []) for helper in started] == parts[1:]
             rows.clear()
             started.clear()
         assert len(outcomes[0]) == bits

@@ -172,11 +172,16 @@ class TestIntegerRows:
         np.array([[2 ** 32 - 1, -(2 ** 32 - 1), 2 ** 32, -(2 ** 32)],
                   [10, -9, 0, 1]], dtype=np.int64),
         np.array([[2 ** 32 - 1], [0], [10 ** 9]], dtype=np.uint64),
+        # no sign slot: unsigned and bool columns are never negative
+        np.array([[2 ** 32 - 1, 0], [0, 1], [10, 2 ** 31]], dtype=np.uint32),
+        np.array([[True, False], [False, False], [True, True]]),
     ], ids=["int64-extremes", "uint64-one-column", "int16-negative", "no-rows",
-            "int64-at-the-uint32-switch", "uint64-largest-fits-uint32"])
+            "int64-at-the-uint32-switch", "uint64-largest-fits-uint32",
+            "uint32-extremes", "bool"])
     def test_edge_cases(self, matrix, tmp_path):
-        assert written(tmp_path, "columns.csv", tuple(matrix.T)) == by_csv_writer(
-            tuple(matrix.T), matrix.tolist())
+        columns = tuple(matrix.T)
+        assert written(tmp_path, "columns.csv", columns) == by_csv_writer(
+            columns, as_csv_writer_rows(columns))
 
     def test_mixed_table_columns(self, tmp_path):
         # the columns `kljn table` passes: uint32 cells, int64 sizes and

@@ -14,9 +14,26 @@ MASTER_SEEDS = [0, 2**32 + 5, 2**130 + 17,
 BOUNDS = [1, 2, 3, 5, 16, 20, 32, 64]
 
 
+def numpy_rng(master_seed, index, purpose=0):
+    """The bit's own numpy generator, made without `np.random.default_rng`,
+    which the `seeded` fixture spies on."""
+    return np.random.Generator(np.random.PCG64(bit_seed(master_seed, index, purpose)))
+
+
 def numpy_draws(master_seed, index, bounds):
-    rng = np.random.default_rng(bit_seed(master_seed, index))
+    rng = numpy_rng(master_seed, index)
     return [int(rng.integers(n)) for n in bounds]
+
+
+@pytest.fixture
+def seeded(monkeypatch):
+    """The (index, purpose) spawn keys of the generators numpy seeds while
+    the test runs, in call order: the lanes `_streams` does not reproduce
+    in its array pass."""
+    keys, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: keys.append(
+        seed.spawn_key) or default_rng(seed))
+    return keys
 
 
 @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
@@ -32,41 +49,65 @@ def test_seed_words_match_seed_sequence(master_seed):
 @pytest.mark.parametrize("n", BOUNDS)
 @pytest.mark.parametrize("per_bit", [2, 4])
 def test_draws_match_numpy(master_seed, n, per_bit):
+    # every lane, those past one index word too
     bounds = (n,) * per_bit
-    draws, exact = bounded_integers(master_seed, range(200), bounds)
-    assert exact.all()
-    for i in range(200):
-        assert draws[i].tolist() == numpy_draws(master_seed, i, bounds)
+    indices = [*range(200), 2**32 - 1, 2**32, 2**40 + 7]
+    draws = bounded_integers(master_seed, indices, bounds)
+    for lane, i in enumerate(indices):
+        assert draws[lane].tolist() == numpy_draws(master_seed, i, bounds)
 
 
 @pytest.mark.parametrize("bounds", [(2, 1, 2, 1), (64, 1, 64, 1), (16, 5, 16, 5),
                                     (1, 3, 1, 3)])
-def test_engine_layouts_match_numpy(bounds):
-    draws, exact = bounded_integers(108, range(300), bounds)
-    assert exact.all()
+def test_engine_layouts_match_numpy(bounds, seeded):
+    draws = bounded_integers(108, range(300), bounds)
+    assert seeded == []  # power-of-two and small bounds reject no word here
     for i in range(300):
         assert draws[i].tolist() == numpy_draws(108, i, bounds)
 
 
-def test_lemire_rejection_falls_back():
-    # (2**32 - n) % n = 2**30: a quarter of the words are rejected
+def test_lemire_rejection_falls_back(seeded):
+    # (2**32 - n) % n = 2**30: a quarter of the words are rejected, and
+    # numpy draws each lane that rejects one
     n = 3 * 2**30
     cfg = ProtocolConfig(variant="rr-kljn", band=BandConfig(1.0, 4.0, 4096),
                          bits=300, master_seed=11, r_range=(1000.0, 2000.0),
                          r_levels=n, t_eff=300.0, constants=NORMALIZED)
-    _, exact = bounded_integers(11, range(300), (n, 1, n, 1))
-    assert 0.25 < 1.0 - exact.mean() < 0.6  # about 1 - (3/4)**2
     levels = protocol._draw_levels(cfg, list(range(300)))
+    assert 0.25 < len(seeded) / 300 < 0.6  # about 1 - (3/4)**2
+    assert len(set(seeded)) == len(seeded) and {purpose for _, purpose in seeded} == {0}
     for i in range(300):
         assert levels[:, i].tolist() == numpy_draws(11, i, (n, n))
 
 
-def test_uncovered_indices_are_flagged():
-    draws, exact = bounded_integers(5, [3, 2**32, 4, -1], (16, 16))
-    assert exact.tolist() == [True, False, True, False]
-    assert draws[2].tolist() == numpy_draws(5, 4, (16, 16))
-    # beyond int64 the indices are no integer array: every lane is flagged
-    assert not bounded_integers(5, [3, 2**70], (16, 16))[1].any()
+def test_uncovered_indices_fall_back(seeded):
+    # numpy seeds exactly the lanes past one index word
+    draws = bounded_integers(5, [3, 2**32, 4, 2**32 - 1, 2**40], (16, 16))
+    assert seeded == [(2**32, 0), (2**40, 0)]
+    for lane, i in enumerate([3, 2**32, 4, 2**32 - 1, 2**40]):
+        assert draws[lane].tolist() == numpy_draws(5, i, (16, 16))
+    # beyond int64 the indices are no integer array: numpy seeds every lane
+    seeded.clear()
+    assert bounded_integers(5, [3, 2**70], (16, 16)).tolist() == [
+        numpy_draws(5, 3, (16, 16)), numpy_draws(5, 2**70, (16, 16))]
+    assert seeded == [(3, 0), (2**70, 0)]
+    with pytest.raises(ValueError):  # numpy's own refusal of a negative index
+        bounded_integers(5, [3, -1], (16, 16))
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**32 + 5, 2**70])
+def test_array_pass_draws_every_ordinary_lane(master_seed, seeded):
+    # indices in [0, 2**32) with power-of-two bounds: no lane is left to
+    # numpy, so a broken array pass cannot hide behind the fallback
+    indices = [0, 1, 2**31, 2**32 - 1, *random.Random(4).sample(range(2**32), 40)]
+    draws = bounded_integers(master_seed, indices, (64, 1, 64, 2, 2**31))
+    states = pcg64_states(master_seed, indices, purpose=1)
+    assert seeded == []
+    rng = np.random.Generator(np.random.PCG64())
+    for lane, i in enumerate(indices):
+        assert draws[lane].tolist() == numpy_draws(master_seed, i, (64, 1, 64, 2, 2**31))
+        rng.bit_generator.state = states[lane]
+        assert rng.standard_normal(8).tolist() == numpy_noise(master_seed, i, 8).tolist()
 
 
 @pytest.mark.parametrize("cfg", [
@@ -87,39 +128,40 @@ NOISE_SEEDS = [0, 2**32 + 5, 2**70, *random.Random(8).sample(range(2**32), 2)]
 
 
 def numpy_noise(master_seed, index, size):
-    return np.random.default_rng(bit_seed(master_seed, index, 1)).standard_normal(size)
+    return numpy_rng(master_seed, index, 1).standard_normal(size)
 
 
 @pytest.mark.parametrize("master_seed", NOISE_SEEDS)
-def test_noise_states_match_numpy(master_seed):
+def test_noise_states_match_numpy(master_seed, seeded):
+    # every lane: numpy seeds the one past one index word
     indices = [*random.Random(master_seed % 101).sample(range(2**32), 30), 0,
                2**32 - 1, 2**32 + 3]
     states = pcg64_states(master_seed, indices, purpose=1)
-    assert states[-1] is None  # beyond one index word: seeded with numpy
+    assert seeded == [(2**32 + 3, 1)]
     rng = np.random.Generator(np.random.PCG64())
-    for i, state in zip(indices[:-1], states):
+    for i, state in zip(indices, states, strict=True):
         rng.bit_generator.state = state
         assert rng.standard_normal(300).tolist() == numpy_noise(master_seed, i, 300).tolist()
 
 
 @pytest.mark.parametrize("master_seed", [0, 2**32 + 5, 2**70])
 def test_noise_generators_share_one_generator(master_seed):
-    cfg = ProtocolConfig(variant="classic-kljn", band=BandConfig(1.0, 4.0, 1000),
-                         bits=0, master_seed=master_seed, r_low=1000.0,
-                         r_high=2000.0, t_eff=300.0, constants=NORMALIZED)
+    band = BandConfig(1.0, 4.0, 1000)
     indices = [5, 2**32 + 1, 9, 3, 2**33, 7]
+    states = pcg64_states(master_seed, indices, purpose=1)
+    shared = np.random.Generator(np.random.PCG64())
     used, rows = [], []
-    for rng in protocol._noise_generators(cfg, indices):
+    for rng in protocol._noise_generators(shared, states):
         used.append(rng)
         rows.append(rng.standard_normal(64).tolist())
     assert rows == [numpy_noise(master_seed, i, 64).tolist() for i in indices]
-    assert len({id(rng) for rng, i in zip(used, indices) if i < 2**32}) == 1
+    assert all(rng is shared for rng in used) and len(used) == len(indices)
     # a chunk of bit periods, each row drawn before the next state is set
     r, t = [1000.0, 2000.0, 1200.0, 1000.0, 2000.0, 1500.0], [300.0] * 6
-    traces = synthesize_traces(r, t, r[::-1], t, cfg.band,
-                               protocol._noise_generators(cfg, indices), NORMALIZED)
-    expected = synthesize_traces(r, t, r[::-1], t, cfg.band, [
-        np.random.default_rng(bit_seed(master_seed, i, 1)) for i in indices], NORMALIZED)
+    traces = synthesize_traces(r, t, r[::-1], t, band,
+                               protocol._noise_generators(shared, states), NORMALIZED)
+    expected = synthesize_traces(r, t, r[::-1], t, band, [
+        numpy_rng(master_seed, i, 1) for i in indices], NORMALIZED)
     for got, want in zip(traces, expected):
         assert got.tolist() == want.tolist()
 

@@ -1,5 +1,6 @@
-"""The package's one thread runner, `lookup._run_parts`, and the guard
-that keeps it the only one."""
+"""The package's one thread runner, `lookup._run_parts`, and the guards
+that keep it the only one and `_streams` the one owner of the per-bit
+random streams."""
 
 import ast
 import sys
@@ -142,3 +143,20 @@ def test_only_lookup_imports_threading():
                    for name in names):
                 importers.append(path.stem)
     assert importers == ["lookup"]
+
+
+def test_only_streams_seeds_per_bit_streams():
+    # `_streams` alone calls `bit_seed` or builds a `SeedSequence`; the one
+    # other seed sequence is the eavesdropper's coin stream, spawn key 0xEE
+    seeders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "func", None)
+            name = getattr(name, "id", getattr(name, "attr", None))
+            if isinstance(node, ast.Call) and name in ("bit_seed", "SeedSequence"):
+                spawn_key = [ast.unparse(keyword.value) for keyword in node.keywords
+                             if keyword.arg == "spawn_key"]
+                seeders.append((path.stem, name, spawn_key))
+    assert sorted({stem for stem, _, _ in seeders}) == ["_streams", "adversary"]
+    assert [seeder for seeder in seeders if seeder[0] != "_streams"] == [
+        ("adversary", "SeedSequence", [repr((0xEE,))])]
