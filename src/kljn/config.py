@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 from .adversary import STRATEGIES
@@ -104,6 +105,11 @@ def load_config(path) -> tuple[ProtocolConfig, dict]:
         if not isinstance(value, expected):
             raise ConfigError(
                 f"{path}: key {key!r} has wrong type {type(value).__name__}")
+        # a JSON integer is read exactly; one past the float range would
+        # overflow where the key's value is taken as a float
+        if expected is not int and any(type(number) is int and abs(number) > sys.float_info.max
+                                       for number in (value if expected is list else [value])):
+            raise ConfigError(f"{path}: key {key!r} holds an integer past the float range")
     for key in _REQUIRED:
         if key not in raw:
             raise ConfigError(f"{path}: missing required key {key!r}")

@@ -270,6 +270,80 @@ class TestColumnRows:
             columns, as_csv_writer_rows(columns))
 
 
+def float_cells(values):
+    """The cells write_csv writes for a float64 column of `values`."""
+    return report._cells(np.asarray(values, dtype=np.float64))
+
+
+#: doubles at repr's edges: the notation switches, the extremes, integers
+#: about 2^53, and exact ties between two 17-digit candidates (m / 4 for
+#: odd m in [2^52, 2^53) is x.25 or x.75, ten times it a half-integer)
+EDGE_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, 1e-4, 1e-5,
+               0.00012345678901234567, 9.999999999999999e-5, 9999999999999998.0, 1e16,
+               1.0000000000000002e16, 123456789012345680.0, 0.1, 0.2, 0.3, 1 / 3, 2 / 3,
+               *(2.0 ** 53 + k for k in range(-4, 5)), *(-(2.0 ** 53) + k for k in range(-4, 5)),
+               *((2 ** 52 + m) / 4 for m in range(1, 40, 2))]
+
+
+class TestFloatPass:
+    """write_csv writes each float64 cell as float.__repr__ does."""
+
+    @settings(max_examples=200)
+    @given(values=arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64)))
+    def test_matches_repr(self, values):
+        assert float_cells(values) == list(map(float.__repr__, values.tolist()))
+
+    def test_random_bit_patterns(self):
+        values = np.random.default_rng(30).integers(
+            0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+        assert float_cells(values) == list(map(float.__repr__, values.tolist()))
+
+    @pytest.mark.parametrize("values", [
+        np.ldexp(1.0, np.arange(-1074, 1024)),  # a power of two's gap below is half
+        np.array([float(f"1e{k}") for k in range(-323, 309)]),
+        np.array([float(f"{digit}e{k}") for digit in (3, 7, 9) for k in range(-30, 30)]),
+        np.array(EDGE_FLOATS),
+    ], ids=["powers-of-two", "powers-of-ten", "single-digits", "edges"])
+    def test_edge_values(self, values):
+        for column in (values, -values):
+            assert float_cells(column) == list(map(float.__repr__, column.tolist()))
+
+    def test_non_ascii_text_among_float_columns(self, tmp_path):
+        columns = (np.array([0.1, -2.5e-300, 7.0]), ["résumé, ü", None, "Ω"],
+                   np.array([np.nan, 1e22, -0.0]))
+        assert written(tmp_path, "columns.csv", columns) == by_csv_writer(
+            columns, as_csv_writer_rows(columns))
+
+    def test_attack_rows_take_repr_only_for_zeros(self, tmp_path, monkeypatch):
+        # every lane of the family sweep is certified or an exact zero, so a
+        # pass that left its lanes to repr would fail here
+        deferred, repr_lanes = [], report._repr_lanes
+        monkeypatch.setattr(report, "_repr_lanes",
+                            lambda values: deferred.extend(values.tolist()) or repr_lanes(values))
+        config = write_config(tmp_path, variant="rrrt-kljn", bits=200, r_low=None,
+                              r_high=None, t_eff=None, r_range=[1000.0, 2000.0],
+                              r_levels=16, t_range=[200.0, 400.0], t_levels=16)
+        out = tmp_path / "attack.csv"
+        assert main(["attack", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        rows = read_report(out).rows
+        assert len(rows) > 100 and all(value == 0 for value in deferred)
+
+
+def test_write_report_passes_homogeneous_columns_as_arrays(tmp_path, monkeypatch):
+    # all-float columns go in as float64 and all-int ones as int64; a column
+    # that mixes kinds, holds None or an int past int64 goes in as text
+    handed = []
+    monkeypatch.setattr(report, "write_csv", lambda columns, rows, summary, path:
+                        handed.extend(rows))
+    rows = [{"f": 0.5, "i": 3, "m": 1, "n": None, "b": True, "h": 2 ** 70},
+            {"f": -0.0, "i": -(2 ** 63), "m": 1.0, "n": 2.0, "b": False, "h": 1}]
+    write_report(report.CsvReport(list(rows[0]), rows, {}), tmp_path / "report.csv")
+    assert [getattr(values, "dtype", None) for values in handed] == [
+        np.float64, np.int64, None, None, None, None]
+    assert handed[2:] == [["1", "1.0"], ["", "2.0"], ["True", "False"], [str(2 ** 70), "1"]]
+
+
 #: one column of Python objects that csv.writer formats apart: 0.0 and
 #: -0.0, 1 and 1.0, nan and inf, text it quotes, and None
 MIXED_VALUES = [0.0, -0.0, 1, 1.0, float("nan"), float("inf"), -float("inf"), None,
