@@ -44,7 +44,7 @@ from .protocol import (
     build_lookup_table,
     run_session,
 )
-from .report import _cells, write_csv
+from .report import text_cells, write_csv
 from .resolver import vmg_matching_residual
 
 EXIT_OK = 0
@@ -144,7 +144,7 @@ def _with_empty_cells(fields, fitted):
     if fitted.all():
         return list(fields)
     cells = np.full((len(fields), len(fitted)), None, dtype=object)
-    cells[:, fitted] = [_cells(values) for values in fields]
+    cells[:, fitted] = [text_cells(values) for values in fields]
     return list(cells)
 
 

@@ -121,9 +121,8 @@ def relative_errors(predicted, measured, floors=(0.0, 0.0, 0.0)) -> list:
     Recovery residuals take the max of these; distances between wire
     triples take the sum of squares (:func:`squared_relative_error`).
     """
-    # Floats take Python's max: the scalar callers (the resolver's
-    # quadratic route through its equation residuals, and
-    # `resolver.vmg_matching_residual`) run it per point, where numpy's
+    # Floats take Python's max: scalar callers such as
+    # `resolver.vmg_matching_residual` run it per point, where numpy's
     # maximum on floats is about 2x slower and would return numpy floats.
     return [abs(p - m) / (np.maximum(np.maximum(abs(p), abs(m)), np.maximum(floor, 1e-300))
                           if isinstance(p, np.ndarray) else max(abs(p), abs(m), floor, 1e-300))

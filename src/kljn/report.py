@@ -268,7 +268,7 @@ def _numeric(values, kinds="fbiu") -> bool:
     return isinstance(values, np.ndarray) and values.dtype.kind in kinds
 
 
-def _cells(values) -> list[str]:
+def text_cells(values) -> list[str]:
     """The cells of one column: a numeric array's as :func:`_piece`
     writes them, and any other sequence's str or None values as they
     are (None as an empty cell), or by :func:`_text` when one check of
@@ -299,7 +299,7 @@ def _piece(columns) -> bytes:
                 slots += [*text, comma]
                 keeps += [*keep, everywhere]
             continue
-        cells = [_cells(values) for values in group]
+        cells = [text_cells(values) for values in group]
         if len(columns) == 1:  # csv.writer quotes a row's lone empty cell
             cells = [[cell or '""' for cell in cells[0]]]
         runs.append(cells[0] if len(cells) == 1 else list(map(",".join, zip(*cells))))

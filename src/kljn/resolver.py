@@ -13,15 +13,18 @@ subtracting pairs of equations eliminates b:
 
     gamma - phi = a / (1 + a),     delta - phi = 1 / (1 + a).
 
-Two recovery routes are implemented.  The elimination route solves the
-linear relations above directly, over arrays:
-:func:`recover_partner_arrays` is the session route, and
-``recover_partner(..., "elimination")`` is one lane of it.  The paper's
-quadratic route, kept as its cross-check, eliminates `a` between pairs
-of the three equations (resultant of the two quadratics in `a`),
-yielding a quadratic in `b` whose roots are {b, 1}; the spurious unit
-root is rejected by back-substitution.  The routes must agree wherever
-the quadratic yields a unique physical root.
+Two recovery routes are implemented as array passes, and
+:func:`recover_partner` is one lane of either.  The session route,
+:func:`recover_partner_arrays`, solves the relations above by
+elimination.  The paper's quadratic route, its cross-check
+(:func:`recover_partner_quadratic_arrays`), eliminates `a` between
+pairs of the three equations (resultant of the two quadratics in `a`),
+yielding a quadratic in `b` whose roots are {b, 1}; back-substitution
+rejects the spurious unit root.  The routes agree on exact data, but
+under noise the quadratic route keeps the unit root: on sampled RRRT
+triples (64 levels, 4096 samples in 64 segments, tolerance 0.5) it
+names the wrong bit on about 23 % of bits, against 4.6 % for
+elimination.
 
 Also here: the temperature-matching solve for the four-resistor binary
 scheme.
@@ -67,10 +70,6 @@ class ReducedObservables:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.gamma, self.phi, self.delta)):
             raise ValueError("reduced observables must be finite")
-
-    def identity_residual(self) -> float:
-        """gamma + delta - 2*phi - 1; zero for exact (noise-free) inputs."""
-        return self.gamma + self.delta - 2.0 * self.phi - 1.0
 
 
 @dataclass(frozen=True)
@@ -128,34 +127,7 @@ def _equation_errors(alpha, beta, gamma, phi, delta) -> list:
                            floors=(0.0, alpha * (beta + 1.0) / denom, 0.0))
 
 
-def equation_residual(reduced: ReducedObservables, alpha: float, beta: float) -> float:
-    """Max relative mismatch of the three reduced equations at (alpha, beta)."""
-    return max(0.0, *_equation_errors(alpha, beta, reduced.gamma, reduced.phi,
-                                      reduced.delta))
-
-
-def solve_quadratic_stable(a: float, b: float, c: float) -> tuple[float, float]:
-    """Roots of a x^2 + b x + c = 0 in Vieta form.
-
-    Avoids catastrophic cancellation for widely separated roots; raises
-    NoPositiveRoot on negative discriminant (callers treat complex roots
-    as unphysical measurements).
-    """
-    if a == 0.0:
-        if b == 0.0:
-            raise NoPositiveRoot("degenerate quadratic with no roots")
-        root = -c / b
-        return root, root
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        raise NoPositiveRoot(f"negative discriminant {disc}")
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
-    if q == 0.0:
-        return 0.0, 0.0
-    return q / a, c / q
-
-
-def _beta_quadratic_primary(g: float, f: float) -> tuple[float, float, float]:
+def _beta_quadratic_primary(g, f):
     """Quadratic in beta from the voltage-PSD and power equations.
 
     Resultant of the two quadratics in alpha implied by gamma and phi;
@@ -171,7 +143,7 @@ def _beta_quadratic_primary(g: float, f: float) -> tuple[float, float, float]:
             -(f * f + big_b * g))
 
 
-def _beta_quadratic_alternative(f: float, d: float) -> tuple[float, float, float]:
+def _beta_quadratic_alternative(f, d):
     """Quadratic in beta from the power and current-PSD equations."""
     p = d - f
     q = 1.0 + f - d
@@ -179,102 +151,35 @@ def _beta_quadratic_alternative(f: float, d: float) -> tuple[float, float, float
     return (-p * q, -(p * r - d * q), f * f + d * r)
 
 
-def _positive_roots(coeffs: tuple[float, float, float]) -> list[float]:
-    try:
-        roots = solve_quadratic_stable(*coeffs)
-    except NoPositiveRoot:
-        return []
-    return [r for r in roots if r > 0.0 and math.isfinite(r)]
+def _positive_roots(a, b, c):
+    """Both roots of a x^2 + b x + c = 0 in Vieta form, which avoids
+    cancellation, stacked on a new first axis, NaN unless positive and
+    finite; a linear equation (a = 0) gives its one root twice."""
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), np.where(b != 0.0, b, 1.0)))
+    roots = np.where(a == 0.0, -c / b, np.array([q / a, c / q]))
+    return np.where((roots > 0.0) & np.isfinite(roots), roots, np.nan)
 
 
-def _alpha_candidates(beta: float, g: float, f: float, d: float) -> list[float]:
-    """Alpha roots consistent with a candidate beta, from each equation."""
-    candidates: list[float] = []
-    # gamma eq: (g-1) a^2 + (2g - b) a + g = 0
-    candidates.extend(_positive_roots((g - 1.0, 2.0 * g - beta, g)))
-    # phi eq: f a^2 + (2f + 1 - b) a + f = 0
-    candidates.extend(_positive_roots((f, 2.0 * f + 1.0 - beta, f)))
-    # delta eq: d a^2 + (2d - b) a + (d - 1) = 0
-    candidates.extend(_positive_roots((d, 2.0 * d - beta, d - 1.0)))
-    return candidates
+def _close(x, y, rtol):
+    """|x - y| <= rtol max(|x|, |y|); false where either is NaN."""
+    return np.abs(x - y) <= rtol * np.maximum(np.abs(x), np.abs(y))
 
 
-def _recover_by_quadratic(reduced: ReducedObservables,
-                          tolerance: float) -> RecoveredPartner:
-    g, f, d = reduced.gamma, reduced.phi, reduced.delta
-    primary = _positive_roots(_beta_quadratic_primary(g, f))
-    if not primary:
-        raise NoPositiveRoot(
-            f"no positive temperature-ratio root for "
-            f"(gamma, phi, delta) = ({g}, {f}, {d})")
-    betas = primary
-    if len(primary) > 1:
-        # both roots physical: require joint consistency with the
-        # alternative quadratic built from the power and current equations
-        alternative = _positive_roots(_beta_quadratic_alternative(f, d))
-        joint = [b for b in primary
-                 if any(abs(b - b2) <= ROOT_JOINT_RTOL * max(abs(b), abs(b2))
-                        for b2 in alternative)]
-        betas = joint or primary
-
-    survivors: list[tuple[float, float, float]] = []
-    for beta in betas:
-        for alpha in _alpha_candidates(beta, g, f, d):
-            residual = equation_residual(reduced, alpha, beta)
-            if residual <= tolerance:
-                survivors.append((alpha, beta, residual))
-    if not survivors:
-        raise NoPositiveRoot(
-            f"no (alpha, beta) pair satisfies all three equations within "
-            f"{tolerance} for (gamma, phi, delta) = ({g}, {f}, {d})")
-    best = min(survivors, key=lambda t: t[2])
-    # a residual tolerance of `tolerance` cannot distinguish parameters
-    # closer than roughly that, so scale the ambiguity threshold with it
-    joint_rtol = max(ROOT_JOINT_RTOL, 10.0 * tolerance)
-    for alpha, beta, _ in survivors:
-        if (abs(alpha - best[0]) > joint_rtol * max(abs(alpha), abs(best[0]))
-                or abs(beta - best[1]) > joint_rtol * max(abs(beta), abs(best[1]))):
-            raise AmbiguousRecovery(
-                f"distinct joint solutions ({best[0]}, {best[1]}) and "
-                f"({alpha}, {beta}) both satisfy the equations within {tolerance}")
-    return RecoveredPartner(alpha=best[0], beta=best[1], method="quadratic",
-                            residual=best[2])
+def _identity_fails(gamma, phi, delta, tolerance):
+    """Lanes missing gamma + delta - 2 phi = 1 by more than `tolerance`."""
+    return ~(np.abs(gamma + delta - 2.0 * phi - 1.0) <= tolerance)
 
 
-def recover_partner(reduced: ReducedObservables, tolerance: float,
-                    method: str = "quadratic") -> RecoveredPartner:
-    """Recover the partner's (alpha, beta) from reduced observables.
-
-    ``method="quadratic"`` follows the closed-form route (quadratic in
-    the temperature ratio, alternative quadratic for disambiguation,
-    then the resistance ratio); ``method="elimination"`` is one lane of
-    :func:`recover_partner_arrays`, raising its failure code's error.
-    Both must satisfy all three equations within `tolerance`.
-    """
-    if method == "elimination":
-        alpha, beta, residual, failure = (values[0].item() for values in recover_partner_arrays(
-            *np.array([[reduced.gamma], [reduced.phi], [reduced.delta]], dtype=float), tolerance))
-        if failure:
-            error_class, reason = RECOVERY_FAILURES[failure]
-            raise error_class(f"{reason} for {reduced} (tolerance {tolerance})")
-        return RecoveredPartner(alpha=alpha, beta=beta, method=method, residual=residual)
-    if method != "quadratic":
-        raise ValueError(f"unknown recovery method {method!r}")
-    residual = abs(reduced.identity_residual())
-    if residual > tolerance:
-        raise InconsistentObservables(
-            f"consistency identity violated by {residual} "
-            f"(tolerance {tolerance}); observables are not from a valid loop")
-    return _recover_by_quadratic(reduced, tolerance)
-
-
-#: Why :func:`recover_partner_arrays` fails a lane, by code (0: recovered),
-#: in check order.
+#: Why a recovery pass fails a lane, by code (0: recovered), in each
+#: pass's check order: elimination's 1-3, the quadratic route's 1, 4-6.
 RECOVERY_FAILURES = (
     None,
     (InconsistentObservables, "consistency identity violated"),
     (NoPositiveRoot, "non-positive resistance or temperature ratio"),
     (InconsistentObservables, "elimination residual exceeds the tolerance"),
+    (NoPositiveRoot, "no positive temperature-ratio root"),
+    (NoPositiveRoot, "no (alpha, beta) pair satisfies all three equations"),
+    (AmbiguousRecovery, "distinct (alpha, beta) pairs satisfy all three equations"),
 )
 
 
@@ -287,10 +192,63 @@ def recover_partner_arrays(gamma, phi, delta, tolerance: float):
         alpha = (gamma - phi) / (delta - phi)
         beta = 1.0 + phi * (1.0 + alpha) ** 2 / alpha
         residual = np.max(_equation_errors(alpha, beta, gamma, phi, delta), axis=0)
-    failure = np.select([~(np.abs(gamma + delta - 2.0 * phi - 1.0) <= tolerance),
+    failure = np.select([_identity_fails(gamma, phi, delta, tolerance),
                          (delta - phi <= 0.0) | (gamma - phi <= 0.0) | ~(beta > 0.0),
                          ~(residual <= tolerance)], [1, 2, 3], 0)
     return alpha, beta, residual, failure
+
+
+@np.errstate(all="ignore")  # unphysical candidates come out NaN and drop out
+def recover_partner_quadratic_arrays(gamma, phi, delta, tolerance: float):
+    """The paper's quadratic route over arrays of reduced observables,
+    with the outputs of :func:`recover_partner_arrays`.  The beta
+    candidates are the primary quadratic's positive roots (if both are,
+    those an alternative root confirms within `ROOT_JOINT_RTOL`, if any),
+    each with six alpha candidates, the roots of the gamma, phi and delta
+    equations in alpha.  A lane keeps the first pair of least residual
+    within `tolerance`, and is ambiguous if another such pair lies farther
+    from it than max(ROOT_JOINT_RTOL, 10 tolerance), the resolution of
+    that tolerance."""
+    betas = _positive_roots(*_beta_quadratic_primary(gamma, phi))
+    joint = _close(betas[:, None], _positive_roots(*_beta_quadratic_alternative(phi, delta)),
+                   ROOT_JOINT_RTOL).any(axis=1)
+    betas = np.where(joint | ~joint.any(axis=0), betas, np.nan)  # all if none is confirmed
+    # candidates in (beta, equation, root) order
+    alpha = np.moveaxis(_positive_roots(
+        np.array([gamma - 1.0, phi, delta]),
+        np.array([2.0 * gamma, 2.0 * phi + 1.0, 2.0 * delta]) - betas[:, None],
+        np.array([gamma, phi, delta - 1.0])), 0, 2).reshape(12, *np.shape(gamma))
+    beta = np.repeat(betas, 6, axis=0)
+    residual = np.max(_equation_errors(alpha, beta, gamma, phi, delta), axis=0)
+    survives = residual <= tolerance
+    best = np.argmin(np.where(survives, residual, np.inf), axis=0)
+    chosen = np.take_along_axis(np.array([alpha, beta, residual]), best[None, None], axis=1)[:, 0]
+    joint_rtol = max(ROOT_JOINT_RTOL, 10.0 * tolerance)
+    distinct = survives & ~(_close(alpha, chosen[0], joint_rtol)
+                            & _close(beta, chosen[1], joint_rtol))
+    failure = np.select([_identity_fails(gamma, phi, delta, tolerance),
+                         np.isnan(betas).all(axis=0), ~survives.any(axis=0),
+                         distinct.any(axis=0)], [1, 4, 5, 6], 0)
+    return *chosen, failure
+
+
+def recover_partner(reduced: ReducedObservables, tolerance: float,
+                    method: str = "quadratic") -> RecoveredPartner:
+    """The partner's (alpha, beta) from reduced observables: one lane of
+    :func:`recover_partner_quadratic_arrays` (``method="quadratic"``) or
+    :func:`recover_partner_arrays` (``"elimination"``), raising the error
+    of its :data:`RECOVERY_FAILURES` code.  Under noise the quadratic
+    route is the less reliable one (see the module docstring)."""
+    routes = {"quadratic": recover_partner_quadratic_arrays,
+              "elimination": recover_partner_arrays}
+    if method not in routes:
+        raise ValueError(f"unknown recovery method {method!r}")
+    alpha, beta, residual, failure = (values[0].item() for values in routes[method](
+        *np.array([[reduced.gamma], [reduced.phi], [reduced.delta]], dtype=float), tolerance))
+    if failure:
+        error_class, reason = RECOVERY_FAILURES[failure]
+        raise error_class(f"{reason} for {reduced} (tolerance {tolerance})")
+    return RecoveredPartner(alpha=alpha, beta=beta, method=method, residual=residual)
 
 
 def vmg_matching_residual(r_al: float, r_ah: float, r_bl: float, r_bh: float,

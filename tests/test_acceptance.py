@@ -19,13 +19,11 @@ from kljn import (
     NORMALIZED,
     PartyState,
     ProtocolConfig,
-    ReducedObservables,
     SI,
     analytic_observables,
     eve_guess_session,
     eve_pair_extraction,
     eve_rrrt_solution_family,
-    recover_partner,
     run_session,
     solve_vmg_temperatures,
 )
@@ -34,7 +32,11 @@ from kljn.physics import (
     estimate_observable_arrays,
     synthesize_traces,
 )
-from kljn.resolver import recover_partner_arrays, vmg_matching_residual
+from kljn.resolver import (
+    recover_partner_arrays,
+    recover_partner_quadratic_arrays,
+    vmg_matching_residual,
+)
 from kljn.protocol import STATUS_SECURE
 
 
@@ -151,29 +153,29 @@ def test_criterion_3_consistency_identity():
 
 def test_criterion_4_recovery_round_trip():
     """reduce -> recover reproduces (alpha, beta) to 1e-9 for 1e5 draws;
-    quadratic route agrees with the elimination oracle, which runs as
-    the session's one array pass over the same reduced triples."""
+    the paper's quadratic route agrees with the elimination oracle, each
+    one array pass over the same reduced triples."""
     rng = np.random.default_rng(104)
     n = 100_000
     alphas = np.exp(rng.uniform(np.log(0.1), np.log(10), n))
     betas = np.exp(rng.uniform(np.log(0.1), np.log(10), n))
-    reduced = [ReducedObservables(*exact_reduced(alpha, beta))
-               for alpha, beta in zip(alphas, betas)]
-    quad = [recover_partner(r, 1e-6, "quadratic") for r in reduced]
-    quad_alpha, quad_beta = np.array([(q.alpha, q.beta) for q in quad]).T
-    elim_alpha, elim_beta, _, failure = recover_partner_arrays(
-        *np.array([(r.gamma, r.phi, r.delta) for r in reduced]).T, 1e-6)
+    reduced = np.array([exact_reduced(alpha, beta)
+                        for alpha, beta in zip(alphas.tolist(), betas.tolist())]).T
+    quad_alpha, quad_beta, _, quad_failure = recover_partner_quadratic_arrays(*reduced, 1e-6)
+    elim_alpha, elim_beta, _, failure = recover_partner_arrays(*reduced, 1e-6)
     worst_round_trip = max(np.max(np.abs(quad_alpha - alphas) / alphas),
                            np.max(np.abs(quad_beta - betas) / betas),
                            np.max(np.abs(elim_alpha - alphas) / alphas),
                            np.max(np.abs(elim_beta - betas) / betas))
     worst_route_gap = max(np.max(np.abs(quad_alpha - elim_alpha) / elim_alpha),
                           np.max(np.abs(quad_beta - elim_beta) / elim_beta))
-    ok = not failure.any() and worst_round_trip < 1e-9 and worst_route_gap < 1e-9
+    ok = (not failure.any() and not quad_failure.any() and worst_round_trip < 1e-9
+          and worst_route_gap < 1e-9)
     _verdict(4, "recovery round-trip", ok,
              f"max round-trip error {worst_round_trip:.2e} and max "
              f"route disagreement {worst_route_gap:.2e} over 1e5 draws "
-             f"(threshold 1e-9); elimination failures: {np.count_nonzero(failure)}")
+             f"(threshold 1e-9); failures: elimination {np.count_nonzero(failure)}, "
+             f"quadratic {np.count_nonzero(quad_failure)}")
 
 
 def test_criterion_5_classic_claims():

@@ -1095,11 +1095,36 @@ class TestBatchEngine:
         def scalar_route(*args, **kwargs):
             raise AssertionError("the session path called a scalar recovery route")
 
-        for name in ("recover_partner", "_recover_by_quadratic"):
+        for name in ("recover_partner", "recover_partner_quadratic_arrays"):
             monkeypatch.setattr(resolver, name, scalar_route)
         report = run_session(make(bits=12, **(SMALL_SAMPLED if mode == "sampled"
                                               else {})))
         assert sum(report.counts.values()) == 12
+
+    @pytest.mark.parametrize("make", [classic_config, vmg_config, rr_config,
+                                      rrrt_config])
+    def test_recovery_routes_agree_on_the_session_triples(self, make):
+        # each party's reduced triples of an analytic session, Bob's with
+        # the power flowing into Alice negated, through both array passes
+        cfg = make(bits=2000)
+        report = run_session(cfg)
+        s_u, s_i, p_ab = report.observables
+        measured = report.status != STATUS_TIE
+        for party, (draws, sign) in enumerate(zip(report.draws, (1.0, -1.0))):
+            own_r, own_t = np.array([(s.resistance, s.temperature) for s in draws]).T
+            reduced = resolver.reduce_observable_arrays(
+                s_u, s_i, sign * p_ab, own_r, own_t, cfg.band.bandwidth_hz, cfg.constants.k)
+            routes = [route(*reduced, cfg.effective_recovery_tolerance()) for route in
+                      (resolver.recover_partner_arrays, resolver.recover_partner_quadratic_arrays)]
+            assert (routes[0][3][measured] == report.failures[party][measured]).all()
+            classes = [[resolver.RECOVERY_FAILURES[code] and resolver.RECOVERY_FAILURES[code][0]
+                        for code in failure[measured].tolist()] for *_, failure in routes]
+            assert classes[0] == classes[1]
+            both = measured & (routes[0][3] == 0) & (routes[1][3] == 0)
+            assert both.sum() > 1000
+            for elimination, quadratic in zip(routes[0][:2], routes[1][:2]):
+                assert np.max(np.abs(quadratic[both] - elimination[both])
+                              / elimination[both]) < 1e-9
 
     def test_vmg_temperatures_solved_once_per_session(self, monkeypatch):
         calls = []

@@ -272,7 +272,7 @@ class TestColumnRows:
 
 def float_cells(values):
     """The cells write_csv writes for a float64 column of `values`."""
-    return report._cells(np.asarray(values, dtype=np.float64))
+    return report.text_cells(np.asarray(values, dtype=np.float64))
 
 
 #: doubles at repr's edges: the notation switches, the extremes, integers

@@ -1,5 +1,5 @@
-"""Parameter recovery algebra: reduction, both recovery routes, the
-session's array route, the equal-temperature pair extraction, and the
+"""Parameter recovery algebra: reduction, both recovery routes and their
+array passes, the equal-temperature pair extraction, and the
 temperature-matching solve."""
 
 import ast
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kljn import (
+    AmbiguousRecovery,
     BandConfig,
     ConfigError,
     EveView,
@@ -33,8 +34,12 @@ from kljn import adversary, resolver
 from kljn.adversary import eve_pair_extractions
 from kljn.resolver import (
     RECOVERY_FAILURES,
-    equation_residual,
+    ROOT_JOINT_RTOL,
+    _beta_quadratic_alternative,
+    _beta_quadratic_primary,
+    _equation_errors,
     recover_partner_arrays,
+    recover_partner_quadratic_arrays,
     reduce_observable_arrays,
     vmg_matching_residual,
 )
@@ -77,7 +82,7 @@ class TestReduce:
             alpha, beta = np.exp(rng.uniform(np.log(0.1), np.log(10), 2))
             red = reduce_observables(observables_for(alpha, beta),
                                      1000.0, 300.0, 1.0, NORMALIZED)
-            assert abs(red.identity_residual()) < 1e-12
+            assert abs(red.gamma + red.delta - 2.0 * red.phi - 1.0) < 1e-12
 
     def test_elimination_identities(self):
         # gamma - phi = a/(1+a) and delta - phi = 1/(1+a)
@@ -148,8 +153,9 @@ class TestRecoverPartner:
 
     def test_equation_residual_zero_at_truth(self):
         red = exact_reduced(1.7, 0.4)
-        assert equation_residual(red, 1.7, 0.4) < 1e-14
-        assert equation_residual(red, 2.0, 0.4) > 1e-2
+        triple = (red.gamma, red.phi, red.delta)
+        assert np.max(_equation_errors(1.7, 0.4, *triple)) < 1e-14
+        assert np.max(_equation_errors(2.0, 0.4, *triple)) > 1e-2
 
 
 def recover_from_wire(alice, bob, tolerance=1e-6):
@@ -162,36 +168,140 @@ def recover_from_wire(alice, bob, tolerance=1e-6):
     return alpha, beta, failure
 
 
+# identity violated, primary quadratic vanishing, non-positive ratios,
+# a residual past 1e-3, equilibrium with phi zero and of rounding size,
+# two distinct pairs within 1e-6
+EDGE_TRIPLES = [(1.0, 0.3, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, -0.5, 0.0),
+                (1.5, 0.25, 0.0), (0.3, -0.2, 0.3009), (0.5, 0.0, 0.5), (0.5, 1e-17, 0.5),
+                (16.378195844813963, 15.878191693804922, 16.378187542795885)]
+ROUTES = {"elimination": recover_partner_arrays, "quadratic": recover_partner_quadratic_arrays}
+
+
+def scalar_quadratic_route(reduced, tolerance):
+    """The quadratic route as the package ran it one triple at a time
+    before it became an array pass, kept as that pass's reference: its
+    error class, or its (alpha, beta, residual) and every (alpha, beta)
+    that survived the tolerance."""
+    def solve_quadratic_stable(a, b, c):
+        if a == 0.0:
+            if b == 0.0:
+                raise NoPositiveRoot("degenerate quadratic with no roots")
+            root = -c / b
+            return root, root
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            raise NoPositiveRoot(f"negative discriminant {disc}")
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b if b != 0.0 else 1.0))
+        if q == 0.0:
+            return 0.0, 0.0
+        return q / a, c / q
+
+    def positive_roots(coeffs):
+        try:
+            roots = solve_quadratic_stable(*coeffs)
+        except NoPositiveRoot:
+            return []
+        return [r for r in roots if r > 0.0 and math.isfinite(r)]
+
+    g, f, d = reduced.gamma, reduced.phi, reduced.delta
+    if abs(g + d - 2.0 * f - 1.0) > tolerance:
+        return InconsistentObservables
+    primary = positive_roots(_beta_quadratic_primary(g, f))
+    if not primary:
+        return NoPositiveRoot
+    betas = primary
+    if len(primary) > 1:
+        alternative = positive_roots(_beta_quadratic_alternative(f, d))
+        joint = [b for b in primary
+                 if any(abs(b - b2) <= ROOT_JOINT_RTOL * max(abs(b), abs(b2))
+                        for b2 in alternative)]
+        betas = joint or primary
+    survivors = []
+    for beta in betas:
+        for alpha in (positive_roots((g - 1.0, 2.0 * g - beta, g))
+                      + positive_roots((f, 2.0 * f + 1.0 - beta, f))
+                      + positive_roots((d, 2.0 * d - beta, d - 1.0))):
+            residual = max(0.0, *_equation_errors(alpha, beta, g, f, d))
+            if residual <= tolerance:
+                survivors.append((alpha, beta, residual))
+    if not survivors:
+        return NoPositiveRoot
+    best = min(survivors, key=lambda t: t[2])
+    joint_rtol = max(ROOT_JOINT_RTOL, 10.0 * tolerance)
+    for alpha, beta, _ in survivors:
+        if (abs(alpha - best[0]) > joint_rtol * max(abs(alpha), abs(best[0]))
+                or abs(beta - best[1]) > joint_rtol * max(abs(beta), abs(best[1]))):
+            return AmbiguousRecovery
+    return best, [(alpha, beta) for alpha, beta, _ in survivors]
+
+
+def reduced_lanes(reduced):
+    """The (gamma, phi, delta) arrays of a list of reduced triples."""
+    return [np.array([getattr(r, name) for r in reduced]) for name in ("gamma", "phi", "delta")]
+
+
 class TestRecoverPartnerArrays:
-    def test_matches_scalar_elimination(self):
-        # the scalar elimination is one lane of the array route, bit for bit
+    @pytest.mark.parametrize("method", ["elimination", "quadratic"])
+    def test_scalar_api_is_one_lane(self, method):
+        # the scalar API is one lane of the route's array pass, bit for bit
         rng = np.random.default_rng(7)
         alpha, beta = np.exp(rng.uniform(np.log(0.1), np.log(10), (2, 2000)))
         reduced = [exact_reduced(a, b) for a, b in zip(alpha, beta)]
-        lanes = recover_partner_arrays(
-            *(np.array([getattr(r, name) for r in reduced])
-              for name in ("gamma", "phi", "delta")), 1e-9)
+        lanes = ROUTES[method](*reduced_lanes(reduced), 1e-9)
         assert not lanes[3].any()
-        scalar = [recover_partner(r, 1e-9, "elimination") for r in reduced]
+        scalar = [recover_partner(r, 1e-9, method) for r in reduced]
         assert [(rec.alpha, rec.beta, rec.residual) for rec in scalar] == list(
             zip(*(values.tolist() for values in lanes[:3])))
         assert all(type(value) is float for rec in scalar
                    for value in (rec.alpha, rec.beta, rec.residual))
 
-    @pytest.mark.parametrize("triple, tolerance, error", [
-        ((1.0, 0.3, 1.0), 1e-6, InconsistentObservables),  # identity violated
-        ((1.5, 0.25, 0.0), 1e-6, NoPositiveRoot),  # delta - phi <= 0
-        ((0.0, -0.5, 0.0), 1e-6, NoPositiveRoot),  # beta <= 0
-        ((0.3, -0.2, 0.3009), 1e-3, InconsistentObservables),  # residual > tolerance
-    ], ids=["identity", "resistance-ratio", "temperature-ratio", "residual"])
-    def test_flags_the_scalar_error_class(self, triple, tolerance, error):
+    @pytest.mark.parametrize("method, triple, tolerance, error", [
+        ("elimination", (1.0, 0.3, 1.0), 1e-6, InconsistentObservables),  # identity violated
+        ("elimination", (1.5, 0.25, 0.0), 1e-6, NoPositiveRoot),  # delta - phi <= 0
+        ("elimination", (0.0, -0.5, 0.0), 1e-6, NoPositiveRoot),  # beta <= 0
+        ("elimination", (0.3, -0.2, 0.3009), 1e-3, InconsistentObservables),  # residual > tolerance
+        ("quadratic", (1.0, 0.3, 1.0), 1e-6, InconsistentObservables),
+        ("quadratic", (1.0, 0.0, 0.0), 1e-6, NoPositiveRoot),  # primary quadratic vanishes
+        ("quadratic", (0.3, -0.2, 0.3009), 1e-3, NoPositiveRoot),  # no pair within tolerance
+        ("quadratic", (16.378195844813963, 15.878191693804922, 16.378187542795885), 1e-6,
+         AmbiguousRecovery),  # two distinct pairs within tolerance
+    ], ids=["identity", "resistance-ratio", "temperature-ratio", "residual",
+            "quadratic-identity", "quadratic-no-root", "quadratic-no-pair",
+            "quadratic-ambiguous"])
+    def test_flags_the_scalar_error_class(self, method, triple, tolerance, error):
         with pytest.raises(error):
-            recover_partner(ReducedObservables(*triple), tolerance, "elimination")
+            recover_partner(ReducedObservables(*triple), tolerance, method)
         # a good lane next to the failing one is unaffected
         good = exact_reduced(2.0, 3.0)
         lanes = zip(triple, (good.gamma, good.phi, good.delta))
-        *_, failure = recover_partner_arrays(*map(np.array, lanes), tolerance)
+        *_, failure = ROUTES[method](*map(np.array, lanes), tolerance)
         assert failure[1] == 0 and RECOVERY_FAILURES[failure[0]][0] is error
+
+    @pytest.mark.parametrize("noise, tolerance", [(0.0, 1e-6), (1e-2, 0.5), (1e-1, 0.5)])
+    def test_quadratic_pass_matches_the_scalar_route(self, noise, tolerance):
+        # the same error class on every lane; where candidates tie to
+        # rounding (numpy squares where Python's ** calls pow), the pass
+        # may keep another of the scalar route's survivors
+        rng = np.random.default_rng(8)
+        alpha, beta = np.exp(rng.uniform(np.log(0.1), np.log(10), (2, 2000)))
+        reduced = [ReducedObservables(r.gamma * (1 + e_g), r.phi + e_f * abs(r.gamma),
+                                      r.delta * (1 + e_d))
+                   for r, e_g, e_f, e_d in zip(map(exact_reduced, alpha, beta),
+                                               *rng.normal(0.0, noise, (3, 2000)))]
+        reduced += [ReducedObservables(*triple) for triple in EDGE_TRIPLES]
+        lanes = list(zip(*(values.tolist() for values in recover_partner_quadratic_arrays(
+            *reduced_lanes(reduced), tolerance))))
+        oracle = [scalar_quadratic_route(r, tolerance) for r in reduced]
+        assert [RECOVERY_FAILURES[code] and RECOVERY_FAILURES[code][0]
+                for *_, code in lanes] == [None if isinstance(o, tuple) else o for o in oracle]
+        recovered = 0
+        for (got_alpha, got_beta, got_residual, code), found in zip(lanes, oracle):
+            if not code:
+                (_, _, residual), survivors = found
+                assert (got_alpha, got_beta) in survivors
+                assert abs(got_residual - residual) <= 1e-15
+                recovered += 1
+        assert recovered > 500
 
 
 class TestEqualTemperatureRecovery:
