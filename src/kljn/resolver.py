@@ -238,7 +238,9 @@ def recover_partner(reduced: ReducedObservables, tolerance: float,
     :func:`recover_partner_quadratic_arrays` (``method="quadratic"``) or
     :func:`recover_partner_arrays` (``"elimination"``), raising the error
     of its :data:`RECOVERY_FAILURES` code.  Under noise the quadratic
-    route is the less reliable one (see the module docstring)."""
+    route is the less reliable one (see the module docstring).  A lane
+    costs about 0.2 ms (quadratic) or 0.07 ms (elimination) of numpy
+    calls; callers with many triples should call the array passes."""
     routes = {"quadratic": recover_partner_quadratic_arrays,
               "elimination": recover_partner_arrays}
     if method not in routes:
